@@ -63,14 +63,6 @@ from .reduction import (
     taylor_residual,
 )
 from .scalars import RATIONAL_BACKEND, GaussianRational
-from .spectral import (
-    SpectralEstimate,
-    abscissa_and_residue,
-    eigenvalues,
-    hermite_matrix,
-    hurwitz_zeta,
-    zeta_value,
-)
 from .uea import (
     Monomial,
     UEAElement,
@@ -90,6 +82,21 @@ from .weyl import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric layer needs numpy, which the exact layer never uses; its names
+# resolve on first use so that importing the package stays light.
+_SPECTRAL_NAMES = (
+    "SpectralEstimate", "abscissa_and_residue", "eigenvalues",
+    "hermite_matrix", "hurwitz_zeta", "zeta_value",
+)
+
+
+def __getattr__(name: str):
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AlgebraSpec",

@@ -1,12 +1,13 @@
 """The two-sided kernel ideal of the representation and its degree slices.
 
-Membership in the ideal is decidable exactly: an element lies in the ideal
-iff its image under :func:`~nilzeta.weyl.rho` is the zero operator.  The
-degree-slice machinery classifies ordered monomials by a single ascending
-sweep: each monomial's image is reduced against the images of the smaller
-monomials already processed; a vanishing residual marks a *dependent*
-monomial (its coset has a representative on earlier monomials), a surviving
-residual contributes a new pivot and marks an *independent* monomial.
+Each ordered monomial m = X^p Y^q maps to ``c_m * d^p o x^gamma`` with
+``gamma = sum q_beta * beta`` (:func:`~nilzeta.weyl.monomial_symbol`).  The
+operators ``d^p o x^gamma`` are linearly independent: each normal form has
+its own top term ``x^gamma d^p``.  So the key ``(p, gamma)`` decides all.  An
+element lies in the ideal iff, on every key, its coefficients weighted by
+``c_m`` sum to zero.  One ascending sweep classifies monomials: the first
+monomial with a key is *independent*, and every later monomial m with that
+key is *dependent*, with canonical form ``(c_m / c_first) * first``.
 
 The classification yields, per degree,
 
@@ -23,7 +24,7 @@ identically, which the verification suite checks exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
@@ -39,7 +40,7 @@ from .uea import (
     slice_monomials,
     y_star,
 )
-from .weyl import WeylOperator, rho, weyl_key
+from .weyl import WeylOperator, leibniz, monomial_symbol, weyl_key
 
 DEFAULT_SLICE_CAP = 6
 
@@ -79,19 +80,23 @@ def generators(spec: AlgebraSpec) -> tuple[list[UEAElement], list[UEAElement]]:
 
 
 def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
-    """Exact ideal membership: the representation image vanishes."""
-    return rho(spec, u).is_zero()
+    """Exact ideal membership: the representation image vanishes.
+
+    The image is the sum over keys of (sum of c_m * coeff_m) * d^p o x^gamma,
+    so it vanishes iff every key's sum does.
+    """
+    if u.spec != spec:
+        raise ValueError("element belongs to a different algebra")
+    sums: dict = {}
+    for mono, coeff in u.terms.items():
+        key, c = monomial_symbol(spec, mono)
+        sums[key] = sums.get(key, ZERO) + c * coeff
+    return all(total.is_zero() for total in sums.values())
 
 
 # ---------------------------------------------------------------------------
 # Degree slices
 # ---------------------------------------------------------------------------
-
-
-class _PivotRow(NamedTuple):
-    row: dict  # normalized image, unit coefficient at its leading key
-    preimage: dict  # Monomial -> GaussianRational with rho(preimage) == row
-    odeg: int  # degree of the monomial that created the pivot
 
 
 class _SliceState:
@@ -100,8 +105,8 @@ class _SliceState:
     def __init__(self, spec: AlgebraSpec) -> None:
         self.spec = spec
         self.processed_degree = -1
-        self.pivots: dict = {}
-        self.canonical: dict = {}  # dependent Monomial -> dict[Monomial, GR]
+        self.first: dict = {}  # key (p, gamma) -> (degree, first Monomial, 1 / its c)
+        self.canonical: dict = {}  # dependent Monomial -> {first: c_m / c_first}
         self.t_by_degree: dict = {}
         self.o_by_degree: dict = {}
 
@@ -112,33 +117,17 @@ class _SliceState:
             t_list: list[Monomial] = []
             o_list: list[Monomial] = []
             for mono in slice_monomials(spec, d):
-                image = rho(spec, UEAElement.monomial(spec, mono))
-                residual, used = reduce_against(image.terms, self._rows(), weyl_key)
-                combo: dict = {}
-                for lead_key, coeff in used.items():
-                    vec_add_scaled(combo, self.pivots[lead_key].preimage, coeff)
-                if not residual:
-                    self.canonical[mono] = combo
-                    t_list.append(mono)
-                else:
-                    lead = max(residual, key=weyl_key)
-                    c = residual[lead]
-                    inv = c.inverse()
-                    row = vec_scale(residual, inv)
-                    pre = {mono: ONE}
-                    vec_add_scaled(pre, combo, -ONE)
-                    pre = vec_scale(pre, inv)
-                    self.pivots[lead] = _PivotRow(row, pre, d)
+                key, c = monomial_symbol(spec, mono)
+                hit = self.first.get(key)
+                if hit is None:
+                    self.first[key] = (d, mono, c.inverse())
                     o_list.append(mono)
+                else:
+                    self.canonical[mono] = {hit[1]: c * hit[2]}
+                    t_list.append(mono)
             self.t_by_degree[d] = tuple(t_list)
             self.o_by_degree[d] = tuple(o_list)
             self.processed_degree = d
-
-    def _rows(self) -> dict:
-        return {k: p.row for k, p in self.pivots.items()}
-
-    def rows_up_to(self, odeg: int) -> dict:
-        return {k: p.row for k, p in self.pivots.items() if p.odeg <= odeg}
 
 
 _STATES: dict = {}
@@ -203,24 +192,8 @@ def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
     st.advance(u.degree())
     out: dict = {}
     for mono, coeff in u.terms.items():
-        rep = st.canonical.get(mono)
-        if rep is None:
-            new = out.get(mono, ZERO) + coeff
-            if new.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        else:
-            vec_add_scaled(out, rep, coeff)
+        vec_add_scaled(out, st.canonical.get(mono, {mono: ONE}), coeff)
     return UEAElement(spec, out)
-
-
-def dependent_monomials(spec: AlgebraSpec, degree: int) -> tuple:
-    return build_slice(spec, degree).dependent
-
-
-def independent_monomials(spec: AlgebraSpec, degree: int) -> tuple:
-    return build_slice(spec, degree).independent
 
 
 def filtration_min_degree(
@@ -228,24 +201,26 @@ def filtration_min_degree(
 ) -> int | None:
     """Least q with w in the image of the degree-<=q filtration level, or None.
 
-    The pivot rows created by monomials of degree <= q span exactly the image
-    of the span of those monomials, so membership at level q is a reduction
-    against the odeg-filtered pivot set.  ``None`` means "not attained by
+    That image is spanned by the d^b o x^a whose key (b, a) some monomial of
+    degree <= q reaches.  Peeling the top term x^a d^b of w against the
+    normal form of d^b o x^a writes w in that basis, so q is the largest
+    first degree among the keys used.  ``None`` means "not attained by
     degree cap"; raise ``cap`` to search further.
     """
     if w.is_zero():
         return 0
     st = _state(spec)
     st.advance(cap)
-    for q in range(cap + 1):
-        residual, _ = reduce_against(w.terms, st.rows_up_to(q), weyl_key)
-        if not residual:
-            return q
-    return None
-
-
-def kernel_slice_dimension(spec: AlgebraSpec, degree: int) -> int:
-    return build_slice(spec, degree).dimension
+    rest = dict(w.terms)
+    level = 0
+    while rest:
+        a, b = max(rest, key=weyl_key)
+        hit = st.first.get((b, a))
+        if hit is None or hit[0] > cap:
+            return None
+        level = max(level, hit[0])
+        vec_add_scaled(rest, {(x, y): weight for x, y, weight in leibniz(b, a)}, -rest[(a, b)])
+    return level
 
 
 # ---------------------------------------------------------------------------

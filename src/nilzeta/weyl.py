@@ -32,8 +32,9 @@ from .indices import (
     mi_falling,
     mi_sub,
 )
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike, i_power
-from .uea import UEAElement
+from .linalg import vec_add_scaled
+from .scalars import ONE, ZERO, GaussianRational, Rat, ScalarLike
+from .uea import Monomial, UEAElement
 
 # A Weyl monomial is (a, b): multiply by x^a, then differentiate d^b.
 WeylMonomial = tuple[MultiIndex, MultiIndex]
@@ -208,8 +209,11 @@ def format_weyl(w: WeylOperator) -> str:
 _LEIBNIZ_CACHE: dict = {}
 
 
-def _leibniz(b: MultiIndex, a: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
-    """Normal form of d^b x^a as tuples (x-exponent, d-exponent, int weight)."""
+def leibniz(b: MultiIndex, a: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
+    """Normal form of d^b x^a as tuples (x-exponent, d-exponent, int weight).
+
+    The first tuple is ``(a, b, 1)``; every other term has lower total degree.
+    """
     key = (b, a)
     cached = _LEIBNIZ_CACHE.get(key)
     if cached is not None:
@@ -240,7 +244,7 @@ def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
                 else:
                     out[mono] = new
                 continue
-            for mid_a, mid_b, weight in _leibniz(b1, a2):
+            for mid_a, mid_b, weight in leibniz(b1, a2):
                 mono = (mi_add(a1, mid_a), mi_add(mid_b, b2))
                 new = out.get(mono, ZERO) + c * weight
                 if new.is_zero():
@@ -259,39 +263,43 @@ def weyl_commutator(u: WeylOperator, v: WeylOperator) -> WeylOperator:
 # ---------------------------------------------------------------------------
 
 
-def rho_y_scalar(spec: AlgebraSpec, beta: MultiIndex) -> GaussianRational:
-    """The scalar i (-1)^{|beta|} / beta! multiplying x^beta in rho(Y^beta)."""
-    sign = -1 if mi_abs(beta) % 2 else 1
-    return i_power(1) * GaussianRational(f"{sign}/{mi_factorial(beta)}")
+# i**k for k mod 4, as (real, imaginary) ints.
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def monomial_symbol(
+    spec: AlgebraSpec, mono: Monomial
+) -> tuple[tuple[MultiIndex, MultiIndex], GaussianRational]:
+    """The key ``(p, gamma)`` and scalar c with rho(X^p Y^q) = c * d^p o x^gamma.
+
+    ``gamma = sum q_beta * beta`` and
+    ``c = (-1)^{|p| + |gamma|} i^{|q|} / prod_beta (beta!)^{q_beta}``,
+    built from integers: one power of i, one sign, one denominator.
+    """
+    gamma = [0] * spec.n
+    denom = 1
+    for beta, mult in zip(index_set(spec), mono.y):
+        if mult:
+            denom *= mi_factorial(beta) ** mult
+            for k, e in enumerate(beta):
+                gamma[k] += e * mult
+    re, im = _UNITS[(sum(mono.y) + 2 * (sum(mono.x) + sum(gamma))) % 4]
+    return (mono.x, tuple(gamma)), GaussianRational(Rat(re, denom), Rat(im, denom))
 
 
 def rho(spec: AlgebraSpec, u: UEAElement) -> WeylOperator:
     """The defining representation: an exact algebra homomorphism.
 
-    On an ordered monomial X^p Y^q the image is
-    ``(-1)^{|p|} * prod_beta (i (-1)^{|beta|} / beta!)^{q_beta} * d^p o x^{gamma}``
-    with ``gamma = sum q_beta * beta``, normally ordered by the Leibniz rule.
+    Each ordered monomial maps to ``c * d^p o x^gamma`` (see
+    :func:`monomial_symbol`), normally ordered by the Leibniz rule.
     """
     if u.spec != spec:
         raise ValueError("element belongs to a different algebra")
-    n = spec.n
-    idx = index_set(spec)
-    out = WeylOperator.zero(n)
-    zero_mi = (0,) * n
+    out: dict = {}
     for mono, coeff in u.terms.items():
-        p, q = mono.x, mono.y
-        scalar = GaussianRational(-1 if mi_abs(p) % 2 else 1) * coeff
-        gamma = zero_mi
-        for pos, mult in enumerate(q):
-            if mult:
-                beta = idx[pos]
-                scalar = scalar * rho_y_scalar(spec, beta) ** mult
-                gamma = mi_add(gamma, tuple(e * mult for e in beta))
-        term = weyl_product(
-            WeylOperator.monomial(n, zero_mi, p), WeylOperator.monomial(n, gamma, zero_mi)
-        ).scale(scalar)
-        out = out + term
-    return out
+        (p, gamma), c = monomial_symbol(spec, mono)
+        vec_add_scaled(out, {(a, b): w for a, b, w in leibniz(p, gamma)}, c * coeff)
+    return WeylOperator(spec.n, out)
 
 
 def p_op(n: int, k: int) -> WeylOperator:

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import nilzeta
 from nilzeta.cli import main
 
 VERIFY_CHECKS = {
@@ -40,6 +45,14 @@ def test_help_lists_commands(runner) -> None:
     assert result.exit_code == 0
     for command in ("algebra", "reduce", "verify", "poles", "spectrum"):
         assert command in result.output
+
+
+def test_cli_import_leaves_numpy_unloaded() -> None:
+    # only the spectrum command needs numpy; importing the CLI must not load it
+    src = str(Path(nilzeta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import nilzeta.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
 def test_algebra_check_valid(runner, heis, spec_file) -> None:

@@ -5,32 +5,33 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nilzeta import GaussianRational, algebra_spec, build_slice, canonical_form, is_member
 from nilzeta.core import index_set, y_position
 from nilzeta.ideal import (
-    dependent_monomials,
     filtration_min_degree,
     gamma_generators,
     generated_span_leading,
     generators,
-    independent_monomials,
-    kernel_slice_dimension,
     leading_monomial_divides,
     star_generator,
     star_generators,
 )
+from nilzeta.linalg import reduce_against, vec_add_scaled, vec_scale
 from nilzeta.scalars import ONE, i_power
 from nilzeta.uea import (
     Monomial,
     UEAElement,
     monomial_degree,
     monomial_mul_commuting,
+    monomials_up_to,
     normal_product,
     pure_y,
     slice_monomials,
 )
-from nilzeta.weyl import rho
+from nilzeta.weyl import WeylOperator, rho, weyl_key
 
 from conftest import SPEC_PARAMS, make_spec, random_element
 
@@ -104,7 +105,7 @@ def test_heis_degree_one_slice(heis) -> None:
 
 
 def test_degree_zero_slice_has_no_dependents(mixed) -> None:
-    assert dependent_monomials(mixed, 0) == ()
+    assert build_slice(mixed, 0).dependent == ()
 
 
 def test_cubic_mixed_monomial_dependent(cubic) -> None:
@@ -120,7 +121,7 @@ def test_partition_and_kernel_dimension(name: str) -> None:
         chart = build_slice(spec, d)
         assert set(chart.dependent) | set(chart.independent) == set(chart.monomials)
         assert not set(chart.dependent) & set(chart.independent)
-        assert kernel_slice_dimension(spec, d) == len(chart.dependent)
+        assert chart.dimension == len(chart.dependent)
         assert len(chart.kernel) == len(chart.dependent)
         for elem in chart.kernel:
             assert rho(spec, elem).is_zero()
@@ -132,10 +133,10 @@ def test_partition_and_kernel_dimension(name: str) -> None:
 def test_dependent_upward_closed_under_divisibility(name: str) -> None:
     spec = make_spec(name)
     for d in range(1, 4):
-        dependents_at_d = set(dependent_monomials(spec, d))
+        dependents_at_d = set(build_slice(spec, d).dependent)
         layer = slice_monomials(spec, d)
         for q in range(1, d + 1):
-            for v in dependent_monomials(spec, q):
+            for v in build_slice(spec, q).dependent:
                 for w in layer:
                     if leading_monomial_divides(v, w):
                         assert w in dependents_at_d, (v, w)
@@ -150,7 +151,7 @@ def test_products_of_inner_indices_dependent() -> None:
     }
     for name, pairs in cases.items():
         spec = make_spec(name)
-        dependents = set(dependent_monomials(spec, 2))
+        dependents = set(build_slice(spec, 2).dependent)
         for beta, gamma in pairs:
             mono = monomial_mul_commuting(
                 y_counts(spec, [(beta, 1)]), y_counts(spec, [(gamma, 1)])
@@ -190,7 +191,7 @@ def test_canonical_projection_properties(name: str) -> None:
         assert rho(spec, u - can).is_zero()
         # supported on independent monomials (each in its own degree layer)
         for m in can.terms:
-            assert m in set(independent_monomials(spec, monomial_degree(m)))
+            assert m in set(build_slice(spec, monomial_degree(m)).independent)
         assert can.degree() <= u.degree()
         # linearity against a second element
         v = random_element(spec, rng, max_degree=3, terms=2)
@@ -238,7 +239,7 @@ def test_generator_sets_generate_same_leading_data(name: str) -> None:
     star, gamma = generators(spec)
     cumulative_kernel = 0
     for d in range(5):
-        cumulative_kernel += kernel_slice_dimension(spec, d)
+        cumulative_kernel += build_slice(spec, d).dimension
         dim_star, lead_star = generated_span_leading(spec, star, d)
         dim_gamma, lead_gamma = generated_span_leading(spec, gamma, d)
         assert dim_star == dim_gamma
@@ -270,7 +271,7 @@ def test_groebner_gap_regression(cubic) -> None:
         GaussianRational(0, 3)
     )
     assert rho(cubic, combo).is_zero()
-    assert mixed_m in set(dependent_monomials(cubic, 2))
+    assert mixed_m in set(build_slice(cubic, 2).dependent)
     for gen in star_generators(cubic):
         if gen.is_zero():
             continue
@@ -279,3 +280,95 @@ def test_groebner_gap_regression(cubic) -> None:
     assert canonical_form(cubic, UEAElement.monomial(cubic, mixed_m)) == pure_y(
         cubic, (3,)
     ).scale(GaussianRational(0, 3))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Weyl-side elimination
+# ---------------------------------------------------------------------------
+
+# Degrees up to which the symbol classification is checked against elimination.
+ORACLE_DEGREE = {1: 6, 2: 4}
+
+
+def elimination_sweep(spec, degree: int):
+    """Classify monomials by row-reducing their rho images over Q(i).
+
+    Each monomial's image is reduced against the pivot rows of the smaller
+    monomials: a vanishing residual marks it dependent, and the pivot
+    preimages used give its canonical form.  Returns, per degree, the
+    dependent monomials, the independent ones and the canonical forms, plus
+    the pivot rows keyed by leading Weyl monomial as (row, creating degree).
+    """
+    pivots: dict = {}  # lead -> (unit row, preimage, creating degree)
+    slices = []
+    for d in range(degree + 1):
+        dependent, independent, canonical = [], [], {}
+        for mono in slice_monomials(spec, d):
+            image = rho(spec, UEAElement.monomial(spec, mono))
+            rows = {k: row for k, (row, _, _) in pivots.items()}
+            residual, used = reduce_against(image.terms, rows, weyl_key)
+            combo: dict = {}
+            for lead, coeff in used.items():
+                vec_add_scaled(combo, pivots[lead][1], coeff)
+            if not residual:
+                dependent.append(mono)
+                canonical[mono] = combo
+                continue
+            lead = max(residual, key=weyl_key)
+            inv = residual[lead].inverse()
+            preimage = {mono: ONE}
+            vec_add_scaled(preimage, combo, -ONE)
+            pivots[lead] = (vec_scale(residual, inv), vec_scale(preimage, inv), d)
+            independent.append(mono)
+        slices.append((tuple(dependent), tuple(independent), canonical))
+    return slices, {k: (row, d) for k, (row, _, d) in pivots.items()}
+
+
+def elimination_min_degree(pivots: dict, w: WeylOperator, cap: int):
+    """Least q <= cap whose pivot rows reduce w to zero, or None."""
+    for q in range(cap + 1):
+        rows = {k: row for k, (row, d) in pivots.items() if d <= q}
+        residual, _ = reduce_against(w.terms, rows, weyl_key)
+        if not residual:
+            return q
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_symbol_classification_matches_elimination(name: str) -> None:
+    spec = make_spec(name)
+    top = ORACLE_DEGREE[spec.n]
+    slices, pivots = elimination_sweep(spec, top)
+    for d, (dependent, independent, canonical) in enumerate(slices):
+        chart = build_slice(spec, d)
+        assert chart.dependent == dependent
+        assert chart.independent == independent
+        expected = tuple(
+            UEAElement(spec, {m: ONE}) - UEAElement(spec, canonical[m]) for m in dependent
+        )
+        assert chart.kernel == expected
+    rng = random.Random(hash(name) & 0xFFF)
+    for _ in range(12):
+        w = rho(spec, random_element(spec, rng, max_degree=top, terms=3))
+        for _ in range(rng.randint(0, 2)):
+            a = tuple(rng.randint(0, 3) for _ in range(spec.n))
+            b = tuple(rng.randint(0, 2) for _ in range(spec.n))
+            w = w + WeylOperator.monomial(spec.n, a, b, GaussianRational(rng.randint(1, 3)))
+        for cap in (top - 1, top):
+            assert filtration_min_degree(spec, w, cap) == elimination_min_degree(pivots, w, cap)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+@given(seed=st.integers(0, 2**32 - 1), in_ideal=st.booleans(), noise=st.booleans())
+def test_is_member_matches_image(name: str, seed: int, in_ideal: bool, noise: bool) -> None:
+    spec = make_spec(name)
+    rng = random.Random(seed)
+    u = UEAElement.zero(spec)
+    if in_ideal:
+        for m in rng.sample(list(monomials_up_to(spec, 3)), 3):
+            elem = UEAElement.monomial(spec, m)
+            coeff = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+            u = u + (elem - canonical_form(spec, elem)).scale(coeff)
+    if noise or not in_ideal:
+        u = u + random_element(spec, rng, max_degree=3, terms=2)
+    assert is_member(spec, u) == rho(spec, u).is_zero()

@@ -16,17 +16,17 @@ from nilzeta import GaussianRational, WeylOperator, algebra_spec, weyl_product
 from nilzeta.core import basis, index_set
 from nilzeta.indices import mi_factorial
 from nilzeta.scalars import ONE, i_power
-from nilzeta.uea import UEAElement, normal_product, pure_y
+from nilzeta.uea import UEAElement, monomials_up_to, normal_product, pure_y
 from nilzeta.weyl import (
     ad_power,
     commutator_power_check,
     delta1,
     format_weyl,
     laplace_element,
+    monomial_symbol,
     p_op,
     q_op,
     rho,
-    rho_y_scalar,
     weyl_commutator,
 )
 
@@ -120,13 +120,22 @@ def test_rho_generators(heis, quad) -> None:
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
 def test_rho_y_scalar(name: str) -> None:
     spec = make_spec(name)
+    zero_mi = (0,) * spec.n
     for beta in index_set(spec):
-        scalar = rho_y_scalar(spec, beta)
+        (mono,) = pure_y(spec, beta).terms
+        key, scalar = monomial_symbol(spec, mono)
+        assert key == (zero_mi, beta)
         image = rho(spec, pure_y(spec, beta))
-        assert image.coefficient(beta, (0,) * spec.n) == scalar
+        assert image.coefficient(beta, zero_mi) == scalar
         # the scalar is exactly i(-1)^{|beta|}/beta!
         sign = i_power(1) * i_power(2 * sum(beta))
         assert scalar == sign * GaussianRational(f"1/{mi_factorial(beta)}")
+    # every monomial: rho(X^p Y^q) = c * d^p o x^gamma
+    for mono in monomials_up_to(spec, 2):
+        (p, gamma), c = monomial_symbol(spec, mono)
+        d_p = WeylOperator.monomial(spec.n, zero_mi, p)
+        x_gamma = WeylOperator.monomial(spec.n, gamma, zero_mi)
+        assert rho(spec, UEAElement.monomial(spec, mono)) == weyl_product(d_p, x_gamma).scale(c)
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
