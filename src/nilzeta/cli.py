@@ -313,7 +313,7 @@ def reduce_cmd(spec_file: str, expr: str) -> None:
 
 @main.command("verify")
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-degree", default=3, show_default=True)
+@click.option("--max-degree", default=3, show_default=True, type=click.IntRange(min=0))
 def verify_cmd(spec_file: str, max_degree: int) -> None:
     """Run the exact structural checks; nonzero exit on any failure."""
     try:
@@ -331,7 +331,9 @@ def verify_cmd(spec_file: str, max_degree: int) -> None:
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", default=0, show_default=True, help="weight-twist degree")
 @click.option("--s0", default="0", show_default=True, help="start weight (rational)")
-@click.option("--lmax", default=6, show_default=True, help="largest lattice shift")
+@click.option(
+    "--lmax", default=6, show_default=True, type=click.IntRange(min=0), help="largest lattice shift"
+)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str]) -> None:
     """Candidate pole lattice of the spectral zeta function."""

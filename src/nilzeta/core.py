@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .indices import MultiIndex, box, mi_delta, mi_sub
-from .linalg import kernel_basis
-from .scalars import ONE, GaussianRational
+from .linalg import kernel_basis, vec_add_scaled
+from .scalars import ONE
 
 # Basis symbols: ("X", k) with k 0-based, or ("Y", beta) with beta a multi-index.
 Symbol = tuple[str, Union[int, MultiIndex]]
@@ -192,15 +192,6 @@ def basis(spec: AlgebraSpec) -> tuple[Symbol, ...]:
     )
 
 
-def block_of_index(spec: AlgebraSpec, beta: MultiIndex) -> int | None:
-    """The smallest block j whose box contains beta, or None."""
-    for j in range(spec.p):
-        bound = block_bound(spec, j)
-        if all(b <= e for b, e in zip(beta, bound)):
-            return j
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Brackets, Jacobi, nilpotency, isotropic subalgebra
 # ---------------------------------------------------------------------------
@@ -243,23 +234,6 @@ def structure_constants(spec: AlgebraSpec) -> dict:
     return table
 
 
-def _table_bracket(table: Mapping, a: Symbol, b: Symbol) -> LieElement:
-    return dict(table.get((a, b), {}))
-
-
-def _bracket_elem(table: Mapping, a: Symbol, elem: LieElement) -> LieElement:
-    """[a, elem] extended linearly in the second slot."""
-    out: LieElement = {}
-    for sym, coeff in elem.items():
-        for sym2, c2 in _table_bracket(table, a, sym).items():
-            new = out.get(sym2, GaussianRational(0)) + coeff * c2
-            if new.is_zero():
-                out.pop(sym2, None)
-            else:
-                out[sym2] = new
-    return out
-
-
 def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
     """Verify antisymmetry and the Jacobi identity on every basis triple.
 
@@ -271,15 +245,8 @@ def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
     syms = basis(spec)
     for a in syms:
         for b in syms:
-            ab = _table_bracket(table, a, b)
-            ba = _table_bracket(table, b, a)
-            merged = dict(ab)
-            for sym, c in ba.items():
-                new = merged.get(sym, GaussianRational(0)) + c
-                if new.is_zero():
-                    merged.pop(sym, None)
-                else:
-                    merged[sym] = new
+            merged = dict(table.get((a, b), {}))
+            vec_add_scaled(merged, table.get((b, a), {}), ONE)
             if merged:
                 raise JacobiError(
                     (a, b, b),
@@ -290,14 +257,9 @@ def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
             for c in syms:
                 total: LieElement = {}
                 for first, pair in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-                    inner = _table_bracket(table, *pair)
-                    part = _bracket_elem(table, first, inner)
-                    for sym, coeff in part.items():
-                        new = total.get(sym, GaussianRational(0)) + coeff
-                        if new.is_zero():
-                            total.pop(sym, None)
-                        else:
-                            total[sym] = new
+                    # [first, [pair]], extended linearly in the second slot
+                    for sym, coeff in table.get(pair, {}).items():
+                        vec_add_scaled(total, table.get((first, sym), {}), coeff)
                 if total:
                     raise JacobiError(
                         (a, b, c),

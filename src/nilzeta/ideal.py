@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
-from .linalg import reduce_against, vec_add_scaled, vec_scale
-from .scalars import ONE, ZERO, i_power
+from .linalg import add_term, reduce_against, vec_add_scaled, vec_scale
+from .scalars import ONE, i_power
 from .uea import (
     Monomial,
     UEAElement,
@@ -90,8 +90,8 @@ def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
     sums: dict = {}
     for mono, coeff in u.terms.items():
         key, c = monomial_symbol(spec, mono)
-        sums[key] = sums.get(key, ZERO) + c * coeff
-    return all(total.is_zero() for total in sums.values())
+        add_term(sums, key, c * coeff)
+    return not sums
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def filtration_min_degree(
         if hit is None or hit[0] > cap:
             return None
         level = max(level, hit[0])
-        vec_add_scaled(rest, {(x, y): weight for x, y, weight in leibniz(b, a)}, -rest[(a, b)])
+        vec_add_scaled(rest, leibniz(b, a), -rest[(a, b)])
     return level
 
 

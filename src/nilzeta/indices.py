@@ -1,15 +1,16 @@
 """Multi-index combinatorics.
 
-A multi-index is a tuple of non-negative ints.  These helpers implement the
-componentwise partial order, factorials, binomials, and iteration over boxes
-(all indices bounded componentwise) and degree slices, all exactly.
+A multi-index is a tuple of non-negative ints.  These helpers implement
+componentwise sums and differences, factorials, binomials, and iteration
+over boxes (all indices bounded componentwise) and degree slices, all
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 MultiIndex = tuple[int, ...]
 
@@ -24,11 +25,6 @@ def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     if any(e < 0 for e in out):
         raise ValueError(f"multi-index difference {a} - {b} has a negative entry")
     return out
-
-
-def mi_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b, strict=True))
 
 
 def mi_abs(a: MultiIndex) -> int:
@@ -85,13 +81,3 @@ def compositions(length: int, degree: int) -> Iterator[MultiIndex]:
     for first in range(degree + 1):
         for rest in compositions(length - 1, degree - first):
             yield (first, *rest)
-
-
-def compositions_up_to(length: int, max_degree: int) -> Iterator[MultiIndex]:
-    """All multi-indices of the given length with |a| <= max_degree."""
-    for d in range(max_degree + 1):
-        yield from compositions(length, d)
-
-
-def mi_to_str(a: Sequence[int]) -> str:
-    return "(" + ",".join(str(e) for e in a) + ")"

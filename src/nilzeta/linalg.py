@@ -1,21 +1,27 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
-Vectors are dicts mapping hashable column keys to nonzero
-:class:`~nilzeta.scalars.GaussianRational` entries.  Two primitives are
-provided:
+Vectors are dicts mapping hashable keys to nonzero
+:class:`~nilzeta.scalars.GaussianRational` entries.  The whole exact layer
+shares the arithmetic of such dicts:
 
+* :func:`add_term` — the one place that adds to an entry and drops the key
+  when the entry cancels; every accumulation loop goes through it or through
+  :func:`vec_add_scaled`;
+* :class:`Combination` — the base of every finite Q(i) combination of
+  monomials in one space (enveloping-algebra elements, Weyl operators): the
+  cleaning constructor, sums, negation, scaling and equality.  Subclasses add
+  their space's name, constructors and product;
 * :func:`kernel_basis` — the nullspace of a small dense-ish matrix, used for
   the isotropic-subalgebra computation;
 * :func:`reduce_against` — reduction of a vector against a set of pivot rows
-  keyed by their leading column, used by the degree-slice elimination and the
-  filtration-order solver.
+  keyed by their leading column, used by the generated-span elimination.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from .scalars import ONE, GaussianRational
+from .scalars import ONE, GaussianRational, ScalarLike
 
 K = TypeVar("K", bound=Hashable)
 
@@ -23,23 +29,93 @@ Vector = dict
 # Vector[K] = dict[K, GaussianRational]; plain dict at runtime.
 
 
+def add_term(target: dict, key: Hashable, value: GaussianRational) -> None:
+    """In-place target[key] += value, dropping the key if it cancels.
+
+    ``value`` must be nonzero: on a new key it is stored as it is.
+    """
+    old = target.get(key)
+    if old is None:
+        target[key] = value
+        return
+    new = old + value
+    if new.is_zero():
+        del target[key]
+    else:
+        target[key] = new
+
+
 def vec_add_scaled(target: dict, source: Mapping, coeff: GaussianRational) -> None:
-    """In-place target += coeff * source, dropping entries that cancel."""
+    """In-place target += coeff * source, dropping entries that cancel.
+
+    ``source`` values may be GaussianRationals or ints.
+    """
     if coeff.is_zero():
         return
     for key, value in source.items():
-        new = target.get(key, None)
-        new = coeff * value if new is None else new + coeff * value
-        if new.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = new
+        add_term(target, key, coeff * value)
 
 
 def vec_scale(vec: Mapping, coeff: GaussianRational) -> dict:
     if coeff.is_zero():
         return {}
     return {k: coeff * v for k, v in vec.items()}
+
+
+class Combination:
+    """A finite Gaussian-rational combination of monomials in one space.
+
+    Treated as an immutable value; all arithmetic returns new objects of the
+    same subclass.  ``terms`` maps monomials to nonzero coefficients;
+    ``space`` identifies where the monomials live, and only combinations of
+    the same space may be added or multiplied.
+    """
+
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space: Hashable, terms: Mapping | None = None) -> None:
+        self.space = space
+        clean: dict = {}
+        if terms:
+            for mono, coeff in terms.items():
+                c = GaussianRational.coerce(coeff)
+                if not c.is_zero():
+                    clean[mono] = c
+        self.terms = clean
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _require_same_space(self, other: "Combination") -> None:
+        if self.space != other.space:
+            raise ValueError(f"{type(self).__name__} operands belong to different spaces")
+
+    def __add__(self, other: "Combination"):
+        self._require_same_space(other)
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            add_term(out, mono, coeff)
+        return type(self)(self.space, out)
+
+    def __sub__(self, other: "Combination"):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.space, {m: -c for m, c in self.terms.items()})
+
+    def scale(self, coeff: ScalarLike):
+        return type(self)(self.space, vec_scale(self.terms, GaussianRational.coerce(coeff)))
+
+    def __rmul__(self, other: ScalarLike):
+        return self.scale(other)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
 
 
 def reduce_against(

@@ -166,13 +166,8 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
             )
         i_list.append(chosen)
         r_list.append(beta[chosen])
-    b_vec = [Rat(0)] * spec.n
-    for i in i_list:
-        b_vec[i] = b_vec[i] + Rat(1) / Rat(spec.alpha[i])
-    s = monomial_degree(mono)
-    eig = Rat(s)
-    for i, r in zip(i_list, r_list):
-        eig = eig + Rat(r) / Rat(spec.alpha[i]) - 1
+    b_vec = _factor_b_vector(spec, i_list)
+    eig = _g_constant(spec, monomial_degree(mono), b_vec, _factor_root(spec, i_list, r_list))
     return ReductionChoice(
         tuple(i_list), tuple(r_list), (1,) * spec.n, tuple(b_vec), eig
     )
@@ -196,25 +191,35 @@ def reduction_factors(spec: AlgebraSpec) -> list[tuple[tuple[int, ...], tuple[in
     return out
 
 
-def _factor_b_vector(spec: AlgebraSpec, i_tuple: tuple[int, ...]) -> list:
+def _factor_b_vector(spec: AlgebraSpec, i_tuple: Sequence[int]) -> list:
     b_vec = [Rat(0)] * spec.n
     for i in i_tuple:
         b_vec[i] = b_vec[i] + Rat(1) / Rat(spec.alpha[i])
     return b_vec
 
 
-def _h_constant(spec: AlgebraSpec, s: int, i_tuple, r_tuple) -> "Rat":
-    c = Rat(s + spec.n - spec.p)
-    for i, r in zip(i_tuple, r_tuple):
-        c = c + Rat(r + 1) / Rat(spec.alpha[i])
-    return c
+def _factor_root(spec: AlgebraSpec, i_tuple: Sequence[int], r_tuple: Sequence[int]) -> "Rat":
+    """p - n - sum_j (r_j+1)/alpha_{i_j}: the root of one factor's linear term.
+
+    Every constant of the reduction factors derives from it: the h-shift at
+    degree s is s - root, the g-shift subtracts n + sum(b) from that, and the
+    factor's poles sit at (root - q + l) / 2.
+    """
+    shift = sum(Rat(r + 1) / Rat(spec.alpha[i]) for i, r in zip(i_tuple, r_tuple))
+    return Rat(spec.p - spec.n) - shift
 
 
-def _g_constant(spec: AlgebraSpec, s: int, i_tuple, r_tuple) -> "Rat":
-    c = Rat(s - spec.p)
-    for i, r in zip(i_tuple, r_tuple):
-        c = c + Rat(r) / Rat(spec.alpha[i])
-    return c
+def _factor_table(spec: AlgebraSpec) -> list:
+    """(b vector, root) per reduction factor, in :func:`reduction_factors` order."""
+    return [
+        (_factor_b_vector(spec, i_tuple), root)
+        for (i_tuple, _), root in zip(reduction_factors(spec), b_roots(spec))
+    ]
+
+
+def _g_constant(spec: AlgebraSpec, s: int, b_vec: Sequence, root) -> "Rat":
+    """The g-shift at degree s: the h-shift s - root less n + sum(b)."""
+    return s - root - spec.n - sum(b_vec)
 
 
 def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
@@ -225,9 +230,8 @@ def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """
     ones = (1,) * spec.n
     out = u
-    for i_tuple, r_tuple in reduction_factors(spec):
-        c = _h_constant(spec, s, i_tuple, r_tuple)
-        out = h_ab(spec, ones, _factor_b_vector(spec, i_tuple), out) - out.scale(c)
+    for b_vec, root in _factor_table(spec):
+        out = h_ab(spec, ones, b_vec, out) - out.scale(s - root)
     return out
 
 
@@ -235,9 +239,8 @@ def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """Product of shifted g-factors at degree s (first factor applied first)."""
     ones = (1,) * spec.n
     out = u
-    for i_tuple, r_tuple in reduction_factors(spec):
-        c = _g_constant(spec, s, i_tuple, r_tuple)
-        out = g_ab(spec, ones, _factor_b_vector(spec, i_tuple), out) - out.scale(c)
+    for b_vec, root in _factor_table(spec):
+        out = g_ab(spec, ones, b_vec, out) - out.scale(_g_constant(spec, s, b_vec, root))
     return out
 
 
@@ -260,10 +263,9 @@ def t_s(spec: AlgebraSpec, s: int, w: WeylOperator) -> WeylOperator:
     """Operator-side descent product; intertwines with h_s through the representation."""
     ones_gr = [ONE] * spec.n
     out = w
-    for i_tuple, r_tuple in reduction_factors(spec):
-        c = _h_constant(spec, s, i_tuple, r_tuple)
-        b_vec = [GaussianRational(x) for x in _factor_b_vector(spec, i_tuple)]
-        out = _t_factor(spec, ones_gr, b_vec, out) - out.scale(GaussianRational(c))
+    for b_vec, root in _factor_table(spec):
+        b_gr = [GaussianRational(x) for x in b_vec]
+        out = _t_factor(spec, ones_gr, b_gr, out) - out.scale(GaussianRational(s - root))
     return out
 
 
@@ -462,24 +464,13 @@ def b_polynomial(spec: AlgebraSpec) -> RationalPolynomial:
     Each (i-tuple, r-tuple) contributes (p - n - sum_j (r_j+1)/alpha_{i_j} - z).
     Its roots, shifted by the half-integer lattice, locate the pole candidates.
     """
-    out = RationalPolynomial([1])
-    for i_tuple, r_tuple in reduction_factors(spec):
-        c = Rat(spec.p - spec.n)
-        for i, r in zip(i_tuple, r_tuple):
-            c = c - Rat(r + 1) / Rat(spec.alpha[i])
-        out = out * RationalPolynomial([c, -1])
-    return out
+    roots = b_roots(spec)
+    return RationalPolynomial.from_roots(roots, leading=(-1) ** len(roots))
 
 
 def b_roots(spec: AlgebraSpec) -> list:
     """Roots of b_polynomial with multiplicity, one per reduction factor."""
-    roots = []
-    for i_tuple, r_tuple in reduction_factors(spec):
-        c = Rat(spec.p - spec.n)
-        for i, r in zip(i_tuple, r_tuple):
-            c = c - Rat(r + 1) / Rat(spec.alpha[i])
-        roots.append(c)
-    return roots
+    return [_factor_root(spec, i_tuple, r_tuple) for i_tuple, r_tuple in reduction_factors(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +523,9 @@ def pole_lattice(
     """
     s0 = as_rational(s0)
     buckets: dict = {}
-    for i_tuple, r_tuple in reduction_factors(spec):
-        shift = Rat(0)
-        for i, r in zip(i_tuple, r_tuple):
-            shift = shift + Rat(r + 1) / Rat(spec.alpha[i])
-        l_min = rat_ceil(shift + spec.n - spec.p - s0)
-        for l in range(l_min, l_max + 1):
-            omega = (Rat(spec.p - spec.n - q) - shift + l) / 2
+    for (i_tuple, r_tuple), root in zip(reduction_factors(spec), b_roots(spec)):
+        for l in range(rat_ceil(-root - s0), l_max + 1):
+            omega = (root - q + l) / 2
             witness = (
                 tuple(i + 1 for i in i_tuple),
                 r_tuple,
@@ -551,27 +538,6 @@ def pole_lattice(
     return PoleLattice(spec, q, s0, l_max, entries)
 
 
-def generic_pole_lattice(
-    roots: Sequence[RationalLike], q_x: RationalLike, r: int, p: int, l_max: int
-) -> list:
-    """Candidate poles produced by iterating an r-step shift from given roots.
-
-    For each root a of the driving polynomial the candidates are
-    z = (a - q_x + l)/r with integer l = 0..l_max, returned deduplicated and
-    ascending.  ``p`` is the factor count (validated non-negative; the
-    specialized :func:`pole_lattice` carries the multiplicity bookkeeping).
-    """
-    if r <= 0 or p < 0:
-        raise ValueError("r must be positive and p non-negative")
-    q_x = as_rational(q_x)
-    out = set()
-    for root in roots:
-        a = as_rational(root)
-        for l in range(0, l_max + 1):
-            out.add((a - q_x + l) / r)
-    return sorted(out)
-
-
 def physical_abscissa(spec: AlgebraSpec, q: int = 0):
     """The predicted convergence abscissa: the l = 0, maximal-order lattice point.
 
@@ -579,14 +545,11 @@ def physical_abscissa(spec: AlgebraSpec, q: int = 0):
     position is chosen to maximize the result.  For a twist of degree q the
     whole lattice shifts left by q/2.
     """
-    best = None
-    for i_tuple in iter_product(*spec.partition):
-        val = Rat(spec.p - spec.n - q) / 2
-        for i in i_tuple:
-            val = val - Rat(spec.alpha[i] + 1) / Rat(2 * spec.alpha[i])
-        if best is None or val > best:
-            best = val
-    return best
+    root = max(
+        _factor_root(spec, i_tuple, [spec.alpha[i] for i in i_tuple])
+        for i_tuple in iter_product(*spec.partition)
+    )
+    return (root - q) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 All symbolic computations in this package run over Q(i), the field of
 Gaussian rationals.  The real and imaginary parts are held as exact
 rationals; the backend is ``gmpy2.mpq`` when gmpy2 is importable and
-``fractions.Fraction`` otherwise.  Both backends have identical semantics;
-gmpy2 is noticeably faster on the elimination-heavy kernels (see
-``benchmarks/backend_bench.py``).
+``fractions.Fraction`` otherwise.  Both backends have identical semantics.
 """
 
 from __future__ import annotations
@@ -44,11 +42,6 @@ def rat_ceil(value: "Rat") -> int:
     """Exact ceiling of a backend rational."""
     num, den = int(value.numerator), int(value.denominator)
     return -((-num) // den)
-
-
-def rat_floor(value: "Rat") -> int:
-    """Exact floor of a backend rational."""
-    return int(value.numerator) // int(value.denominator)
 
 
 def format_rational(value: "Rat") -> str:

@@ -23,7 +23,7 @@ smaller.  The leading term of an element is its largest monomial.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .core import AlgebraSpec, index_set, y_position
 from .indices import (
@@ -35,6 +35,7 @@ from .indices import (
     mi_factorial,
     mi_sub,
 )
+from .linalg import Combination, add_term
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike, i_power
 
 
@@ -80,24 +81,20 @@ def monomial_mul_commuting(m1: Monomial, m2: Monomial) -> Monomial:
     )
 
 
-class UEAElement:
-    """A finite combination of ordered monomials with Gaussian-rational coefficients.
+class UEAElement(Combination):
+    """An element of the enveloping algebra of ``spec``.
 
-    Treated as an immutable value; all arithmetic returns new elements.
-    ``terms`` maps :class:`Monomial` to nonzero coefficients.
+    A :class:`~nilzeta.linalg.Combination` of ordered monomials whose space
+    is the algebra spec (also available as ``spec``).  This class adds the
+    generators, degree and leading-term helpers, and the normal-ordered
+    product.  ``terms`` maps :class:`Monomial` to nonzero coefficients.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
 
-    def __init__(self, spec: AlgebraSpec, terms: Mapping | None = None) -> None:
-        self.spec = spec
-        clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = GaussianRational.coerce(coeff)
-                if not c.is_zero():
-                    clean[mono] = c
-        self.terms = clean
+    @property
+    def spec(self) -> AlgebraSpec:
+        return self.space
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -130,12 +127,6 @@ class UEAElement:
         return cls(spec, {mono: GaussianRational.coerce(coeff)})
 
     # -- structure -----------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def degree(self) -> int:
         """Maximal monomial degree; -1 for the zero element."""
         if not self.terms:
@@ -162,45 +153,10 @@ class UEAElement:
         return self.terms.get(mono, ZERO)
 
     # -- arithmetic -----------------------------------------------------------
-    def _require_same_spec(self, other: "UEAElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("elements belong to different algebras")
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        self._require_same_spec(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, ZERO) + coeff
-            if new.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return UEAElement(self.spec, out)
-
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
-        return self + (-other)
-
-    def __neg__(self) -> "UEAElement":
-        return UEAElement(self.spec, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff: ScalarLike) -> "UEAElement":
-        c = GaussianRational.coerce(coeff)
-        if c.is_zero():
-            return UEAElement.zero(self.spec)
-        return UEAElement(self.spec, {m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other: Union["UEAElement", ScalarLike]) -> "UEAElement":
         if isinstance(other, UEAElement):
             return normal_product(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other: ScalarLike) -> "UEAElement":
-        return self.scale(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -267,30 +223,21 @@ def _push_y_through_x(
 
 def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
     """The product of two elements, rewritten to ordered normal form."""
-    u._require_same_spec(v)
+    u._require_same_space(v)
     spec = u.spec
     out: dict[Monomial, GaussianRational] = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
             c = c1 * c2
             if not any(m1.y) or not any(m2.x):
-                mono = monomial_mul_commuting(m1, m2)
-                new = out.get(mono, ZERO) + c
-                if new.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
+                add_term(out, monomial_mul_commuting(m1, m2), c)
                 continue
             for mid, weight in _push_y_through_x(spec, m1.y, m2.x):
                 mono = Monomial(
                     tuple(a + b for a, b in zip(m1.x, mid.x)),
                     tuple(a + b for a, b in zip(mid.y, m2.y)),
                 )
-                new = out.get(mono, ZERO) + c * weight
-                if new.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
+                add_term(out, mono, c * weight)
     return UEAElement(spec, out)
 
 
@@ -307,12 +254,7 @@ def ad_x(spec: AlgebraSpec, k: int, u: UEAElement) -> UEAElement:
     out: dict[Monomial, GaussianRational] = {}
     for mono, coeff in u.terms.items():
         for y2, mult in _y_derivation(spec, mono.y, k):
-            m2 = Monomial(mono.x, y2)
-            new = out.get(m2, ZERO) + coeff * mult
-            if new.is_zero():
-                out.pop(m2, None)
-            else:
-                out[m2] = new
+            add_term(out, Monomial(mono.x, y2), coeff * mult)
     return UEAElement(spec, out)
 
 
@@ -428,16 +370,3 @@ def monomials_up_to(spec: AlgebraSpec, degree: int) -> Iterator[Monomial]:
     for d in range(degree + 1):
         yield from slice_monomials(spec, d)
 
-
-def element_from_terms(
-    spec: AlgebraSpec, items: Iterable[tuple[Monomial, ScalarLike]]
-) -> UEAElement:
-    acc: dict[Monomial, GaussianRational] = {}
-    for mono, coeff in items:
-        c = GaussianRational.coerce(coeff)
-        new = acc.get(mono, ZERO) + c
-        if new.is_zero():
-            acc.pop(mono, None)
-        else:
-            acc[mono] = new
-    return UEAElement(spec, acc)

@@ -18,6 +18,7 @@ Laplace-type operator ``delta1`` built from the quadratic Casimir-style sum.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .core import AlgebraSpec, index_set
@@ -32,7 +33,7 @@ from .indices import (
     mi_falling,
     mi_sub,
 )
-from .linalg import vec_add_scaled
+from .linalg import Combination, add_term, vec_add_scaled
 from .scalars import ONE, ZERO, GaussianRational, Rat, ScalarLike
 from .uea import Monomial, UEAElement
 
@@ -46,24 +47,20 @@ def weyl_key(mono: WeylMonomial):
     return (mi_abs(a) + mi_abs(b), a, b)
 
 
-class WeylOperator:
-    """A normally ordered polynomial differential operator.
+class WeylOperator(Combination):
+    """A normally ordered polynomial differential operator in ``n`` variables.
 
-    Treated as an immutable value.  ``terms`` maps ``(a, b)`` exponent pairs
-    to nonzero Gaussian-rational coefficients.
+    A :class:`~nilzeta.linalg.Combination` of ``(a, b)`` exponent pairs
+    (``x^a d^b``) whose space is the variable count (also available as
+    ``n``).  This class adds the constructors, degree and order helpers,
+    powers and the Leibniz-rule product.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping | None = None) -> None:
-        self.n = n
-        clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = GaussianRational.coerce(coeff)
-                if not c.is_zero():
-                    clean[mono] = c
-        self.terms = clean
+    @property
+    def n(self) -> int:
+        return self.space
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -92,12 +89,6 @@ class WeylOperator:
         return cls(n, {(tuple(a), tuple(b)): GaussianRational.coerce(coeff)})
 
     # -- structure -----------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def total_degree(self) -> int:
         """Max of |a| + |b| over the support; -1 for the zero operator."""
         if not self.terms:
@@ -117,39 +108,9 @@ class WeylOperator:
         return sorted(self.terms.items(), key=lambda kv: weyl_key(kv[0]))
 
     # -- arithmetic -----------------------------------------------------------
-    def _require_same_n(self, other: "WeylOperator") -> None:
-        if self.n != other.n:
-            raise ValueError("operators act on different variable counts")
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        self._require_same_n(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, ZERO) + coeff
-            if new.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return WeylOperator(self.n, out)
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff: ScalarLike) -> "WeylOperator":
-        c = GaussianRational.coerce(coeff)
-        if c.is_zero():
-            return WeylOperator.zero(self.n)
-        return WeylOperator(self.n, {m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other: Union["WeylOperator", ScalarLike]) -> "WeylOperator":
         if isinstance(other, WeylOperator):
             return weyl_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other: ScalarLike) -> "WeylOperator":
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "WeylOperator":
@@ -164,11 +125,6 @@ class WeylOperator:
             base = weyl_product(base, base)
             k >>= 1
         return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -209,48 +165,38 @@ def format_weyl(w: WeylOperator) -> str:
 _LEIBNIZ_CACHE: dict = {}
 
 
-def leibniz(b: MultiIndex, a: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
-    """Normal form of d^b x^a as tuples (x-exponent, d-exponent, int weight).
+def leibniz(b: MultiIndex, a: MultiIndex) -> Mapping[WeylMonomial, int]:
+    """Normal form of d^b x^a as a read-only map (x-exponent, d-exponent) -> int weight.
 
-    The first tuple is ``(a, b, 1)``; every other term has lower total degree.
+    The first entry is ``(a, b): 1``; every other term has lower total degree.
     """
     key = (b, a)
     cached = _LEIBNIZ_CACHE.get(key)
     if cached is not None:
         return cached
     cap = tuple(min(e, f) for e, f in zip(b, a))
-    out = []
+    out = {}
     for nu in box(cap):
         weight = mi_binomial(b, nu) * mi_falling(a, nu)
         if weight:
-            out.append((mi_sub(a, nu), mi_sub(b, nu), weight))
-    result = tuple(out)
+            out[(mi_sub(a, nu), mi_sub(b, nu))] = weight
+    result = MappingProxyType(out)
     _LEIBNIZ_CACHE[key] = result
     return result
 
 
 def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
     """Composition u then-acting-after v, i.e. (u*v)(f) = u(v(f))."""
-    u._require_same_n(v)
+    u._require_same_space(v)
     out: dict[WeylMonomial, GaussianRational] = {}
     for (a1, b1), c1 in u.terms.items():
         for (a2, b2), c2 in v.terms.items():
             c = c1 * c2
             if not any(b1) or not any(a2):
-                mono = (mi_add(a1, a2), mi_add(b1, b2))
-                new = out.get(mono, ZERO) + c
-                if new.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
+                add_term(out, (mi_add(a1, a2), mi_add(b1, b2)), c)
                 continue
-            for mid_a, mid_b, weight in leibniz(b1, a2):
-                mono = (mi_add(a1, mid_a), mi_add(mid_b, b2))
-                new = out.get(mono, ZERO) + c * weight
-                if new.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
+            for (mid_a, mid_b), weight in leibniz(b1, a2).items():
+                add_term(out, (mi_add(a1, mid_a), mi_add(mid_b, b2)), c * weight)
     return WeylOperator(u.n, out)
 
 
@@ -298,7 +244,7 @@ def rho(spec: AlgebraSpec, u: UEAElement) -> WeylOperator:
     out: dict = {}
     for mono, coeff in u.terms.items():
         (p, gamma), c = monomial_symbol(spec, mono)
-        vec_add_scaled(out, {(a, b): w for a, b, w in leibniz(p, gamma)}, c * coeff)
+        vec_add_scaled(out, leibniz(p, gamma), c * coeff)
     return WeylOperator(spec.n, out)
 
 

@@ -111,6 +111,18 @@ def test_verify_passes_and_reports_all_checks(runner, heis, spec_file) -> None:
     assert all(entry["status"] == "pass" for entry in checks.values())
 
 
+def test_verify_refuses_negative_max_degree(runner, heis, spec_file) -> None:
+    result = runner.invoke(main, ["verify", spec_file(heis), "--max-degree", "-1"])
+    assert result.exit_code == 2
+    assert "--max-degree" in result.output
+
+
+def test_poles_refuses_negative_lmax(runner, heis, spec_file) -> None:
+    result = runner.invoke(main, ["poles", spec_file(heis), "--lmax", "-1"])
+    assert result.exit_code == 2
+    assert "--lmax" in result.output
+
+
 def test_poles_json_frozen(runner, heis, spec_file) -> None:
     payload = invoke_json(
         runner,

@@ -19,7 +19,7 @@ from nilzeta import (
     structure_constants,
     validate_spec,
 )
-from nilzeta.core import basis, block_of_index, index_set, y_position
+from nilzeta.core import basis, index_set, y_position
 
 from conftest import SPEC_PARAMS, make_spec
 
@@ -129,12 +129,6 @@ def test_jacobi_rejects_bad_jacobi_triple(pair_joint) -> None:
     table[(b, a)] = {("Y", (0, 0)): GaussianRational(-1)}
     with pytest.raises(JacobiError):
         jacobi_check(pair_joint, table)
-
-
-def test_block_of_index(mixed) -> None:
-    assert block_of_index(mixed, (1, 0)) == 0
-    assert block_of_index(mixed, (0, 2)) == 1
-    assert block_of_index(mixed, (0, 0)) is not None
 
 
 def test_y_position_consistent(cubic) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from nilzeta.linalg import kernel_basis, reduce_against, vec_add_scaled, vec_scale
+from nilzeta.linalg import add_term, kernel_basis, reduce_against, vec_add_scaled, vec_scale
 from nilzeta.scalars import ONE, ZERO, GaussianRational
 
 
@@ -16,6 +16,12 @@ def test_vec_add_scaled_drops_cancellations() -> None:
     target = {"a": gr(1), "b": gr(2)}
     vec_add_scaled(target, {"a": gr(-1), "c": gr(3)}, ONE)
     assert target == {"b": gr(2), "c": gr(3)}
+    add_term(target, "d", gr(0, 1))
+    assert target["d"] == gr(0, 1)
+    add_term(target, "d", gr(0, -1))
+    assert "d" not in target
+    add_term(target, "d", gr(5))
+    assert target == {"b": gr(2), "c": gr(3), "d": gr(5)}
 
 
 def test_vec_scale() -> None:

@@ -29,7 +29,6 @@ from nilzeta.reduction import (
     b_roots,
     g_ab,
     g_s,
-    generic_pole_lattice,
     h_ab,
     h_s,
     hat_y,
@@ -399,24 +398,6 @@ def test_pole_lattice_twist_shifts_left(heis) -> None:
     base = pole_lattice(heis, q=0, s0=2, l_max=4)
     twisted = pole_lattice(heis, q=2, s0=2, l_max=4)
     assert [frac(o) + 1 for o in twisted.omegas()] == [frac(o) for o in base.omegas()]
-
-
-def test_generic_pole_lattice() -> None:
-    got = generic_pole_lattice([Rat(-2)], 0, 2, 1, 4)
-    assert [frac(z) for z in got] == [
-        Fraction(-1),
-        Fraction(-1, 2),
-        Fraction(0),
-        Fraction(1, 2),
-        Fraction(1),
-    ]
-    # Coinciding candidates from distinct roots are deduplicated.
-    got = generic_pole_lattice([0, 1], 0, 1, 2, 1)
-    assert [frac(z) for z in got] == [Fraction(0), Fraction(1), Fraction(2)]
-    with pytest.raises(ValueError):
-        generic_pole_lattice([0], 0, 0, 1, 3)
-    with pytest.raises(ValueError):
-        generic_pole_lattice([0], 0, 2, -1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from nilzeta.uea import (
     UEAElement,
     ad_x,
     commutator,
-    element_from_terms,
     gamma_apply,
     gamma_j,
     monomial_degree,
@@ -89,7 +88,7 @@ def brute_product(spec, u: UEAElement, v: UEAElement) -> UEAElement:
         for m2, c2 in v.terms.items():
             word = _mono_to_word(spec, m1) + _mono_to_word(spec, m2)
             _normalize_word(spec, word, c1 * c2, acc)
-    return element_from_terms(spec, acc.items())
+    return UEAElement(spec, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +169,16 @@ def test_product_known_value(heis) -> None:
     y1 = UEAElement.y_gen(heis, (1,))
     x1 = UEAElement.x_gen(heis, 0)
     product = normal_product(y1, x1)
-    expected = element_from_terms(
-        heis,
-        [
-            (Monomial((1,), (0, 1)), ONE),
-            (Monomial((0,), (1, 0)), -ONE),
-        ],
-    )
+    expected = UEAElement(heis, {Monomial((1,), (0, 1)): ONE, Monomial((0,), (1, 0)): -ONE})
     assert product == expected
+
+
+def test_mixing_algebras_is_refused(heis, quad) -> None:
+    u, v = UEAElement.x_gen(heis, 0), UEAElement.x_gen(quad, 0)
+    with pytest.raises(ValueError):
+        u + v
+    with pytest.raises(ValueError):
+        u * v
 
 
 def test_commutator_values(heis) -> None:

@@ -48,6 +48,14 @@ def random_weyl(n: int, rng: random.Random, max_order: int = 2, terms: int = 3) 
 # ---------------------------------------------------------------------------
 
 
+def test_mixing_variable_counts_is_refused() -> None:
+    u, v = WeylOperator.x_op(1, 0), WeylOperator.x_op(2, 0)
+    with pytest.raises(ValueError):
+        u + v
+    with pytest.raises(ValueError):
+        u * v
+
+
 def test_canonical_commutator() -> None:
     x = WeylOperator.x_op(1, 0)
     d = WeylOperator.d_op(1, 0)
