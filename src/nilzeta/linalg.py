@@ -5,8 +5,10 @@ Vectors are dicts mapping hashable keys to nonzero
 shares the arithmetic of such dicts:
 
 * :func:`add_term` — the one place that adds to an entry and drops the key
-  when the entry cancels; every accumulation loop goes through it or through
-  :func:`vec_add_scaled`;
+  when the entry cancels; every accumulation of sums goes through it or
+  through :func:`vec_add_scaled`;
+* :func:`product_terms` — the one product kernel, on Gaussian-integer
+  numerators over one common denominator per operand;
 * :class:`Combination` — the base of every finite Q(i) combination of
   monomials in one space (enveloping-algebra elements, Weyl operators): the
   cleaning constructor, sums, negation, scaling and equality.  Subclasses add
@@ -19,9 +21,10 @@ shares the arithmetic of such dicts:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from .scalars import ONE, GaussianRational, ScalarLike
+from .scalars import ONE, GaussianRational, Rat, ScalarLike
 
 K = TypeVar("K", bound=Hashable)
 
@@ -60,6 +63,32 @@ def vec_scale(vec: Mapping, coeff: GaussianRational) -> dict:
     if coeff.is_zero():
         return {}
     return {k: coeff * v for k, v in vec.items()}
+
+
+def _numerators(terms: Mapping) -> tuple[int, list]:
+    """A common denominator d of ``terms`` and their (key, d * re, d * im) int triples."""
+    parts = [p for c in terms.values() for p in (c.re, c.im)]
+    den = math.lcm(*(int(p.denominator) for p in parts))
+    nums = [int(p.numerator) * (den // int(p.denominator)) for p in parts]
+    return den, list(zip(terms, nums[0::2], nums[1::2]))
+
+
+def product_terms(u_terms: Mapping, v_terms: Mapping, expand: Callable) -> dict:
+    """The terms of a product; ``expand(m1, m2)`` yields the (monomial, int weight)
+    pairs of a product of two monomials.  Numerators over each operand's common
+    denominator multiply and add as ints; each output is normalised once."""
+    (du, us), (dv, vs) = _numerators(u_terms), _numerators(v_terms)
+    acc: dict = {}
+    for m1, r1, i1 in us:
+        for m2, r2, i2 in vs:
+            re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            for mono, weight in expand(m1, m2):
+                slot = acc.setdefault(mono, [0, 0])
+                slot[0] += re * weight
+                slot[1] += im * weight
+    den = du * dv
+    make = GaussianRational._make
+    return {m: make(Rat(re, den), Rat(im, den)) for m, (re, im) in acc.items() if re or im}
 
 
 class Combination:

@@ -8,6 +8,7 @@ rationals; the backend is ``gmpy2.mpq`` when gmpy2 is importable and
 
 from __future__ import annotations
 
+import numbers
 from typing import Union
 
 try:  # pragma: no cover - exercised indirectly via RATIONAL_BACKEND
@@ -21,8 +22,8 @@ except ImportError:  # pragma: no cover
 
 RationalLike = Union[int, str, "Rat"]
 
-_ZERO = Rat(0)
-_ONE = Rat(1)
+# What as_rational accepts besides the floats it refuses.
+_RATIONALS = (int, str, Rat, numbers.Rational)
 
 
 def as_rational(value: RationalLike) -> "Rat":
@@ -77,12 +78,27 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     # -- constructors -----------------------------------------------------
+    @classmethod
+    def _make(cls, re: "Rat", im: "Rat") -> "GaussianRational":
+        """Wrap two backend rationals as they are, with no coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
     @staticmethod
     def coerce(value: "ScalarLike") -> "GaussianRational":
         """Coerce an int, rational, or GaussianRational to a GaussianRational."""
         if isinstance(value, GaussianRational):
             return value
         return GaussianRational(value)
+
+    @staticmethod
+    def _operand(value: object) -> "GaussianRational | None":
+        """A scalar operand (a float meets the float refusal) as a GaussianRational, else None."""
+        if isinstance(value, (GaussianRational, float, *_RATIONALS)):
+            return GaussianRational.coerce(value)  # type: ignore[arg-type]
+        return None
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -95,28 +111,29 @@ class GaussianRational:
         return not self.is_zero()
 
     # -- arithmetic ---------------------------------------------------------
+    # Non-scalar operands get NotImplemented, so ``I * u`` reaches u.__rmul__.
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = self._operand(other)
+        return NotImplemented if o is None else self._make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = self._operand(other)
+        return NotImplemented if o is None else self._make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: "ScalarLike") -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
+        o = self._operand(other)
+        return NotImplemented if o is None else o - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return self._make(-self.re, -self.im)
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._make(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -124,13 +141,15 @@ class GaussianRational:
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero GaussianRational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return self._make(self.re / norm, -self.im / norm)
 
     def __truediv__(self, other: "ScalarLike") -> "GaussianRational":
-        return self * GaussianRational.coerce(other).inverse()
+        o = self._operand(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other: "ScalarLike") -> "GaussianRational":
-        return GaussianRational.coerce(other) * self.inverse()
+        o = self._operand(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
@@ -148,11 +167,11 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return self._make(self.re, -self.im)
 
     # -- comparisons / hashing ----------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, str, type(_ZERO))):
+        if isinstance(other, _RATIONALS):
             other = GaussianRational(other)  # type: ignore[arg-type]
         if not isinstance(other, GaussianRational):
             return NotImplemented

@@ -31,11 +31,12 @@ from .indices import (
     box,
     compositions,
     mi_abs,
+    mi_add,
     mi_delta,
     mi_factorial,
     mi_sub,
 )
-from .linalg import Combination, add_term
+from .linalg import Combination, add_term, product_terms
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike, i_power
 
 
@@ -71,14 +72,6 @@ def monomial_compare(m1: Monomial, m2: Monomial) -> int:
     if k1 > k2:
         return 1
     return 0
-
-
-def monomial_mul_commuting(m1: Monomial, m2: Monomial) -> Monomial:
-    """Exponentwise product; valid when no Y of m1 must pass an X of m2."""
-    return Monomial(
-        tuple(a + b for a, b in zip(m1.x, m2.x)),
-        tuple(a + b for a, b in zip(m1.y, m2.y)),
-    )
 
 
 class UEAElement(Combination):
@@ -225,20 +218,12 @@ def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
     """The product of two elements, rewritten to ordered normal form."""
     u._require_same_space(v)
     spec = u.spec
-    out: dict[Monomial, GaussianRational] = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            c = c1 * c2
-            if not any(m1.y) or not any(m2.x):
-                add_term(out, monomial_mul_commuting(m1, m2), c)
-                continue
-            for mid, weight in _push_y_through_x(spec, m1.y, m2.x):
-                mono = Monomial(
-                    tuple(a + b for a, b in zip(m1.x, mid.x)),
-                    tuple(a + b for a, b in zip(mid.y, m2.y)),
-                )
-                add_term(out, mono, c * weight)
-    return UEAElement(spec, out)
+
+    def expand(m1: Monomial, m2: Monomial):
+        for mid, weight in _push_y_through_x(spec, m1.y, m2.x):
+            yield Monomial(mi_add(m1.x, mid.x), mi_add(mid.y, m2.y)), weight
+
+    return UEAElement(spec, product_terms(u.terms, v.terms, expand))
 
 
 def commutator(u: UEAElement, v: UEAElement) -> UEAElement:

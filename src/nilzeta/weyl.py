@@ -33,7 +33,7 @@ from .indices import (
     mi_falling,
     mi_sub,
 )
-from .linalg import Combination, add_term, vec_add_scaled
+from .linalg import Combination, product_terms, vec_add_scaled
 from .scalars import ONE, ZERO, GaussianRational, Rat, ScalarLike
 from .uea import Monomial, UEAElement
 
@@ -188,16 +188,13 @@ def leibniz(b: MultiIndex, a: MultiIndex) -> Mapping[WeylMonomial, int]:
 def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
     """Composition u then-acting-after v, i.e. (u*v)(f) = u(v(f))."""
     u._require_same_space(v)
-    out: dict[WeylMonomial, GaussianRational] = {}
-    for (a1, b1), c1 in u.terms.items():
-        for (a2, b2), c2 in v.terms.items():
-            c = c1 * c2
-            if not any(b1) or not any(a2):
-                add_term(out, (mi_add(a1, a2), mi_add(b1, b2)), c)
-                continue
-            for (mid_a, mid_b), weight in leibniz(b1, a2).items():
-                add_term(out, (mi_add(a1, mid_a), mi_add(mid_b, b2)), c * weight)
-    return WeylOperator(u.n, out)
+
+    def expand(m1: WeylMonomial, m2: WeylMonomial):
+        (a1, b1), (a2, b2) = m1, m2
+        for (mid_a, mid_b), weight in leibniz(b1, a2).items():
+            yield (mi_add(a1, mid_a), mi_add(mid_b, b2)), weight
+
+    return WeylOperator(u.n, product_terms(u.terms, v.terms, expand))
 
 
 def weyl_commutator(u: WeylOperator, v: WeylOperator) -> WeylOperator:

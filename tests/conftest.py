@@ -27,7 +27,7 @@ import sympy
 from hypothesis import HealthCheck, settings
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
-from nilzeta.uea import UEAElement, monomials_up_to
+from nilzeta.uea import Monomial, UEAElement, monomials_up_to
 
 settings.register_profile(
     "suite",
@@ -126,6 +126,14 @@ def apply_weyl(w: WeylOperator, poly, xs):
                 term = term * xs[k] ** power
         result = result + gaussian_to_sympy(coeff) * term
     return sympy.expand(result)
+
+
+def monomial_mul_commuting(m1: Monomial, m2: Monomial) -> Monomial:
+    """Exponentwise product; the normal form when no Y of m1 must pass an X of m2."""
+    return Monomial(
+        tuple(a + b for a, b in zip(m1.x, m2.x)),
+        tuple(a + b for a, b in zip(m1.y, m2.y)),
+    )
 
 
 def random_element(spec: AlgebraSpec, rng, max_degree: int = 2, terms: int = 3) -> UEAElement:

@@ -25,7 +25,6 @@ from nilzeta.uea import (
     Monomial,
     UEAElement,
     monomial_degree,
-    monomial_mul_commuting,
     monomials_up_to,
     normal_product,
     pure_y,
@@ -33,7 +32,7 @@ from nilzeta.uea import (
 )
 from nilzeta.weyl import WeylOperator, rho, weyl_key
 
-from conftest import SPEC_PARAMS, make_spec, random_element
+from conftest import SPEC_PARAMS, make_spec, monomial_mul_commuting, random_element
 
 
 def y_counts(spec, pairs) -> Monomial:

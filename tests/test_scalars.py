@@ -19,6 +19,10 @@ from nilzeta.scalars import (
     i_power,
     rat_ceil,
 )
+from nilzeta.uea import UEAElement
+from nilzeta.weyl import WeylOperator
+
+from conftest import make_spec
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -118,6 +122,25 @@ def test_format_rational() -> None:
 def test_as_rational_rejects_floats() -> None:
     with pytest.raises(TypeError):
         as_rational(0.5)  # type: ignore[arg-type]
+    # Arithmetic with a float reaches the same refusal.
+    with pytest.raises(TypeError, match="refusing float"):
+        I * 0.5  # type: ignore[operator]
+    with pytest.raises(TypeError, match="refusing float"):
+        0.5 + I  # type: ignore[operator]
+
+
+@pytest.mark.parametrize("kind", ["uea", "weyl"])
+def test_scalar_operands_defer_to_combinations(kind: str) -> None:
+    if kind == "uea":
+        u = UEAElement.x_gen(make_spec("heis"), 0)
+    else:
+        u = WeylOperator.d_op(1, 0) + WeylOperator.x_op(1, 0).scale(2)
+    assert I * u == u.scale(I)
+    assert GaussianRational("1/2", 3) * u == u.scale(GaussianRational("1/2", 3))
+    assert I != u
+    for op in (lambda: I + u, lambda: I - u, lambda: I / u):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
 
 
 def test_to_json() -> None:

@@ -28,7 +28,6 @@ from nilzeta.uea import (
     gamma_j,
     monomial_degree,
     monomial_key,
-    monomial_mul_commuting,
     monomial_one,
     monomials_up_to,
     pure_y,
@@ -37,7 +36,7 @@ from nilzeta.uea import (
 )
 from nilzeta.weyl import rho
 
-from conftest import SPEC_PARAMS, make_spec, random_element
+from conftest import SPEC_PARAMS, make_spec, monomial_mul_commuting, random_element
 
 
 # ---------------------------------------------------------------------------
