@@ -112,6 +112,16 @@ class Combination:
                     clean[mono] = c
         self.terms = clean
 
+    @classmethod
+    def _of_clean(cls, space: Hashable, terms: dict):
+        """Wrap ``terms`` as it is: a dict the caller built with nonzero
+        GaussianRational values only, such as :func:`product_terms` and
+        :func:`add_term` leave."""
+        out = object.__new__(cls)
+        out.space = space
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -127,16 +137,16 @@ class Combination:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             add_term(out, mono, coeff)
-        return type(self)(self.space, out)
+        return self._of_clean(self.space, out)
 
     def __sub__(self, other: "Combination"):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.space, {m: -c for m, c in self.terms.items()})
+        return self._of_clean(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, coeff: ScalarLike):
-        return type(self)(self.space, vec_scale(self.terms, GaussianRational.coerce(coeff)))
+        return self._of_clean(self.space, vec_scale(self.terms, GaussianRational.coerce(coeff)))
 
     def __rmul__(self, other: ScalarLike):
         return self.scale(other)

@@ -2,16 +2,22 @@
 
 The Schroedinger-type operator produced by :func:`~nilzeta.weyl.delta1` is
 discretized in the Hermite-function basis.  Matrix entries are assembled from
-ladder matrices at an enlarged size (basis size plus the operator's total
-degree) and then truncated, which makes every retained entry exact up to
-float rounding; the truncated problem is therefore a genuine Rayleigh-Ritz
+the ladder recursion at an enlarged size (basis size plus the operator's
+total degree) and then truncated, which makes every retained entry exact up
+to float rounding; the truncated problem is therefore a genuine Rayleigh-Ritz
 restriction and eigenvalues decrease monotonically in the basis size.
+
+delta1 is a constant plus one operator per partition block, each acting on
+its own block's axes, so its matrix on the tensor basis is a Kronecker sum:
+the eigenvalues are solved block by block and combined by a Minkowski sum.
+Solves whose matrices or sums would exceed ``MAX_SOLVE_ENTRIES`` are refused
+before anything is assembled.
 
 Convergence is certified by doubling: an eigenvalue counts as converged when
 it moves relatively less than a drift tolerance between the basis size and
 its double.  Fits of the converged spectrum give the growth exponent, the
-abscissa of convergence of the eigenvalue power series, and tail bounds for
-truncated zeta values — tail bounds are reported, never silently added.
+abscissa of convergence of the eigenvalue power series, and tail estimates
+for truncated zeta values — the estimates are reported, never silently added.
 
 The Hurwitz-zeta oracle used for residue checks is an independent
 Euler-Maclaurin implementation (no external special-function dependency).
@@ -28,22 +34,53 @@ import numpy as np
 from .core import AlgebraSpec
 from .weyl import WeylOperator, delta1
 
-_SQRT2 = math.sqrt(2.0)
-
 
 # ---------------------------------------------------------------------------
 # Exact-entry Galerkin assembly
 # ---------------------------------------------------------------------------
 
+# The largest number of float entries one spectral solve may hold: the
+# entries of a dense Hermite matrix as assembled, or the length of the
+# Minkowski sum of block spectra.  Larger requests are refused up front.
+MAX_SOLVE_ENTRIES = 1 << 24
 
-def _axis_matrices(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position and derivative matrices in the Hermite-function basis."""
-    lower = np.zeros((size, size))
-    for k in range(1, size):
-        lower[k - 1, k] = math.sqrt(k)
-    x_mat = (lower + lower.T) / _SQRT2
-    d_mat = (lower - lower.T) / _SQRT2
-    return x_mat, d_mat
+
+def _refuse_above_cap(entries: int, what: str) -> None:
+    if entries > MAX_SOLVE_ENTRIES:
+        raise ValueError(
+            f"{what} would hold {entries} float entries, above the cap of "
+            f"{MAX_SOLVE_ENTRIES}; lower the basis size"
+        )
+
+
+def _assembly_size(w: WeylOperator, basis_size: int) -> int:
+    """Per-axis size at which ``w`` is assembled before truncation."""
+    return basis_size + max(w.total_degree(), 0)
+
+
+def _ladder_step(diags: dict, s: np.ndarray, sign: float) -> dict:
+    """x @ M (sign +1) or d @ M (sign -1), with M stored by diagonals.
+
+    ``diags[k][i]`` is M[i, i + k] (zero where i + k is off the matrix), and
+    ``s[i] = sqrt((i + 1) / 2)`` is <h_i | x | h_{i+1}>.  Row i of the product
+    is s[i] * (row i+1 of M) + sign * s[i-1] * (row i-1 of M), so diagonal k
+    feeds diagonals k + 1 and k - 1: O(size) work per diagonal.
+    """
+    out: dict = {}
+    for k, v in diags.items():
+        up = out.setdefault(k + 1, np.zeros_like(v))
+        up[:-1] += s * v[1:]
+        down = out.setdefault(k - 1, np.zeros_like(v))
+        down[1:] += sign * s * v[:-1]
+    return out
+
+
+def _add_diagonals(target: np.ndarray, diags: dict, c: complex) -> None:
+    """In-place target += c * M for a square ``target`` and M stored by diagonals."""
+    rows = np.arange(target.shape[0])
+    for k, v in diags.items():
+        on = rows[max(0, -k) : len(rows) - max(0, k)]
+        target[on, on + k] += c * v[on]
 
 
 def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
@@ -52,42 +89,59 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
     ``basis_size`` counts basis functions per axis (total basis_size**n).
     Entries are assembled at size basis_size + total_degree and truncated,
     so every retained entry equals the exact infinite-basis matrix element
-    (up to float rounding).  Supports n = 1 and n = 2; larger n is rejected.
+    (up to float rounding).  Each per-axis factor ``x^a d^b`` is built by the
+    ladder recursion on its a + b + 1 diagonals.  Supports n = 1 and n = 2;
+    larger n is rejected, and so is an assembly above ``MAX_SOLVE_ENTRIES``
+    entries.
     """
     n = w.n
     if n > 2:
         raise ValueError("Hermite assembly supports n = 1 or n = 2 only")
     if basis_size < 1:
         raise ValueError("basis size must be positive")
-    margin = max(w.total_degree(), 0)
-    size = basis_size + margin
-    x_mat, d_mat = _axis_matrices(size)
-    x_pows = [np.eye(size)]
-    d_pows = [np.eye(size)]
-    max_exp = 0
-    for (a, b) in w.terms:
-        max_exp = max(max_exp, max(a), max(b))
-    for _ in range(max_exp):
-        x_pows.append(x_pows[-1] @ x_mat)
-        d_pows.append(d_pows[-1] @ d_mat)
+    size = _assembly_size(w, basis_size)
+    _refuse_above_cap(size ** (2 * n), "the Hermite matrix")
+    s = np.sqrt(np.arange(1, size) / 2.0)
 
-    total_dim = size ** n
-    full = np.zeros((total_dim, total_dim), dtype=complex)
+    def factor(a: int, b: int) -> dict:
+        """x^a d^b on one axis by diagonals: d applied b times, then x a times."""
+        diags = {0: np.ones(size)}
+        for _ in range(b):
+            diags = _ladder_step(diags, s, -1.0)
+        for _ in range(a):
+            diags = _ladder_step(diags, s, 1.0)
+        return diags
+
+    def dense(a: int, b: int) -> np.ndarray:
+        m = np.zeros((size, size))
+        _add_diagonals(m, factor(a, b), 1.0)
+        return m
+
+    real = all(coeff.im == 0 for coeff in w.terms.values())
+    full = np.zeros((size,) * (2 * n), dtype=float if real else complex)
     for (a, b), coeff in w.terms.items():
-        axis_mats = [x_pows[a[i]] @ d_pows[b[i]] for i in range(n)]
-        term = axis_mats[0]
-        for mat in axis_mats[1:]:
-            term = np.kron(term, mat)
-        full += complex(coeff) * term
+        c = float(coeff.re) if real else complex(coeff)
+        if n == 1:
+            _add_diagonals(full, factor(a[0], b[0]), c)
+        elif a[1] == b[1] == 0:
+            # a term on axis 1 only is factor (x) identity; full is indexed [i1, i2, j1, j2]
+            diags = factor(a[0], b[0])
+            for k in range(size):
+                _add_diagonals(full[:, k, :, k], diags, c)
+        elif a[0] == b[0] == 0:
+            diags = factor(a[1], b[1])
+            for k in range(size):
+                _add_diagonals(full[k, :, k, :], diags, c)
+        else:
+            full.reshape(size * size, size * size)[...] += c * np.kron(
+                dense(a[0], b[0]), dense(a[1], b[1])
+            )
 
-    if n == 1:
-        sub = full[:basis_size, :basis_size]
-    else:
-        idx = [k1 * size + k2 for k1 in range(basis_size) for k2 in range(basis_size)]
-        sub = full[np.ix_(idx, idx)]
-    if np.allclose(sub.imag, 0.0, atol=0.0):
+    dim = basis_size ** n
+    sub = full[(slice(basis_size),) * (2 * n)].reshape(dim, dim)
+    if not real and not np.any(sub.imag):
         return sub.real.copy()
-    return sub
+    return sub.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +186,57 @@ _EST_CACHE: dict = {}
 _EIGH_CACHE: dict = {}
 
 
+def _block_operators(spec: AlgebraSpec) -> tuple[float, list[WeylOperator]]:
+    """``delta1(spec)`` as its constant plus one operator per partition block.
+
+    Each block's operator carries the terms that act on that block's axes,
+    re-indexed onto those axes in order; the constant term is kept apart so
+    that it is added once.  A term acting on axes of two blocks is an error.
+    """
+    block_of = {axis: k for k, block in enumerate(spec.partition) for axis in block}
+    const = 0.0
+    parts: list[dict] = [{} for _ in spec.partition]
+    for (a, b), coeff in delta1(spec).terms.items():
+        owners = {block_of[axis] for axis in range(spec.n) if a[axis] or b[axis]}
+        if not owners:
+            const += float(coeff.re)
+            continue
+        if len(owners) > 1:
+            raise ValueError(f"a term of delta1 spans partition blocks {sorted(owners)}")
+        (k,) = owners
+        block = spec.partition[k]
+        parts[k][tuple(a[i] for i in block), tuple(b[i] for i in block)] = coeff
+    ops = [WeylOperator(len(block), terms) for block, terms in zip(spec.partition, parts)]
+    return const, ops
+
+
+def _refuse_oversized(spec: AlgebraSpec, basis_size: int) -> None:
+    """Raise ValueError, before any allocation, if the doubling check of
+    ``basis_size`` would exceed ``MAX_SOLVE_ENTRIES`` in a block matrix or in
+    the Minkowski sum."""
+    doubled = 2 * basis_size
+    for op in _block_operators(spec)[1]:
+        entries = _assembly_size(op, doubled) ** (2 * op.n)
+        _refuse_above_cap(
+            entries, f"a dense {op.n}-axis block matrix at the doubled basis size {doubled}"
+        )
+    _refuse_above_cap(doubled ** spec.n, f"the spectrum at the doubled basis size {doubled}")
+
+
 def _eigvals(spec: AlgebraSpec, basis_size: int) -> np.ndarray:
-    mat = hermite_matrix(delta1(spec), basis_size)
-    return np.linalg.eigvalsh(mat)
+    """Ascending eigenvalues of the truncated ``delta1(spec)``.
+
+    Every term of delta1 acts within one partition block, so its Galerkin
+    matrix on the tensor Hermite basis is a Kronecker sum and its
+    eigenvalues are the sums ``const + l1[i] + l2[j] + ...`` of the block
+    eigenvalues (the Minkowski sum of the block spectra).
+    """
+    const, ops = _block_operators(spec)
+    total = np.array([const])
+    for op in ops:
+        block = np.linalg.eigvalsh(hermite_matrix(op, basis_size))
+        total = np.add.outer(total, block).ravel()
+    return np.sort(total)
 
 
 def eigenvalues(
@@ -143,12 +245,15 @@ def eigenvalues(
     """Eigenvalues converged under basis doubling (results cached).
 
     An eigenvalue is converged when its relative drift between basis sizes N
-    and 2N is below ``drift_tol``; only the contiguous prefix counts.
+    and 2N is below ``drift_tol``; only the contiguous prefix counts.  A
+    request whose doubled solve would exceed ``MAX_SOLVE_ENTRIES`` raises
+    ValueError before anything is assembled.
     """
     key = (spec, basis_size, drift_tol)
     cached = _EST_CACHE.get(key)
     if cached is not None:
         return cached
+    _refuse_oversized(spec, basis_size)
     coarse = _eigvals(spec, basis_size)
     fine = _eigvals(spec, 2 * basis_size)
     count = 0
@@ -303,15 +408,15 @@ def zeta_value(
     basis_size: int,
     drift_tol: float = 1e-8,
 ) -> tuple[complex, float]:
-    """Truncated spectral zeta value with an explicit tail bound.
+    """Truncated spectral zeta value with an estimate of the dropped tail.
 
     Returns ``(value, tail_bound)`` where ``value`` sums lambda_k^z over the
     converged eigenvalues (weighted by the diagonal matrix elements of
-    ``x_weight`` in the eigenbasis when given) and ``tail_bound`` estimates
-    the dropped tail from the fitted growth law.  The bound is reported, not
-    added.  Requires Re z strictly left of the fitted abscissa; otherwise the
-    series diverges and the request is refused with a pointer to the pole
-    lattice.
+    ``x_weight`` in the eigenbasis when given) and ``tail_bound`` is the tail
+    of the fitted growth law times a 1.25 safety factor: an estimate, not a
+    proven bound.  It is reported, not added.  Requires Re z strictly left
+    of the fitted abscissa; otherwise the series diverges and the request is
+    refused with a pointer to the pole lattice.
     """
     z = complex(z)
     est = eigenvalues(spec, basis_size, drift_tol)

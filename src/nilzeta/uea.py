@@ -223,7 +223,7 @@ def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
         for mid, weight in _push_y_through_x(spec, m1.y, m2.x):
             yield Monomial(mi_add(m1.x, mid.x), mi_add(mid.y, m2.y)), weight
 
-    return UEAElement(spec, product_terms(u.terms, v.terms, expand))
+    return UEAElement._of_clean(spec, product_terms(u.terms, v.terms, expand))
 
 
 def commutator(u: UEAElement, v: UEAElement) -> UEAElement:

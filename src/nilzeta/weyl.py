@@ -194,7 +194,7 @@ def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
         for (mid_a, mid_b), weight in leibniz(b1, a2).items():
             yield (mi_add(a1, mid_a), mi_add(mid_b, b2)), weight
 
-    return WeylOperator(u.n, product_terms(u.terms, v.terms, expand))
+    return WeylOperator._of_clean(u.n, product_terms(u.terms, v.terms, expand))
 
 
 def weyl_commutator(u: WeylOperator, v: WeylOperator) -> WeylOperator:

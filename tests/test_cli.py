@@ -210,6 +210,18 @@ def test_spectrum_output_is_deterministic(runner, heis, spec_file) -> None:
     assert first.output == second.output
 
 
+def test_spectrum_default_basis_on_two_blocks(runner, mixed, spec_file) -> None:
+    payload = invoke_json(runner, ["spectrum", spec_file(mixed)])
+    assert payload["basis_size"] == 128
+    assert payload["converged"] >= 50
+    assert payload["abscissa"] < 0
+
+
+def test_spectrum_refuses_oversized_solve(runner, pair_joint, spec_file) -> None:
+    payload = invoke_json(runner, ["spectrum", spec_file(pair_joint)], exit_code=1)
+    assert "above the cap" in payload["error"]
+
+
 def test_json_output_sorted_keys(runner, heis, spec_file) -> None:
     result = runner.invoke(main, ["poles", spec_file(heis)])
     payload = json.loads(result.output)

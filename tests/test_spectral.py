@@ -9,7 +9,11 @@ Independent oracles used here:
   evaluator and for truncated zeta values (lambda_k = 2k + 3 gives
   zeta(z) = 2^z * hurwitz_zeta(-z, 3/2) in closed form);
 * Rayleigh-Ritz monotonicity: eigenvalue approximations from nested basis
-  sizes decrease toward the true values.
+  sizes decrease toward the true values;
+* a dense reference assembly (``reference_hermite_matrix``: matrix powers of
+  the ladder matrices and Kronecker products on the full tensor basis) for
+  the diagonal-by-diagonal assembly, and dense eigensolves of the full tensor matrix
+  for the per-block Minkowski-sum spectra.
 """
 
 from __future__ import annotations
@@ -19,10 +23,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import nilzeta.spectral as spectral
+from conftest import make_spec
+from nilzeta import algebra_spec
 from nilzeta.reduction import physical_abscissa
+from nilzeta.scalars import GaussianRational
 from nilzeta.spectral import (
     MIN_FIT_COUNT,
+    _eigvals,
     abscissa_and_residue,
     eigenvalues,
     fit_growth,
@@ -79,6 +90,73 @@ def test_hermite_matrix_rejects_three_axes() -> None:
         hermite_matrix(WeylOperator.one(3), 4)
 
 
+def reference_hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
+    """Dense assembly: powers of the ladder matrices by matrix products, one
+    Kronecker product per term on the full tensor basis, then truncation."""
+    n = w.n
+    size = basis_size + max(w.total_degree(), 0)
+    lower = np.zeros((size, size))
+    for k in range(1, size):
+        lower[k - 1, k] = math.sqrt(k)
+    x_mat = (lower + lower.T) / math.sqrt(2.0)
+    d_mat = (lower - lower.T) / math.sqrt(2.0)
+    max_exp = max((max(a + b) for a, b in w.terms), default=0)
+    x_pows, d_pows = [np.eye(size)], [np.eye(size)]
+    for _ in range(max_exp):
+        x_pows.append(x_pows[-1] @ x_mat)
+        d_pows.append(d_pows[-1] @ d_mat)
+    full = np.zeros((size**n, size**n), dtype=complex)
+    for (a, b), coeff in w.terms.items():
+        term = np.ones((1, 1))
+        for i in range(n):
+            term = np.kron(term, x_pows[a[i]] @ d_pows[b[i]])
+        full += complex(coeff) * term
+    idx = [np.ravel_multi_index(ks, (size,) * n) for ks in np.ndindex(*(basis_size,) * n)]
+    sub = full[np.ix_(idx, idx)]
+    return sub.real.copy() if np.allclose(sub.imag, 0.0, atol=0.0) else sub
+
+
+_gaussian = st.builds(
+    GaussianRational,
+    st.integers(-3, 3),
+    st.sampled_from([0, 0, 1, -2]),
+)
+
+
+@st.composite
+def weyl_operators(draw) -> WeylOperator:
+    n = draw(st.sampled_from([1, 2]))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), _gaussian, min_size=1, max_size=5))
+    return WeylOperator(n, terms)
+
+
+@given(weyl_operators(), st.integers(1, 6))
+def test_hermite_matrix_matches_dense_reference(w, basis_size) -> None:
+    got = hermite_matrix(w, basis_size)
+    want = reference_hermite_matrix(w, basis_size)
+    assert got.shape == want.shape
+    assert np.iscomplexobj(got) == np.iscomplexobj(want)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("name", ["pair_split", "mixed"])
+@pytest.mark.parametrize("basis_size", [3, 8, 12])
+def test_block_spectrum_matches_full_tensor_solve(name, basis_size) -> None:
+    # delta1 is a Kronecker sum over the blocks, so the sorted sums of block
+    # eigenvalues are the eigenvalues of the full tensor-basis matrix.
+    spec = make_spec(name)
+    full = np.linalg.eigvalsh(hermite_matrix(delta1(spec), basis_size))
+    np.testing.assert_allclose(_eigvals(spec, basis_size), full, rtol=1e-10)
+
+
+def test_block_split_rejects_term_across_blocks(pair_split, monkeypatch) -> None:
+    spanning = WeylOperator.monomial(2, (1, 1), (0, 0))
+    monkeypatch.setattr(spectral, "delta1", lambda spec: spanning)
+    with pytest.raises(ValueError, match="spans partition blocks"):
+        _eigvals(pair_split, 4)
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalue estimates
 # ---------------------------------------------------------------------------
@@ -99,6 +177,34 @@ def test_quad_ground_levels_regression(quad) -> None:
     assert est.eigenvalues[0] == pytest.approx(3.141901839539, abs=1e-6)
     assert est.eigenvalues[1] == pytest.approx(5.639482049885, abs=1e-6)
     assert est.eigenvalues[2] == pytest.approx(8.500905725743, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name,basis_size,converged",
+    [("heis", 200, 200), ("quad", 400, 100), ("cubic", 400, 70), ("pair_split", 24, 323)],
+)
+def test_converged_counts_regression(name, basis_size, converged) -> None:
+    # pinned from the full tensor-basis solve the block solve replaced
+    assert eigenvalues(make_spec(name), basis_size).converged_count == converged
+
+
+def test_three_singleton_axes_solve_by_blocks() -> None:
+    spec = algebra_spec(3, (1, 2, 1))
+    est = eigenvalues(spec, 24)
+    # the ground level is 2 plus the block ground levels: 1 + 1.1419.. + 1
+    assert est.converged_count > 0
+    assert est.eigenvalues[0] == pytest.approx(5.141901839539, abs=1e-6)
+
+
+def test_oversized_solve_refused_before_assembly(pair_joint, monkeypatch) -> None:
+    # pair_joint's one 2-axis block at basis 2 * 128 would be a dense matrix
+    # of 260^2 rows; the refusal must come before anything is assembled.
+    def no_assembly(w, basis_size):
+        raise AssertionError("assembly started before the size check")
+
+    monkeypatch.setattr(spectral, "hermite_matrix", no_assembly)
+    with pytest.raises(ValueError, match="above the cap"):
+        eigenvalues(pair_joint, 128)
 
 
 def test_estimates_are_cached(heis) -> None:
