@@ -15,7 +15,7 @@ The package computes, for a two-parameter family of nilpotent Lie algebras:
 * numeric verification: Hermite-basis Galerkin spectra with
   doubling-certified convergence, growth-law fits of the convergence
   abscissa, residues via an independent Hurwitz-zeta oracle, and truncated
-  zeta values with explicit tail bounds.
+  zeta values with tail estimates.
 """
 
 from .core import (
@@ -44,6 +44,7 @@ from .ideal import (
     is_member,
     star_generators,
 )
+from .linalg import commutator
 from .reduction import (
     PoleEntry,
     PoleLattice,
@@ -66,9 +67,7 @@ from .scalars import RATIONAL_BACKEND, GaussianRational
 from .uea import (
     Monomial,
     UEAElement,
-    commutator,
     gamma_apply,
-    monomial_compare,
     normal_product,
     y_star,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "jacobi_check",
     "lagrange_identity_check",
     "load_spec",
-    "monomial_compare",
     "nilpotency_class",
     "normal_product",
     "parse_expression",

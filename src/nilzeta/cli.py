@@ -43,6 +43,7 @@ from .ideal import (
     star_generators,
 )
 from .indices import box, mi_factorial, mi_sub
+from .linalg import commutator
 from .reduction import (
     b_polynomial,
     b_roots,
@@ -50,15 +51,17 @@ from .reduction import (
     g_s,
     h_ab,
     h_s,
+    hat_y,
     lagrange_identity_check,
     physical_abscissa,
     pole_lattice,
     reduction_data,
     t_s,
 )
-from .scalars import GaussianRational, format_rational, i_power
+from .scalars import GaussianRational, as_rational, format_rational, i_power
 from .uea import (
     UEAElement,
+    gamma_apply,
     monomials_up_to,
     pure_y,
     slice_monomials,
@@ -115,15 +118,11 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
         return None
 
     def check_closed_form() -> Optional[str]:
-        from .uea import gamma_apply
-
         for beta in index_set(spec):
             gamma_apply(spec, beta)  # raises on operator/closed-form mismatch
         return None
 
     def check_inversion() -> Optional[str]:
-        from .uea import gamma_apply
-
         i_unit = UEAElement.one(spec).scale(i_power(1))
         zero_mi = (0,) * spec.n
         y0 = pure_y(spec, zero_mi)
@@ -142,9 +141,6 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
         return None
 
     def check_first_order() -> Optional[str]:
-        from .reduction import hat_y
-        from .uea import commutator
-
         idx = index_set(spec)
         for mono in monomials_up_to(spec, max_degree):
             t = UEAElement.monomial(spec, mono)
@@ -163,8 +159,6 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
         return None
 
     def check_eigen_relation() -> Optional[str]:
-        from .ideal import build_slice
-
         for d in range(max_degree + 1):
             for mono in build_slice(spec, d).independent:
                 choice = reduction_data(spec, mono)
@@ -257,6 +251,19 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Rational(click.ParamType):
+    """An exact rational such as ``3/2`` or ``1.5``, passed on as written."""
+
+    name = "rational"
+
+    def convert(self, value, param, ctx):
+        try:
+            as_rational(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"{value!r} is not a rational number", param, ctx)
+        return value
+
+
 @click.group()
 def main() -> None:
     """Exact operator calculus and spectral-zeta pole analysis."""
@@ -330,7 +337,7 @@ def verify_cmd(spec_file: str, max_degree: int) -> None:
 @main.command("poles")
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", default=0, show_default=True, help="weight-twist degree")
-@click.option("--s0", default="0", show_default=True, help="start weight (rational)")
+@click.option("--s0", default="0", show_default=True, type=_Rational(), help="start weight")
 @click.option(
     "--lmax", default=6, show_default=True, type=click.IntRange(min=0), help="largest lattice shift"
 )

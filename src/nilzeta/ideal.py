@@ -24,18 +24,16 @@ identically, which the verification suite checks exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
 
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
-from .linalg import add_term, reduce_against, vec_add_scaled, vec_scale
+from .linalg import add_term, vec_add_scaled
 from .scalars import ONE, i_power
 from .uea import (
     Monomial,
     UEAElement,
     gamma_apply,
-    monomial_degree,
-    monomial_key,
     pure_y,
     slice_monomials,
     y_star,
@@ -100,7 +98,7 @@ def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
 
 
 class _SliceState:
-    """Incremental sweep state for one algebra (cached module-wide)."""
+    """Incremental sweep state for one algebra (one per spec, see :func:`_state`)."""
 
     def __init__(self, spec: AlgebraSpec) -> None:
         self.spec = spec
@@ -130,15 +128,9 @@ class _SliceState:
             self.processed_degree = d
 
 
-_STATES: dict = {}
-
-
+@cache
 def _state(spec: AlgebraSpec) -> _SliceState:
-    st = _STATES.get(spec)
-    if st is None:
-        st = _SliceState(spec)
-        _STATES[spec] = st
-    return st
+    return _SliceState(spec)
 
 
 @dataclass(frozen=True)
@@ -221,61 +213,3 @@ def filtration_min_degree(
         level = max(level, hit[0])
         vec_add_scaled(rest, leibniz(b, a), -rest[(a, b)])
     return level
-
-
-# ---------------------------------------------------------------------------
-# Spans generated by explicit generator sets (used by the verification suite)
-# ---------------------------------------------------------------------------
-
-
-def generated_span_leading(
-    spec: AlgebraSpec,
-    gens: Sequence[UEAElement],
-    degree: int,
-    margin: int | None = None,
-) -> tuple[int, frozenset]:
-    """Dimension and leading-monomial set of the generated ideal's degree cut.
-
-    Spans all products m1 * g * m2 (ordered monomials m1, m2; g in ``gens``)
-    of total degree <= degree + margin, row-reduces them in the graded order,
-    and keeps the triangular rows whose leading monomial has degree <= degree:
-    for a graded order those rows are exactly a basis of the intersection
-    of the span with U_degree.
-    The margin matters: a generator's top-degree part may cancel in a
-    combination, leaving an element of lower degree than any single product
-    (the correction-operator generators carry a Y^0 factor one degree above
-    the star generators they recombine into, iterated along a block); the
-    default margin max(2, max(alpha)) is sufficient for both families.
-    Returns (dimension, frozenset of leading monomials of the kept rows).
-    """
-    from .uea import monomials_up_to
-
-    budget = degree + (max(2, max(spec.alpha)) if margin is None else margin)
-    pivots: dict = {}
-    for g in gens:
-        if g.is_zero():
-            continue
-        gdeg = g.degree()
-        if gdeg > budget:
-            continue
-        room = budget - gdeg
-        for m1 in monomials_up_to(spec, room):
-            d1 = monomial_degree(m1)
-            lhs = UEAElement.monomial(spec, m1) * g
-            for m2 in monomials_up_to(spec, room - d1):
-                prod = lhs * UEAElement.monomial(spec, m2)
-                if prod.is_zero():
-                    continue
-                residual, _ = reduce_against(prod.terms, pivots, monomial_key)
-                if residual:
-                    lead = max(residual, key=monomial_key)
-                    pivots[lead] = vec_scale(residual, residual[lead].inverse())
-    kept = frozenset(m for m in pivots if monomial_degree(m) <= degree)
-    return len(kept), kept
-
-
-def leading_monomial_divides(m1: Monomial, m2: Monomial) -> bool:
-    """Componentwise divisibility of ordered monomials (x and y exponents)."""
-    return all(a <= b for a, b in zip(m1.x, m2.x)) and all(
-        a <= b for a, b in zip(m1.y, m2.y)
-    )

@@ -13,10 +13,9 @@ shares the arithmetic of such dicts:
   monomials in one space (enveloping-algebra elements, Weyl operators): the
   cleaning constructor, sums, negation, scaling and equality.  Subclasses add
   their space's name, constructors and product;
+* :func:`commutator` — ``u*v - v*u`` for combinations of any one space;
 * :func:`kernel_basis` — the nullspace of a small dense-ish matrix, used for
-  the isotropic-subalgebra computation;
-* :func:`reduce_against` — reduction of a vector against a set of pivot rows
-  keyed by their leading column, used by the generated-span elimination.
+  the isotropic-subalgebra computation.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ def vec_scale(vec: Mapping, coeff: GaussianRational) -> dict:
 def _numerators(terms: Mapping) -> tuple[int, list]:
     """A common denominator d of ``terms`` and their (key, d * re, d * im) int triples."""
     parts = [p for c in terms.values() for p in (c.re, c.im)]
-    den = math.lcm(*(int(p.denominator) for p in parts))
-    nums = [int(p.numerator) * (den // int(p.denominator)) for p in parts]
+    den = math.lcm(*(p.denominator for p in parts))
+    nums = [p.numerator * (den // p.denominator) for p in parts]
     return den, list(zip(terms, nums[0::2], nums[1::2]))
 
 
@@ -157,33 +156,9 @@ class Combination:
         return self.space == other.space and self.terms == other.terms
 
 
-def reduce_against(
-    vec: Mapping,
-    pivots: Mapping,
-    key_order: Callable,
-) -> tuple[dict, dict]:
-    """Reduce ``vec`` against pivot rows.
-
-    ``pivots`` maps a column key to a row normalized to have coefficient 1 at
-    that key; the row's other support may include further pivot keys, which is
-    handled by repeated elimination at the largest remaining pivot key under
-    ``key_order``.  Terminates because each elimination step removes the
-    largest pivot key present and pivot rows only contain keys <= their own
-    leading key under ``key_order``.
-
-    Returns ``(residual, used)`` where ``used`` maps pivot keys to the
-    coefficients subtracted, i.e. ``vec == residual + sum(used[k] * pivots[k])``.
-    """
-    residual = dict(vec)
-    used: dict = {}
-    while True:
-        hits = [k for k in residual if k in pivots]
-        if not hits:
-            return residual, used
-        top = max(hits, key=key_order)
-        coeff = residual[top]
-        vec_add_scaled(residual, pivots[top], -coeff)
-        used[top] = used.get(top, GaussianRational(0)) + coeff
+def commutator(u: Combination, v: Combination):
+    """The commutator u*v - v*u of two combinations in one space."""
+    return u * v - v * u
 
 
 def kernel_basis(

@@ -34,8 +34,8 @@ from typing import Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta
+from .linalg import Combination, commutator
 from .scalars import (
-    ONE,
     GaussianRational,
     Rat,
     RationalLike,
@@ -44,8 +44,8 @@ from .scalars import (
     format_rational,
     rat_ceil,
 )
-from .uea import Monomial, UEAElement, commutator, monomial_degree, pure_y
-from .weyl import WeylOperator, ad_power, p_op, q_op, weyl_commutator, weyl_product
+from .uea import Monomial, UEAElement, monomial_degree, pure_y
+from .weyl import WeylOperator, ad_power, p_op, q_op, weyl_product
 
 
 class ReductionChoiceError(ValueError):
@@ -88,15 +88,27 @@ def h_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k [X_k t, Yhat_k] + b_k [X_k, t Yhat_k]."""
-    av, bv = _coerce_vector(spec, a), _coerce_vector(spec, b)
-    out = UEAElement.zero(spec)
-    for k in range(spec.n):
-        yh = hat_y(spec, k)
-        xk = UEAElement.x_gen(spec, k)
-        if not av[k].is_zero():
-            out = out + commutator(xk * t, yh).scale(av[k])
-        if not bv[k].is_zero():
-            out = out + commutator(xk, t * yh).scale(bv[k])
+    return _first_order(_uea_pairs(spec), _coerce_vector(spec, a), _coerce_vector(spec, b), t)
+
+
+def _uea_pairs(spec: AlgebraSpec) -> list[tuple[UEAElement, UEAElement]]:
+    return [(UEAElement.x_gen(spec, k), hat_y(spec, k)) for k in range(spec.n)]
+
+
+def _first_order(pairs: Sequence, a: Sequence, b: Sequence, t: Combination):
+    """sum_k a_k [x_k t, y_k] + b_k [x_k, t y_k] over generator pairs (x_k, y_k).
+
+    With the pairs (X_k, Yhat_k) this is h_ab; with (P_k, Q_k), their images
+    under the representation, it is its operator-side mirror.  ``a`` and
+    ``b`` hold exact scalars (ints, Fractions or GaussianRationals); zero
+    weights are skipped.
+    """
+    out = t.scale(0)
+    for (xk, yk), ak, bk in zip(pairs, a, b):
+        if ak:
+            out = out + commutator(xk * t, yk).scale(ak)
+        if bk:
+            out = out + commutator(xk, t * yk).scale(bk)
     return out
 
 
@@ -119,7 +131,7 @@ class ReductionChoice:
     r_tuple: tuple[int, ...]
     a: tuple[int, ...]
     b: tuple
-    eigenvalue: object  # backend rational
+    eigenvalue: object  # Fraction
 
 
 def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
@@ -222,17 +234,21 @@ def _g_constant(spec: AlgebraSpec, s: int, b_vec: Sequence, root) -> "Rat":
     return s - root - spec.n - sum(b_vec)
 
 
+def _descent(spec: AlgebraSpec, s: int, pairs: Sequence, t: Combination):
+    """The shifted first-order factors at degree s over ``pairs``, first factor first."""
+    ones = (1,) * spec.n
+    for b_vec, root in _factor_table(spec):
+        t = _first_order(pairs, ones, b_vec, t) - t.scale(s - root)
+    return t
+
+
 def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """Product of shifted h-factors at degree s (first factor applied first).
 
     Annihilates every degree-s monomial modulo the kernel ideal and maps the
     degree-<=s filtration level into (degree-<=(s-1) level) + ideal.
     """
-    ones = (1,) * spec.n
-    out = u
-    for b_vec, root in _factor_table(spec):
-        out = h_ab(spec, ones, b_vec, out) - out.scale(s - root)
-    return out
+    return _descent(spec, s, _uea_pairs(spec), u)
 
 
 def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
@@ -244,29 +260,10 @@ def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     return out
 
 
-def _t_factor(
-    spec: AlgebraSpec, a: Sequence[GaussianRational], b: Sequence[GaussianRational], w: WeylOperator
-) -> WeylOperator:
-    """Operator-side mirror of h_ab: sum_k a_k [P_k w, Q_k] + b_k [P_k, w Q_k]."""
-    n = spec.n
-    out = WeylOperator.zero(n)
-    for k in range(n):
-        pk, qk = p_op(n, k), q_op(n, k)
-        if not a[k].is_zero():
-            out = out + weyl_commutator(weyl_product(pk, w), qk).scale(a[k])
-        if not b[k].is_zero():
-            out = out + weyl_commutator(pk, weyl_product(w, qk)).scale(b[k])
-    return out
-
-
 def t_s(spec: AlgebraSpec, s: int, w: WeylOperator) -> WeylOperator:
     """Operator-side descent product; intertwines with h_s through the representation."""
-    ones_gr = [ONE] * spec.n
-    out = w
-    for b_vec, root in _factor_table(spec):
-        b_gr = [GaussianRational(x) for x in b_vec]
-        out = _t_factor(spec, ones_gr, b_gr, out) - out.scale(GaussianRational(s - root))
-    return out
+    n = spec.n
+    return _descent(spec, s, [(p_op(n, k), q_op(n, k)) for k in range(n)], w)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +281,9 @@ def taylor_h_ab(
     for i in range(n):
         pi, qi = p_op(n, i), q_op(n, i)
         if not av[i].is_zero():
-            out = out + weyl_commutator(-qi, weyl_product(pi, w)).scale(av[i])
+            out = out + commutator(-qi, weyl_product(pi, w)).scale(av[i])
         if not bv[i].is_zero():
-            out = out + weyl_commutator(pi, weyl_product(qi, w)).scale(bv[i])
+            out = out + commutator(pi, weyl_product(qi, w)).scale(bv[i])
     return out
 
 
@@ -485,7 +482,7 @@ class PoleEntry:
     ``witnesses`` holds (i_tuple, r_tuple, l) triples with 1-based positions.
     """
 
-    omega: object  # backend rational
+    omega: object  # Fraction
     multiplicity: int
     witnesses: tuple
 
@@ -499,7 +496,7 @@ class PoleLattice:
 
     spec: AlgebraSpec
     q: int
-    s0: object  # backend rational
+    s0: object  # Fraction
     l_max: int
     entries: tuple
 

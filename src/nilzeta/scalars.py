@@ -2,23 +2,16 @@
 
 All symbolic computations in this package run over Q(i), the field of
 Gaussian rationals.  The real and imaginary parts are held as exact
-rationals; the backend is ``gmpy2.mpq`` when gmpy2 is importable and
-``fractions.Fraction`` otherwise.  Both backends have identical semantics.
+rationals, ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import numbers
+from fractions import Fraction as Rat
 from typing import Union
 
-try:  # pragma: no cover - exercised indirectly via RATIONAL_BACKEND
-    from gmpy2 import mpq as Rat
-
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
-
-    RATIONAL_BACKEND = "fractions"
+RATIONAL_BACKEND = "fractions"  # the one rational type; perfbench reports it
 
 RationalLike = Union[int, str, "Rat"]
 
@@ -27,7 +20,7 @@ _RATIONALS = (int, str, Rat, numbers.Rational)
 
 
 def as_rational(value: RationalLike) -> "Rat":
-    """Coerce an int, ``"p/q"`` string, or exact rational to the backend type.
+    """Coerce an int, ``"p/q"`` string, or exact rational to a Fraction.
 
     Floats are rejected: their binary round-off would silently contaminate
     the exact arithmetic everywhere downstream.
@@ -40,9 +33,8 @@ def as_rational(value: RationalLike) -> "Rat":
 
 
 def rat_ceil(value: "Rat") -> int:
-    """Exact ceiling of a backend rational."""
-    num, den = int(value.numerator), int(value.denominator)
-    return -((-num) // den)
+    """Exact ceiling of a rational."""
+    return -(-value.numerator // value.denominator)
 
 
 def format_rational(value: "Rat") -> str:
@@ -57,7 +49,7 @@ class GaussianRational:
     """An element of Q(i) with exact rational real and imaginary parts.
 
     Instances are immutable values: every arithmetic operation returns a new
-    object.  Construction accepts ints, ``"p/q"`` strings, backend rationals,
+    object.  Construction accepts ints, ``"p/q"`` strings, rationals,
     or another :class:`GaussianRational` (as the real part only when no
     imaginary part is given).
     """
@@ -80,7 +72,7 @@ class GaussianRational:
     # -- constructors -----------------------------------------------------
     @classmethod
     def _make(cls, re: "Rat", im: "Rat") -> "GaussianRational":
-        """Wrap two backend rationals as they are, with no coercion."""
+        """Wrap two Fractions as they are, with no coercion."""
         self = object.__new__(cls)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)

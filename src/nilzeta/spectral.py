@@ -385,7 +385,7 @@ def hurwitz_zeta(s: complex, a: float, terms: int = 25, corrections: int = 8) ->
 
 
 # ---------------------------------------------------------------------------
-# Truncated zeta values with explicit tail bounds
+# Truncated zeta values with tail estimates
 # ---------------------------------------------------------------------------
 
 _TAIL_SAFETY = 1.25

@@ -23,6 +23,7 @@ smaller.  The leading term of an element is its largest monomial.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, NamedTuple, Union
 
 from .core import AlgebraSpec, index_set, y_position
@@ -62,16 +63,6 @@ def monomial_degree(m: Monomial) -> int:
 def monomial_key(m: Monomial):
     """Sort key realizing the order described in the module docstring."""
     return (monomial_degree(m), tuple(-e for e in m.x + m.y))
-
-
-def monomial_compare(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0, or +1 as m1 is smaller than, equal to, or larger than m2."""
-    k1, k2 = monomial_key(m1), monomial_key(m2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 class UEAElement(Combination):
@@ -166,9 +157,6 @@ class UEAElement(Combination):
 # Normal-form products
 # ---------------------------------------------------------------------------
 
-_PUSH_CACHE: dict = {}
-
-
 def _y_derivation(spec: AlgebraSpec, y: MultiIndex, k: int) -> list[tuple[MultiIndex, int]]:
     """[X_k, Y^y] as a derivation: replace one Y^beta factor by Y^{beta-delta_k}."""
     idx = index_set(spec)
@@ -188,18 +176,13 @@ def _y_derivation(spec: AlgebraSpec, y: MultiIndex, k: int) -> list[tuple[MultiI
     return out
 
 
+@cache
 def _push_y_through_x(
     spec: AlgebraSpec, y: MultiIndex, x: MultiIndex
 ) -> tuple[tuple[Monomial, int], ...]:
     """Normal form of the product Y^y * X^x as integer-weighted monomials."""
-    key = (spec, y, x)
-    cached = _PUSH_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not any(x) or not any(y):
-        result: tuple[tuple[Monomial, int], ...] = ((Monomial(x, y), 1),)
-        _PUSH_CACHE[key] = result
-        return result
+        return ((Monomial(x, y), 1),)
     k = next(pos for pos, e in enumerate(x) if e)
     rest = tuple(e - (1 if pos == k else 0) for pos, e in enumerate(x))
     acc: dict[Monomial, int] = {}
@@ -209,9 +192,7 @@ def _push_y_through_x(
     for y2, mult in _y_derivation(spec, y, k):
         for mono, coeff in _push_y_through_x(spec, y2, rest):
             acc[mono] = acc.get(mono, 0) - mult * coeff
-    result = tuple((m, c) for m, c in acc.items() if c)
-    _PUSH_CACHE[key] = result
-    return result
+    return tuple((m, c) for m, c in acc.items() if c)
 
 
 def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
@@ -224,10 +205,6 @@ def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
             yield Monomial(mi_add(m1.x, mid.x), mi_add(mid.y, m2.y)), weight
 
     return UEAElement._of_clean(spec, product_terms(u.terms, v.terms, expand))
-
-
-def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
-    return normal_product(u, v) - normal_product(v, u)
 
 
 def ad_x(spec: AlgebraSpec, k: int, u: UEAElement) -> UEAElement:

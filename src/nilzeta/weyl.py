@@ -18,6 +18,8 @@ Laplace-type operator ``delta1`` built from the quadratic Casimir-style sum.
 
 from __future__ import annotations
 
+import math
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -33,7 +35,7 @@ from .indices import (
     mi_falling,
     mi_sub,
 )
-from .linalg import Combination, product_terms, vec_add_scaled
+from .linalg import Combination, commutator, product_terms, vec_add_scaled
 from .scalars import ONE, ZERO, GaussianRational, Rat, ScalarLike
 from .uea import Monomial, UEAElement
 
@@ -162,27 +164,19 @@ def format_weyl(w: WeylOperator) -> str:
 # Products
 # ---------------------------------------------------------------------------
 
-_LEIBNIZ_CACHE: dict = {}
-
-
+@cache
 def leibniz(b: MultiIndex, a: MultiIndex) -> Mapping[WeylMonomial, int]:
     """Normal form of d^b x^a as a read-only map (x-exponent, d-exponent) -> int weight.
 
     The first entry is ``(a, b): 1``; every other term has lower total degree.
     """
-    key = (b, a)
-    cached = _LEIBNIZ_CACHE.get(key)
-    if cached is not None:
-        return cached
     cap = tuple(min(e, f) for e, f in zip(b, a))
     out = {}
     for nu in box(cap):
         weight = mi_binomial(b, nu) * mi_falling(a, nu)
         if weight:
             out[(mi_sub(a, nu), mi_sub(b, nu))] = weight
-    result = MappingProxyType(out)
-    _LEIBNIZ_CACHE[key] = result
-    return result
+    return MappingProxyType(out)
 
 
 def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
@@ -195,10 +189,6 @@ def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
             yield (mi_add(a1, mid_a), mi_add(mid_b, b2)), weight
 
     return WeylOperator._of_clean(u.n, product_terms(u.terms, v.terms, expand))
-
-
-def weyl_commutator(u: WeylOperator, v: WeylOperator) -> WeylOperator:
-    return weyl_product(u, v) - weyl_product(v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,7 @@ def ad_power(d: WeylOperator, x: WeylOperator, k: int) -> WeylOperator:
     """The k-fold iterated commutator [d, [d, .. [d, x]..]] (k >= 0)."""
     out = x
     for _ in range(k):
-        out = weyl_commutator(d, out)
+        out = commutator(d, out)
     return out
 
 
@@ -298,9 +288,7 @@ def commutator_power_check(d: WeylOperator, x: WeylOperator, i: int) -> WeylOper
     Returns [d^i, x] - sum_{k=1..i} C(i,k) ad_power(d,x,k) d^{i-k}; the zero
     operator certifies the identity.
     """
-    import math
-
-    lhs = weyl_commutator(d ** i, x)
+    lhs = commutator(d ** i, x)
     rhs = WeylOperator.zero(d.n)
     for k in range(1, i + 1):
         rhs = rhs + (ad_power(d, x, k) * (d ** (i - k))).scale(math.comb(i, k))

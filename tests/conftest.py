@@ -16,18 +16,24 @@ name                   n   alpha     partition
 ``apply_weyl`` turns a :class:`~nilzeta.weyl.WeylOperator` into its action on
 a sympy polynomial; it is an independent route used to cross-check the
 symbolic composition rules against actual differentiation.
+
+``reduce_against`` and ``generated_span_leading`` are the elimination oracle:
+they span the ideal generated by an explicit generator set by row reduction,
+independently of the library's symbol classification.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, Mapping, Sequence
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, settings
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
-from nilzeta.uea import Monomial, UEAElement, monomials_up_to
+from nilzeta.linalg import vec_add_scaled, vec_scale
+from nilzeta.uea import Monomial, UEAElement, monomial_degree, monomial_key, monomials_up_to
 
 settings.register_profile(
     "suite",
@@ -145,3 +151,93 @@ def random_element(spec: AlgebraSpec, rng, max_degree: int = 2, terms: int = 3) 
         coeff = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
         out = out + UEAElement.monomial(spec, m, coeff)
     return out
+
+
+def monomial_compare(m1: Monomial, m2: Monomial) -> int:
+    """-1, 0, or +1 as m1 is smaller than, equal to, or larger than m2."""
+    k1, k2 = monomial_key(m1), monomial_key(m2)
+    if k1 < k2:
+        return -1
+    if k1 > k2:
+        return 1
+    return 0
+
+
+def leading_monomial_divides(m1: Monomial, m2: Monomial) -> bool:
+    """Componentwise divisibility of ordered monomials (x and y exponents)."""
+    return all(a <= b for a, b in zip(m1.x, m2.x)) and all(
+        a <= b for a, b in zip(m1.y, m2.y)
+    )
+
+
+def reduce_against(
+    vec: Mapping,
+    pivots: Mapping,
+    key_order: Callable,
+) -> tuple[dict, dict]:
+    """Reduce ``vec`` against pivot rows.
+
+    ``pivots`` maps a column key to a row normalized to have coefficient 1 at
+    that key; the row's other support may include further pivot keys, which is
+    handled by repeated elimination at the largest remaining pivot key under
+    ``key_order``.  Terminates because each elimination step removes the
+    largest pivot key present and pivot rows only contain keys <= their own
+    leading key under ``key_order``.
+
+    Returns ``(residual, used)`` where ``used`` maps pivot keys to the
+    coefficients subtracted, i.e. ``vec == residual + sum(used[k] * pivots[k])``.
+    """
+    residual = dict(vec)
+    used: dict = {}
+    while True:
+        hits = [k for k in residual if k in pivots]
+        if not hits:
+            return residual, used
+        top = max(hits, key=key_order)
+        coeff = residual[top]
+        vec_add_scaled(residual, pivots[top], -coeff)
+        used[top] = used.get(top, GaussianRational(0)) + coeff
+
+
+def generated_span_leading(
+    spec: AlgebraSpec,
+    gens: Sequence[UEAElement],
+    degree: int,
+    margin: int | None = None,
+) -> tuple[int, frozenset]:
+    """Dimension and leading-monomial set of the generated ideal's degree cut.
+
+    Spans all products m1 * g * m2 (ordered monomials m1, m2; g in ``gens``)
+    of total degree <= degree + margin, row-reduces them in the graded order,
+    and keeps the triangular rows whose leading monomial has degree <= degree:
+    for a graded order those rows are exactly a basis of the intersection
+    of the span with U_degree.
+    The margin matters: a generator's top-degree part may cancel in a
+    combination, leaving an element of lower degree than any single product
+    (the correction-operator generators carry a Y^0 factor one degree above
+    the star generators they recombine into, iterated along a block); the
+    default margin max(2, max(alpha)) is sufficient for both families.
+    Returns (dimension, frozenset of leading monomials of the kept rows).
+    """
+    budget = degree + (max(2, max(spec.alpha)) if margin is None else margin)
+    pivots: dict = {}
+    for g in gens:
+        if g.is_zero():
+            continue
+        gdeg = g.degree()
+        if gdeg > budget:
+            continue
+        room = budget - gdeg
+        for m1 in monomials_up_to(spec, room):
+            d1 = monomial_degree(m1)
+            lhs = UEAElement.monomial(spec, m1) * g
+            for m2 in monomials_up_to(spec, room - d1):
+                prod = lhs * UEAElement.monomial(spec, m2)
+                if prod.is_zero():
+                    continue
+                residual, _ = reduce_against(prod.terms, pivots, monomial_key)
+                if residual:
+                    lead = max(residual, key=monomial_key)
+                    pivots[lead] = vec_scale(residual, residual[lead].inverse())
+    kept = frozenset(m for m in pivots if monomial_degree(m) <= degree)
+    return len(kept), kept

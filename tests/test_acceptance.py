@@ -15,8 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import SPEC_PARAMS, make_spec, random_element
-from nilzeta import GaussianRational
+from conftest import SPEC_PARAMS, leading_monomial_divides, make_spec, random_element
+from nilzeta import GaussianRational, commutator
 from nilzeta.core import basis, index_set, y_position
 from nilzeta.ideal import (
     build_slice,
@@ -24,7 +24,6 @@ from nilzeta.ideal import (
     filtration_min_degree,
     gamma_generators,
     is_member,
-    leading_monomial_divides,
     star_generators,
 )
 from nilzeta.indices import box, mi_factorial, mi_sub
@@ -47,7 +46,6 @@ from nilzeta.spectral import abscissa_and_residue, eigenvalues
 from nilzeta.uea import (
     Monomial,
     UEAElement,
-    commutator,
     gamma_apply,
     gamma_j,
     monomials_up_to,

@@ -55,6 +55,12 @@ def test_cli_import_leaves_numpy_unloaded() -> None:
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
+def test_public_names_resolve() -> None:
+    # every exported name, the lazily loaded spectral ones included
+    for name in nilzeta.__all__:
+        assert getattr(nilzeta, name) is not None, name
+
+
 def test_algebra_check_valid(runner, heis, spec_file) -> None:
     payload = invoke_json(runner, ["algebra", "check", spec_file(heis)])
     assert payload["valid"] is True
@@ -121,6 +127,22 @@ def test_poles_refuses_negative_lmax(runner, heis, spec_file) -> None:
     result = runner.invoke(main, ["poles", spec_file(heis), "--lmax", "-1"])
     assert result.exit_code == 2
     assert "--lmax" in result.output
+
+
+@pytest.mark.parametrize("s0", ["abc", "1/0"])
+def test_poles_refuses_non_rational_s0(runner, heis, spec_file, s0: str) -> None:
+    result = runner.invoke(main, ["poles", spec_file(heis), "--s0", s0])
+    assert result.exit_code == 2
+    assert "--s0" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("s0", ["3/2", "1.5"])
+def test_poles_echoes_s0_as_written(runner, heis, spec_file, s0: str) -> None:
+    payload = invoke_json(runner, ["poles", spec_file(heis), "--s0", s0, "--lmax", "2"])
+    assert payload["s0"] == s0
+    # heis has the one root -2, so l starts at ceil(2 - 3/2) = 1
+    assert [w["l"] for e in payload["entries"] for w in e["witnesses"]] == [1, 2]
 
 
 def test_poles_json_frozen(runner, heis, spec_file) -> None:

@@ -13,13 +13,11 @@ from nilzeta.core import index_set, y_position
 from nilzeta.ideal import (
     filtration_min_degree,
     gamma_generators,
-    generated_span_leading,
     generators,
-    leading_monomial_divides,
     star_generator,
     star_generators,
 )
-from nilzeta.linalg import reduce_against, vec_add_scaled, vec_scale
+from nilzeta.linalg import vec_add_scaled, vec_scale
 from nilzeta.scalars import ONE, i_power
 from nilzeta.uea import (
     Monomial,
@@ -32,7 +30,15 @@ from nilzeta.uea import (
 )
 from nilzeta.weyl import WeylOperator, rho, weyl_key
 
-from conftest import SPEC_PARAMS, make_spec, monomial_mul_commuting, random_element
+from conftest import (
+    SPEC_PARAMS,
+    generated_span_leading,
+    leading_monomial_divides,
+    make_spec,
+    monomial_mul_commuting,
+    random_element,
+    reduce_against,
+)
 
 
 def y_counts(spec, pairs) -> Monomial:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
-from nilzeta.linalg import add_term, kernel_basis, reduce_against, vec_add_scaled, vec_scale
+from nilzeta.linalg import add_term, kernel_basis, vec_add_scaled, vec_scale
 from nilzeta.scalars import ONE, ZERO, GaussianRational
+
+from conftest import reduce_against
 
 
 def gr(re: int, im: int = 0) -> GaussianRational:

@@ -36,7 +36,7 @@ gaussians = st.builds(
 
 
 def test_backend_selection() -> None:
-    assert RATIONAL_BACKEND in {"gmpy2", "fractions"}
+    assert RATIONAL_BACKEND == "fractions"
 
 
 def test_constants() -> None:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilzeta import GaussianRational, algebra_spec, monomial_compare, normal_product
+from nilzeta import GaussianRational, algebra_spec, commutator, normal_product
 from nilzeta.core import index_set, y_position
 from nilzeta.indices import box, mi_delta, mi_factorial, mi_sub
 from nilzeta.scalars import ONE, i_power
@@ -23,7 +23,6 @@ from nilzeta.uea import (
     Monomial,
     UEAElement,
     ad_x,
-    commutator,
     gamma_apply,
     gamma_j,
     monomial_degree,
@@ -36,7 +35,13 @@ from nilzeta.uea import (
 )
 from nilzeta.weyl import rho
 
-from conftest import SPEC_PARAMS, make_spec, monomial_mul_commuting, random_element
+from conftest import (
+    SPEC_PARAMS,
+    make_spec,
+    monomial_compare,
+    monomial_mul_commuting,
+    random_element,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 import pytest
 import sympy
 
-from nilzeta import GaussianRational, WeylOperator, algebra_spec, weyl_product
+from nilzeta import GaussianRational, WeylOperator, algebra_spec, commutator, weyl_product
 from nilzeta.core import basis, index_set
 from nilzeta.indices import mi_factorial
 from nilzeta.scalars import ONE, i_power
@@ -27,7 +27,6 @@ from nilzeta.weyl import (
     p_op,
     q_op,
     rho,
-    weyl_commutator,
 )
 
 from conftest import SPEC_PARAMS, apply_weyl, make_spec, random_element
@@ -59,7 +58,7 @@ def test_mixing_variable_counts_is_refused() -> None:
 def test_canonical_commutator() -> None:
     x = WeylOperator.x_op(1, 0)
     d = WeylOperator.d_op(1, 0)
-    assert weyl_commutator(d, x) == WeylOperator.one(1)
+    assert commutator(d, x) == WeylOperator.one(1)
     assert weyl_product(x, d) == WeylOperator.monomial(1, (1,), (1,))
     assert weyl_product(d, x) == WeylOperator.monomial(1, (1,), (1,)) + WeylOperator.one(1)
 
@@ -212,7 +211,7 @@ def test_p_q_ops() -> None:
         p, q = p_op(n, k), q_op(n, k)
         assert p == -WeylOperator.d_op(n, k)
         assert q == -WeylOperator.x_op(n, k)
-        assert weyl_commutator(p, q) == WeylOperator.one(n)
+        assert commutator(p, q) == WeylOperator.one(n)
 
 
 # ---------------------------------------------------------------------------
