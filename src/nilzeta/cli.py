@@ -43,7 +43,6 @@ from .ideal import (
     star_generators,
 )
 from .indices import box, mi_factorial, mi_sub
-from .linalg import commutator
 from .reduction import (
     b_polynomial,
     b_roots,
@@ -51,7 +50,6 @@ from .reduction import (
     g_s,
     h_ab,
     h_s,
-    hat_y,
     lagrange_identity_check,
     physical_abscissa,
     pole_lattice,
@@ -145,15 +143,15 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
         for mono in monomials_up_to(spec, max_degree):
             t = UEAElement.monomial(spec, mono)
             for k in range(spec.n):
-                yh = hat_y(spec, k)
-                xk = UEAElement.x_gen(spec, k)
-                left = xk * commutator(t, yh) - t.scale(mono.x[k])
+                axis = [int(j == k) for j in range(spec.n)]
+                zeros = [0] * spec.n
+                left = g_ab(spec, axis, zeros, t) - t.scale(mono.x[k])
                 if not is_member(spec, left):
                     return f"a-part fails for {_mono_str(spec, mono)}, k={k + 1}"
                 weight = sum(
                     mult * idx[pos][k] for pos, mult in enumerate(mono.y) if mult
                 )
-                right = commutator(xk, t) * yh - t.scale(weight)
+                right = g_ab(spec, zeros, axis, t) - t.scale(weight)
                 if not is_member(spec, right):
                     return f"b-part fails for {_mono_str(spec, mono)}, k={k + 1}"
         return None
@@ -346,10 +344,10 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
     """Candidate pole lattice of the spectral zeta function."""
     try:
         spec = load_spec(spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
+        lattice = pole_lattice(spec, q=q, s0=s0, l_max=lmax)
+    except (SpecError, ValueError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc)})
         sys.exit(1)
-    lattice = pole_lattice(spec, q=q, s0=s0, l_max=lmax)
     entries = [
         {
             "omega": e.omega_str(),

@@ -9,6 +9,9 @@ shares the arithmetic of such dicts:
   through :func:`vec_add_scaled`;
 * :func:`product_terms` — the one product kernel, on Gaussian-integer
   numerators over one common denominator per operand;
+* :func:`map_terms` — the one linear-map kernel, next to it: a map given by
+  Gaussian-integer images of single monomials (the reduction factors and the
+  representation cache theirs), applied in ints over one common denominator;
 * :class:`Combination` — the base of every finite Q(i) combination of
   monomials in one space (enveloping-algebra elements, Weyl operators): the
   cleaning constructor, sums, negation, scaling and equality.  Subclasses add
@@ -29,6 +32,10 @@ K = TypeVar("K", bound=Hashable)
 
 Vector = dict
 # Vector[K] = dict[K, GaussianRational]; plain dict at runtime.
+
+# Entries kept by each bounded cache of the linear maps: the per-monomial
+# images of the reduction factors' parts and of the representation.
+IMAGE_CACHE_SIZE = 1 << 12
 
 
 def add_term(target: dict, key: Hashable, value: GaussianRational) -> None:
@@ -85,7 +92,29 @@ def product_terms(u_terms: Mapping, v_terms: Mapping, expand: Callable) -> dict:
                 slot = acc.setdefault(mono, [0, 0])
                 slot[0] += re * weight
                 slot[1] += im * weight
-    den = du * dv
+    return _normalised(acc, du * dv)
+
+
+def map_terms(terms: Mapping, image: Callable) -> dict:
+    """The terms of a linear map applied to ``terms``; ``image(m)`` returns the
+    image of one monomial as ``(den, ((mono, re, im), ...))``, int numerators over
+    den (a monomial may repeat).  Each image's numerators are brought to the lcm
+    of the image denominators and added as ints; each output is normalised once."""
+    dt, ts = _numerators(terms)
+    images = [(image(m), r, i) for m, r, i in ts]
+    den = math.lcm(*(d for (d, _), _, _ in images))
+    acc: dict = {}
+    for (d, rows), r, i in images:
+        r, i = r * (den // d), i * (den // d)
+        for mono, re, im in rows:
+            slot = acc.setdefault(mono, [0, 0])
+            slot[0] += r * re - i * im
+            slot[1] += r * im + i * re
+    return _normalised(acc, den * dt)
+
+
+def _normalised(acc: dict, den: int) -> dict:
+    """Int numerator pairs over ``den`` as GaussianRationals, cancelled ones dropped."""
     make = GaussianRational._make
     return {m: make(Rat(re, den), Rat(im, den)) for m, (re, im) in acc.items() if re or im}
 

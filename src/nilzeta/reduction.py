@@ -12,13 +12,16 @@ Three layers live here.
     For an independent ordered monomial T of degree s there is a constructive
     choice of one generator position per partition block and a weight vector
     b such that g with all-ones a satisfies an eigen-relation modulo the
-    kernel ideal; h differs from g by (|a| + |b|) times the identity.
+    kernel ideal; h differs from g by (|a| + |b|) times the identity.  Both
+    are linear in T: they are applied as cached linear maps, the images of
+    each monomial's commutator parts computed once (bounded, per algebra).
 
-2.  Degree-indexed annihilation/descent products ``h_s`` (enveloping side)
-    and ``t_s`` (operator side): products of first-order factors, one per
-    choice of block positions and per-block orders, each shifted by an exact
-    rational constant.  ``h_s`` kills every degree-s monomial modulo the
-    kernel ideal; ``t_s`` lowers the image filtration degree.
+2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
+    (enveloping side) and ``t_s`` (operator side): products of first-order
+    factors, one per choice of block positions and per-block orders, each
+    shifted by an exact rational constant and applied through the same
+    cached images.  ``h_s`` kills every degree-s monomial modulo the kernel
+    ideal; ``t_s`` lowers the image filtration degree.
 
 3.  The exact rational polynomial ``b_polynomial`` whose roots drive the
     meromorphic continuation, the resulting half-integer pole lattice, and
@@ -29,13 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta
-from .linalg import Combination, commutator
+from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, commutator, map_terms
 from .scalars import (
+    ONE,
     GaussianRational,
     Rat,
     RationalLike,
@@ -72,44 +77,66 @@ def g_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k X_k [t, Yhat_k] + b_k [X_k, t] Yhat_k."""
-    av, bv = _coerce_vector(spec, a), _coerce_vector(spec, b)
-    out = UEAElement.zero(spec)
-    for k in range(spec.n):
-        yh = hat_y(spec, k)
-        xk = UEAElement.x_gen(spec, k)
-        if not av[k].is_zero():
-            out = out + (xk * commutator(t, yh)).scale(av[k])
-        if not bv[k].is_zero():
-            out = out + (commutator(xk, t) * yh).scale(bv[k])
-    return out
+    return _first_order(spec, "g", _coerce_vector(spec, a), _coerce_vector(spec, b), 0, t)
 
 
 def h_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k [X_k t, Yhat_k] + b_k [X_k, t Yhat_k]."""
-    return _first_order(_uea_pairs(spec), _coerce_vector(spec, a), _coerce_vector(spec, b), t)
+    return _first_order(spec, "h", _coerce_vector(spec, a), _coerce_vector(spec, b), 0, t)
 
 
-def _uea_pairs(spec: AlgebraSpec) -> list[tuple[UEAElement, UEAElement]]:
-    return [(UEAElement.x_gen(spec, k), hat_y(spec, k)) for k in range(spec.n)]
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _pairs(space) -> tuple:
+    """The generator pairs (X_k, Yhat_k) of an algebra spec or, for a variable
+    count n, their images (P_k, Q_k) under the representation."""
+    if isinstance(space, int):
+        return tuple((p_op(space, k), q_op(space, k)) for k in range(space))
+    return tuple((UEAElement.x_gen(space, k), hat_y(space, k)) for k in range(space.n))
 
 
-def _first_order(pairs: Sequence, a: Sequence, b: Sequence, t: Combination):
-    """sum_k a_k [x_k t, y_k] + b_k [x_k, t y_k] over generator pairs (x_k, y_k).
-
-    With the pairs (X_k, Yhat_k) this is h_ab; with (P_k, Q_k), their images
-    under the representation, it is its operator-side mirror.  ``a`` and
-    ``b`` hold exact scalars (ints, Fractions or GaussianRationals); zero
-    weights are skipped.
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _axis_images(space, form: str, mono) -> tuple:
+    """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m over
+    the pairs (x_k, y_k) of :func:`_pairs`: ``A_k = [x_k m, y_k]`` and
+    ``B_k = [x_k, m y_k]`` in the h-form, ``A_k = x_k [m, y_k]`` and
+    ``B_k = [x_k, m] y_k`` in the g-form; as ``(den, parts)``, each part a
+    tuple of ``(mono, re, im)`` int numerators over ``den``.
     """
-    out = t.scale(0)
-    for (xk, yk), ak, bk in zip(pairs, a, b):
-        if ak:
-            out = out + commutator(xk * t, yk).scale(ak)
-        if bk:
-            out = out + commutator(xk, t * yk).scale(bk)
-    return out
+    pairs = _pairs(space)
+    t = type(pairs[0][0])._of_clean(space, {mono: ONE})
+    if form == "h":
+        parts = [commutator(x * t, y) for x, y in pairs]
+        parts += [commutator(x, t * y) for x, y in pairs]
+    else:
+        parts = [x * commutator(t, y) for x, y in pairs]
+        parts += [commutator(x, t) * y for x, y in pairs]
+    nums = [_numerators(part.terms) for part in parts]
+    den = math.lcm(*(d for d, _ in nums))
+    scaled = (((m, re * (den // d), im * (den // d)) for m, re, im in r) for d, r in nums)
+    return den, tuple(map(tuple, scaled))
+
+
+def _first_order(space, form: str, a: Sequence, b: Sequence, shift, t: Combination):
+    """sum_k a_k A_k(t) + b_k B_k(t) - shift * t with the parts of :func:`_axis_images`
+    (h_ab, its operator-side mirror, or g_ab).  The exact scalars ``a``, ``b``,
+    ``shift`` become Gaussian-integer weights over one denominator, and t maps
+    through :func:`~nilzeta.linalg.map_terms`."""
+    if t.space != space:
+        raise ValueError(f"{type(t).__name__} operands belong to different spaces")
+    weights = (GaussianRational.coerce(w) for w in (*a, *b, -shift))
+    dw, (*nums, (_, sr, si)) = _numerators(dict(enumerate(weights)))
+
+    def image(mono):
+        den, parts = _axis_images(space, form, mono)
+        rows = [(mono, sr * den, si * den)]
+        for part, (_, wr, wi) in zip(parts, nums):
+            if wr or wi:
+                rows.extend((m, wr * re - wi * im, wr * im + wi * re) for m, re, im in part)
+        return den * dw, rows
+
+    return t._of_clean(space, map_terms(t.terms, image))
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +248,18 @@ def _factor_root(spec: AlgebraSpec, i_tuple: Sequence[int], r_tuple: Sequence[in
     return Rat(spec.p - spec.n) - shift
 
 
-def _factor_table(spec: AlgebraSpec) -> list:
-    """(b vector, root) per reduction factor, in :func:`reduction_factors` order."""
-    return [
-        (_factor_b_vector(spec, i_tuple), root)
-        for (i_tuple, _), root in zip(reduction_factors(spec), b_roots(spec))
-    ]
-
-
 def _g_constant(spec: AlgebraSpec, s: int, b_vec: Sequence, root) -> "Rat":
     """The g-shift at degree s: the h-shift s - root less n + sum(b)."""
     return s - root - spec.n - sum(b_vec)
 
 
-def _descent(spec: AlgebraSpec, s: int, pairs: Sequence, t: Combination):
-    """The shifted first-order factors at degree s over ``pairs``, first factor first."""
+def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
+    """The shifted first-order factors of ``form`` at degree s, first factor first."""
     ones = (1,) * spec.n
-    for b_vec, root in _factor_table(spec):
-        t = _first_order(pairs, ones, b_vec, t) - t.scale(s - root)
+    for (i_tuple, _), root in zip(reduction_factors(spec), b_roots(spec)):
+        b_vec = _factor_b_vector(spec, i_tuple)
+        shift = s - root if form == "h" else _g_constant(spec, s, b_vec, root)
+        t = _first_order(space, form, ones, b_vec, shift, t)
     return t
 
 
@@ -248,22 +269,17 @@ def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     Annihilates every degree-s monomial modulo the kernel ideal and maps the
     degree-<=s filtration level into (degree-<=(s-1) level) + ideal.
     """
-    return _descent(spec, s, _uea_pairs(spec), u)
+    return _descent(spec, s, spec, "h", u)
 
 
 def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """Product of shifted g-factors at degree s (first factor applied first)."""
-    ones = (1,) * spec.n
-    out = u
-    for b_vec, root in _factor_table(spec):
-        out = g_ab(spec, ones, b_vec, out) - out.scale(_g_constant(spec, s, b_vec, root))
-    return out
+    return _descent(spec, s, spec, "g", u)
 
 
 def t_s(spec: AlgebraSpec, s: int, w: WeylOperator) -> WeylOperator:
     """Operator-side descent product; intertwines with h_s through the representation."""
-    n = spec.n
-    return _descent(spec, s, [(p_op(n, k), q_op(n, k)) for k in range(n)], w)
+    return _descent(spec, s, spec.n, "h", w)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +525,11 @@ class PoleLattice:
         return [e.omega for e in self.entries]
 
 
+# Most witnesses one pole lattice may list; larger requests are refused
+# before any is enumerated (the listing grows linearly in s0 and l_max).
+MAX_POLE_WITNESSES = 100_000
+
+
 def pole_lattice(
     spec: AlgebraSpec, q: int = 0, s0: RationalLike = 0, l_max: int = 6
 ) -> PoleLattice:
@@ -517,10 +538,19 @@ def pole_lattice(
     For each reduction factor, l runs from the exact ceiling of
     sum (r_j+1)/alpha_{i_j} + n - p - s0 up to l_max.  Entries are grouped by
     exact location and sorted ascending; multiplicity counts witnesses.
+    Raises ValueError, before enumerating, when the witnesses would number
+    more than ``MAX_POLE_WITNESSES``.
     """
     s0 = as_rational(s0)
+    factors = list(zip(reduction_factors(spec), b_roots(spec)))
+    count = sum(max(0, l_max - rat_ceil(-root - s0) + 1) for _, root in factors)
+    if count > MAX_POLE_WITNESSES:
+        raise ValueError(
+            f"the pole lattice would list {count} witnesses, more than "
+            f"{MAX_POLE_WITNESSES}; lower s0 or l_max"
+        )
     buckets: dict = {}
-    for (i_tuple, r_tuple), root in zip(reduction_factors(spec), b_roots(spec)):
+    for (i_tuple, r_tuple), root in factors:
         for l in range(rat_ceil(-root - s0), l_max + 1):
             omega = (root - q + l) / 2
             witness = (

@@ -19,7 +19,7 @@ Laplace-type operator ``delta1`` built from the quadratic Casimir-style sum.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -35,7 +35,8 @@ from .indices import (
     mi_falling,
     mi_sub,
 )
-from .linalg import Combination, commutator, product_terms, vec_add_scaled
+from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, commutator, map_terms
+from .linalg import product_terms
 from .scalars import ONE, ZERO, GaussianRational, Rat, ScalarLike
 from .uea import Monomial, UEAElement
 
@@ -224,15 +225,20 @@ def rho(spec: AlgebraSpec, u: UEAElement) -> WeylOperator:
     """The defining representation: an exact algebra homomorphism.
 
     Each ordered monomial maps to ``c * d^p o x^gamma`` (see
-    :func:`monomial_symbol`), normally ordered by the Leibniz rule.
+    :func:`monomial_symbol`), normally ordered by the Leibniz rule; these
+    images are cached per monomial and applied by :func:`~nilzeta.linalg.map_terms`.
     """
     if u.spec != spec:
         raise ValueError("element belongs to a different algebra")
-    out: dict = {}
-    for mono, coeff in u.terms.items():
-        (p, gamma), c = monomial_symbol(spec, mono)
-        vec_add_scaled(out, leibniz(p, gamma), c * coeff)
-    return WeylOperator(spec.n, out)
+    return WeylOperator._of_clean(spec.n, map_terms(u.terms, lambda m: _rho_image(spec, m)))
+
+
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _rho_image(spec: AlgebraSpec, mono: Monomial) -> tuple:
+    """rho of one monomial as a :func:`~nilzeta.linalg.map_terms` image."""
+    (p, gamma), c = monomial_symbol(spec, mono)
+    den, ((_, re, im),) = _numerators({None: c})
+    return den, tuple((m, re * w, im * w) for m, w in leibniz(p, gamma).items())
 
 
 def p_op(n: int, k: int) -> WeylOperator:

@@ -129,6 +129,12 @@ def test_poles_refuses_negative_lmax(runner, heis, spec_file) -> None:
     assert "--lmax" in result.output
 
 
+def test_poles_refuses_over_witness_budget(runner, quad, spec_file) -> None:
+    result = runner.invoke(main, ["poles", spec_file(quad), "--s0", "10000000"])
+    assert result.exit_code == 1
+    assert "witnesses" in json.loads(result.output)["error"]
+
+
 @pytest.mark.parametrize("s0", ["abc", "1/0"])
 def test_poles_refuses_non_rational_s0(runner, heis, spec_file, s0: str) -> None:
     result = runner.invoke(main, ["poles", spec_file(heis), "--s0", s0])

@@ -42,8 +42,16 @@ from nilzeta.reduction import (
     taylor_residual,
 )
 from nilzeta.scalars import Rat, as_rational
-from nilzeta.uea import Monomial, UEAElement, monomial_degree, pure_y, slice_monomials
-from nilzeta.weyl import WeylOperator, delta1, p_op, q_op, rho
+from nilzeta.linalg import commutator
+from nilzeta.uea import (
+    Monomial,
+    UEAElement,
+    monomial_degree,
+    monomials_up_to,
+    pure_y,
+    slice_monomials,
+)
+from nilzeta.weyl import WeylOperator, delta1, leibniz, monomial_symbol, p_op, q_op, rho
 
 
 MINUS_I = GaussianRational(0, -1)
@@ -111,6 +119,120 @@ def test_h_equals_g_plus_two_n_mod_kernel(name: str) -> None:
         diff = h_ab(spec, ones, ones, u) - g_ab(spec, ones, ones, u) - u.scale(shift)
         assert rho(spec, diff).is_zero()
         assert is_member(spec, diff)
+
+
+# ---------------------------------------------------------------------------
+# Cached linear maps against their literal commutator definitions
+# ---------------------------------------------------------------------------
+
+
+def _literal_first_order(pairs, form: str, a, b, t):
+    """sum_k a_k A_k(t) + b_k B_k(t), built from products and commutators."""
+    out = t.scale(0)
+    for (x, y), ak, bk in zip(pairs, a, b):
+        if form == "h":
+            out = out + commutator(x * t, y).scale(ak) + commutator(x, t * y).scale(bk)
+        else:
+            out = out + (x * commutator(t, y)).scale(ak) + (commutator(x, t) * y).scale(bk)
+    return out
+
+
+def _literal_descent(spec, s: int, pairs, form: str, t):
+    """The degree-s descent product, each factor's weights and shift rederived
+    from the (i-tuple, r-tuple) labels."""
+    n = spec.n
+    for i_tuple, r_tuple in reduction_factors(spec):
+        b = [sum(Fraction(1, spec.alpha[k]) for i in i_tuple if i == k) for k in range(n)]
+        root = spec.p - n - sum(Fraction(r + 1, spec.alpha[i]) for i, r in zip(i_tuple, r_tuple))
+        shift = s - root if form == "h" else s - root - n - sum(b)
+        t = _literal_first_order(pairs, form, (1,) * n, b, t) - t.scale(shift)
+    return t
+
+
+def _uea_pairs(spec):
+    return [(UEAElement.x_gen(spec, k), hat_y(spec, k)) for k in range(spec.n)]
+
+
+def _weyl_pairs(spec):
+    return [(p_op(spec.n, k), q_op(spec.n, k)) for k in range(spec.n)]
+
+
+def _random_gaussian(rng) -> GaussianRational:
+    den = rng.choice((1, 2, 3, 5, 6))
+    return GaussianRational(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-4, 4), den))
+
+
+def _mixed_denominator_element(spec, rng, max_degree: int = 3, terms: int = 4):
+    monos = list(monomials_up_to(spec, max_degree))
+    return UEAElement(spec, {m: _random_gaussian(rng) for m in rng.sample(monos, terms)})
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_first_order_maps_match_commutators(name: str) -> None:
+    spec = make_spec(name)
+    rng = random.Random(4051 + len(name))
+    for _ in range(6):
+        a = [_random_gaussian(rng) for _ in range(spec.n)]
+        b = [_random_gaussian(rng) for _ in range(spec.n)]
+        t = _mixed_denominator_element(spec, rng)
+        assert h_ab(spec, a, b, t) == _literal_first_order(_uea_pairs(spec), "h", a, b, t)
+        assert g_ab(spec, a, b, t) == _literal_first_order(_uea_pairs(spec), "g", a, b, t)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_descent_products_match_commutators(name: str) -> None:
+    spec = make_spec(name)
+    rng = random.Random(733 + len(name))
+    zero = UEAElement.zero(spec)
+    for s in range(4):
+        assert h_s(spec, s, zero).is_zero() and g_s(spec, s, zero).is_zero()
+        assert t_s(spec, s, WeylOperator.zero(spec.n)).is_zero()
+        for _ in range(2):
+            u = _mixed_denominator_element(spec, rng)
+            w = rho(spec, u)
+            assert h_s(spec, s, u) == _literal_descent(spec, s, _uea_pairs(spec), "h", u)
+            assert g_s(spec, s, u) == _literal_descent(spec, s, _uea_pairs(spec), "g", u)
+            assert t_s(spec, s, w) == _literal_descent(spec, s, _weyl_pairs(spec), "h", w)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_rho_matches_symbol_leibniz_sum(name: str) -> None:
+    spec = make_spec(name)
+    rng = random.Random(90 + len(name))
+    for _ in range(5):
+        u = _mixed_denominator_element(spec, rng, max_degree=4, terms=6)
+        expected = WeylOperator.zero(spec.n)
+        for mono, coeff in u.terms.items():
+            (p, gamma), c = monomial_symbol(spec, mono)
+            expected = expected + WeylOperator(spec.n, dict(leibniz(p, gamma))).scale(c * coeff)
+        assert rho(spec, u) == expected
+    assert rho(spec, UEAElement.zero(spec)).is_zero()
+
+
+def test_image_caches_bounded_and_results_unshared(mixed) -> None:
+    from nilzeta.cli import run_verify
+    from nilzeta.linalg import IMAGE_CACHE_SIZE
+    from nilzeta.reduction import _axis_images
+    from nilzeta.weyl import _rho_image
+
+    assert run_verify(mixed, 4)["all_passed"]
+    for cached in (_axis_images, _rho_image):
+        info = cached.cache_info()
+        assert info.maxsize == IMAGE_CACHE_SIZE and 0 < info.currsize <= IMAGE_CACHE_SIZE
+    u = _mixed_denominator_element(mixed, random.Random(5))
+    ones = (1,) * mixed.n
+    for apply in (
+        lambda: h_s(mixed, 2, u),
+        lambda: g_s(mixed, 2, u),
+        lambda: h_ab(mixed, ones, ones, u),
+        lambda: t_s(mixed, 2, rho(mixed, u)),
+        lambda: rho(mixed, u),
+    ):
+        first = apply()
+        expected = dict(first.terms)
+        first.terms.clear()
+        first.terms[next(iter(expected))] = GaussianRational(7)
+        assert apply().terms == expected
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +514,25 @@ def test_pole_lattice_pair_joint_multiplicity(pair_joint) -> None:
     assert first.multiplicity == 2
     assert first.witnesses == (((1,), (1,), 0), ((2,), (1,), 0))
     assert first.omega_str() == "-3/2"
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_pole_lattice_refuses_over_witness_budget(name: str, monkeypatch) -> None:
+    from nilzeta import reduction
+
+    spec = make_spec(name)
+    count = sum(len(ws) for ws in _lattice_oracle(spec, 0, Fraction(7, 2), 6).values())
+    monkeypatch.setattr(reduction, "MAX_POLE_WITNESSES", count)
+    lat = pole_lattice(spec, s0=Rat(7, 2), l_max=6)
+    assert sum(e.multiplicity for e in lat.entries) == count
+    monkeypatch.setattr(reduction, "MAX_POLE_WITNESSES", count - 1)
+    with pytest.raises(ValueError, match="witnesses"):
+        pole_lattice(spec, s0=Rat(7, 2), l_max=6)
+
+
+def test_pole_lattice_refuses_huge_s0_up_front(quad) -> None:
+    with pytest.raises(ValueError, match="20000011 witnesses"):
+        pole_lattice(quad, s0=10_000_000, l_max=6)
 
 
 def test_pole_lattice_twist_shifts_left(heis) -> None:
