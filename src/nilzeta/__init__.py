@@ -85,8 +85,8 @@ __version__ = "0.1.0"
 # The numeric layer needs numpy, which the exact layer never uses; its names
 # resolve on first use so that importing the package stays light.
 _SPECTRAL_NAMES = (
-    "SpectralEstimate", "abscissa_and_residue", "eigenvalues",
-    "hermite_matrix", "hurwitz_zeta", "zeta_value",
+    "GrowthFit", "SpectralEstimate", "abscissa_and_residue", "eigenvalues",
+    "fit_growth", "hermite_matrix", "hurwitz_zeta", "zeta_value",
 )
 
 
@@ -110,10 +110,8 @@ __all__ = [
     "RationalPolynomial",
     "ReductionChoice",
     "SpecError",
-    "SpectralEstimate",
     "UEAElement",
     "WeylOperator",
-    "abscissa_and_residue",
     "ad_power",
     "algebra_spec",
     "b_polynomial",
@@ -124,7 +122,6 @@ __all__ = [
     "commutator",
     "commutator_power_check",
     "delta1",
-    "eigenvalues",
     "filtration_min_degree",
     "format_element",
     "g_ab",
@@ -134,8 +131,6 @@ __all__ = [
     "generators",
     "h_ab",
     "h_s",
-    "hermite_matrix",
-    "hurwitz_zeta",
     "index_set",
     "is_member",
     "isotropic_subalgebra",
@@ -157,5 +152,5 @@ __all__ = [
     "validate_spec",
     "weyl_product",
     "y_star",
-    "zeta_value",
+    *_SPECTRAL_NAMES,
 ]

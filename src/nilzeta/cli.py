@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv as csv_module
 import json
+import math
 import random
 import sys
 from typing import Optional
@@ -262,6 +263,22 @@ class _Rational(click.ParamType):
         return value
 
 
+class _FiniteFloat(click.ParamType):
+    """A finite float; with ``positive``, also one above zero."""
+
+    name = "float"
+
+    def __init__(self, positive: bool = False) -> None:
+        self.positive = positive
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number) or (self.positive and number <= 0):
+            wanted = "positive finite" if self.positive else "finite"
+            self.fail(f"{value!r} is not a {wanted} number", param, ctx)
+        return number
+
+
 @click.group()
 def main() -> None:
     """Exact operator calculus and spectral-zeta pole analysis."""
@@ -383,9 +400,11 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
 @main.command("spectrum")
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--basis-size", default=128, show_default=True)
-@click.option("--zeta-at", multiple=True, type=float, help="evaluate the eigenvalue zeta here")
+@click.option(
+    "--zeta-at", multiple=True, type=_FiniteFloat(), help="evaluate the eigenvalue zeta here"
+)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--drift-tol", default=1e-8, show_default=True)
+@click.option("--drift-tol", default=1e-8, show_default=True, type=_FiniteFloat(positive=True))
 def spectrum_cmd(
     spec_file: str,
     basis_size: int,
@@ -394,7 +413,7 @@ def spectrum_cmd(
     drift_tol: float,
 ) -> None:
     """Numeric spectrum, growth fit, and truncated zeta values."""
-    from .spectral import abscissa_and_residue, eigenvalues, zeta_value
+    from .spectral import abscissa_and_residue, eigenvalues, fit_growth, zeta_value
 
     try:
         spec = load_spec(spec_file)
@@ -403,19 +422,20 @@ def spectrum_cmd(
         sys.exit(1)
     try:
         est = eigenvalues(spec, basis_size, drift_tol)
+        fit = fit_growth(est)
         abscissa, residue = abscissa_and_residue(spec, est)
     except ValueError as exc:
         _emit({"error": str(exc)})
         sys.exit(1)
     physical = physical_abscissa(spec, 0)
-    report = est.to_json_dict()
+    report = {**est.to_json_dict(), **fit.to_json_dict()}
     report["residue_at_leading_pole"] = residue
     report["physical_abscissa"] = format_rational(physical)
     report["lattice_match"] = bool(abs(abscissa - float(physical)) <= 0.05)
     zeta_entries = []
     for z in zeta_at:
         try:
-            value, tail = zeta_value(spec, None, z, basis_size, drift_tol)
+            value, tail = zeta_value(est, z)
             zeta_entries.append(
                 {
                     "z": z,

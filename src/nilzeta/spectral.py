@@ -9,15 +9,16 @@ restriction and eigenvalues decrease monotonically in the basis size.
 
 delta1 is a constant plus one operator per partition block, each acting on
 its own block's axes, so its matrix on the tensor basis is a Kronecker sum:
-the eigenvalues are solved block by block and combined by a Minkowski sum.
-Solves whose matrices or sums would exceed ``MAX_SOLVE_ENTRIES`` are refused
-before anything is assembled.
+every eigensolve is of one block's matrix; eigenvalues combine by a Minkowski
+sum and eigenvectors by tensor products.  Solves whose matrices or sums would
+exceed ``MAX_SOLVE_ENTRIES`` are refused before anything is assembled.
 
 Convergence is certified by doubling: an eigenvalue counts as converged when
 it moves relatively less than a drift tolerance between the basis size and
 its double.  Fits of the converged spectrum give the growth exponent, the
 abscissa of convergence of the eigenvalue power series, and tail estimates
 for truncated zeta values — the estimates are reported, never silently added.
+Estimates and fits are frozen values; nothing is cached between calls.
 
 The Hurwitz-zeta oracle used for residue checks is an independent
 Euler-Maclaurin implementation (no external special-function dependency).
@@ -148,14 +149,17 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
 # Eigenvalues with doubling-certified convergence
 # ---------------------------------------------------------------------------
 
+# How many of the lowest eigenvalues a JSON report lists.
+_JSON_HEAD = 10
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class SpectralEstimate:
     """Converged spectrum of the algebra's Schroedinger-type operator.
 
-    ``eigenvalues`` holds the converged ascending prefix (refined values from
-    the doubled basis).  Fit fields are populated by
-    :func:`abscissa_and_residue` (or :func:`fit_growth`).
+    ``eigenvalues`` is the read-only converged ascending prefix (refined
+    values from the doubled basis).  Growth fits are separate values, made
+    by :func:`fit_growth`.
     """
 
     spec: AlgebraSpec
@@ -163,27 +167,19 @@ class SpectralEstimate:
     drift_tol: float
     converged_count: int
     eigenvalues: np.ndarray
-    theta: Optional[float] = None
-    growth_constant: Optional[float] = None
-    fit_residual: Optional[float] = None
-    abscissa: Optional[float] = None
-    schatten_order: Optional[float] = None
 
-    def to_json_dict(self, head: int = 10) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "basis_size": self.basis_size,
             "drift_tol": self.drift_tol,
             "converged": self.converged_count,
-            "eigenvalues_head": [float(v) for v in self.eigenvalues[:head]],
-            "theta": self.theta,
-            "abscissa": self.abscissa,
-            "fit_residual": self.fit_residual,
-            "schatten_order": self.schatten_order,
+            "eigenvalues_head": [float(v) for v in self.eigenvalues[:_JSON_HEAD]],
         }
 
 
-_EST_CACHE: dict = {}
-_EIGH_CACHE: dict = {}
+def _on_block(block: tuple, a: tuple, b: tuple) -> tuple:
+    """The exponents ``(a, b)`` of ``x^a d^b`` restricted to one block's axes, in order."""
+    return tuple(a[i] for i in block), tuple(b[i] for i in block)
 
 
 def _block_operators(spec: AlgebraSpec) -> tuple[float, list[WeylOperator]]:
@@ -204,16 +200,14 @@ def _block_operators(spec: AlgebraSpec) -> tuple[float, list[WeylOperator]]:
         if len(owners) > 1:
             raise ValueError(f"a term of delta1 spans partition blocks {sorted(owners)}")
         (k,) = owners
-        block = spec.partition[k]
-        parts[k][tuple(a[i] for i in block), tuple(b[i] for i in block)] = coeff
+        parts[k][_on_block(spec.partition[k], a, b)] = coeff
     ops = [WeylOperator(len(block), terms) for block, terms in zip(spec.partition, parts)]
     return const, ops
 
 
 def _refuse_oversized(spec: AlgebraSpec, basis_size: int) -> None:
-    """Raise ValueError, before any allocation, if the doubling check of
-    ``basis_size`` would exceed ``MAX_SOLVE_ENTRIES`` in a block matrix or in
-    the Minkowski sum."""
+    """Refuse, before any allocation, a doubling check of ``basis_size`` whose
+    block matrices or Minkowski sum would exceed ``MAX_SOLVE_ENTRIES``."""
     doubled = 2 * basis_size
     for op in _block_operators(spec)[1]:
         entries = _assembly_size(op, doubled) ** (2 * op.n)
@@ -223,67 +217,72 @@ def _refuse_oversized(spec: AlgebraSpec, basis_size: int) -> None:
     _refuse_above_cap(doubled ** spec.n, f"the spectrum at the doubled basis size {doubled}")
 
 
-def _eigvals(spec: AlgebraSpec, basis_size: int) -> np.ndarray:
-    """Ascending eigenvalues of the truncated ``delta1(spec)``.
+def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
+    """``combine`` of ``start`` with one entry of each part, for every index
+    tuple in row-major order: with ``np.add`` and block eigenvalues, the
+    Kronecker sum's spectrum; with ``np.multiply``, tensor-product elements."""
+    total = np.array([start])
+    for part in parts:
+        total = combine.outer(total, part).ravel()
+    return total
 
-    Every term of delta1 acts within one partition block, so its Galerkin
-    matrix on the tensor Hermite basis is a Kronecker sum and its
-    eigenvalues are the sums ``const + l1[i] + l2[j] + ...`` of the block
-    eigenvalues (the Minkowski sum of the block spectra).
-    """
+
+def _eigvals(spec: AlgebraSpec, basis_size: int) -> np.ndarray:
+    """Ascending eigenvalues of the truncated ``delta1(spec)``: the sums
+    ``const + l1[i] + l2[j] + ...`` of the block eigenvalues, sorted."""
     const, ops = _block_operators(spec)
-    total = np.array([const])
-    for op in ops:
-        block = np.linalg.eigvalsh(hermite_matrix(op, basis_size))
-        total = np.add.outer(total, block).ravel()
-    return np.sort(total)
+    blocks = [np.linalg.eigvalsh(hermite_matrix(op, basis_size)) for op in ops]
+    return np.sort(_minkowski(np.add, const, blocks))
 
 
 def eigenvalues(
     spec: AlgebraSpec, basis_size: int, drift_tol: float = 1e-8
 ) -> SpectralEstimate:
-    """Eigenvalues converged under basis doubling (results cached).
+    """Eigenvalues converged under basis doubling.
 
     An eigenvalue is converged when its relative drift between basis sizes N
     and 2N is below ``drift_tol``; only the contiguous prefix counts.  A
     request whose doubled solve would exceed ``MAX_SOLVE_ENTRIES`` raises
     ValueError before anything is assembled.
     """
-    key = (spec, basis_size, drift_tol)
-    cached = _EST_CACHE.get(key)
-    if cached is not None:
-        return cached
     _refuse_oversized(spec, basis_size)
     coarse = _eigvals(spec, basis_size)
-    fine = _eigvals(spec, 2 * basis_size)
-    count = 0
-    for k in range(len(coarse)):
-        scale = max(1.0, abs(fine[k]))
-        if abs(coarse[k] - fine[k]) <= drift_tol * scale:
-            count += 1
-        else:
-            break
-    est = SpectralEstimate(
-        spec=spec,
-        basis_size=basis_size,
-        drift_tol=drift_tol,
-        converged_count=count,
-        eigenvalues=fine[:count].copy(),
-    )
-    _EST_CACHE[key] = est
-    return est
+    fine = _eigvals(spec, 2 * basis_size)[: len(coarse)]
+    drifted = np.abs(coarse - fine) > drift_tol * np.maximum(1.0, np.abs(fine))
+    converged = fine[: np.argmax(drifted) if drifted.any() else len(fine)].copy()
+    converged.flags.writeable = False
+    return SpectralEstimate(spec, basis_size, drift_tol, len(converged), converged)
 
 
 MIN_FIT_COUNT = 50
 
 
-def fit_growth(est: SpectralEstimate) -> tuple[float, float, float]:
+@dataclass(frozen=True)
+class GrowthFit:
+    """Power law lambda_k ~ C k^theta fitted to a converged spectrum.
+
+    ``abscissa`` (-1/theta) is where sum lambda_k^z stops converging and
+    ``schatten_order`` (2/theta) is the critical Schatten order of the
+    inverse square root.
+    """
+
+    theta: float
+    growth_constant: float
+    fit_residual: float
+    abscissa: float
+    schatten_order: float
+
+    def to_json_dict(self) -> dict:
+        """Every field but ``growth_constant``, which reports do not list."""
+        keys = ("theta", "abscissa", "fit_residual", "schatten_order")
+        return {key: getattr(self, key) for key in keys}
+
+
+def fit_growth(est: SpectralEstimate) -> GrowthFit:
     """Least-squares power-law fit over the top half of the converged spectrum.
 
-    Fits log lambda_k = log C + theta log k (k the 1-based rank) and fills the
-    estimate's ``theta``, ``growth_constant``, ``abscissa`` (-1/theta),
-    ``schatten_order`` (2/theta: the critical Schatten order of the inverse
-    square root) and ``fit_residual`` fields.  Requires at least
+    Fits log lambda_k = log C + theta log k (k the 1-based rank); the residual
+    is the root-mean-square misfit in log lambda.  Requires at least
     ``MIN_FIT_COUNT`` converged eigenvalues.
     """
     count = est.converged_count
@@ -294,22 +293,22 @@ def fit_growth(est: SpectralEstimate) -> tuple[float, float, float]:
         )
     lo = count // 2
     ranks = np.arange(lo + 1, count + 1, dtype=float)
-    vals = est.eigenvalues[lo:count]
+    vals = est.eigenvalues[lo:]
     if np.any(vals <= 0):
         raise ValueError("non-positive eigenvalue in fit window")
     xs, ys = np.log(ranks), np.log(vals)
     theta, log_c = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (theta * xs + log_c)) ** 2)))
-    est.theta = float(theta)
-    est.growth_constant = float(math.exp(log_c))
-    est.fit_residual = resid
-    est.abscissa = float(-1.0 / theta)
-    est.schatten_order = float(2.0 / theta)
-    return float(theta), float(math.exp(log_c)), resid
+    theta = float(theta)
+    return GrowthFit(theta, float(math.exp(log_c)), resid, -1.0 / theta, 2.0 / theta)
+
+
+# Half-width of the symmetric sampling of (z + 1) * zeta(z) around z = -1.
+_RESIDUE_EPS = 1e-4
 
 
 def abscissa_and_residue(
-    spec: AlgebraSpec, est: SpectralEstimate, eps: float = 1e-4
+    spec: AlgebraSpec, est: SpectralEstimate
 ) -> tuple[float, Optional[float]]:
     """Fitted convergence abscissa, plus the residue at the leading pole.
 
@@ -319,46 +318,36 @@ def abscissa_and_residue(
     is evaluated by symmetric sampling of (z+1) times the series there).
     Otherwise the residue slot is None.
     """
-    if est.theta is None:
-        fit_growth(est)
-    vals = est.eigenvalues[: est.converged_count]
+    abscissa = fit_growth(est).abscissa
+    vals = est.eigenvalues
     residue: Optional[float] = None
     if len(vals) >= 10:
         diffs = np.diff(vals)
         d = float(np.mean(diffs))
         if d > 0 and float(np.max(np.abs(diffs - d))) < 1e-8:
             a = float(vals[0])
-            def g(z: float) -> float:
-                val = (z + 1.0) * (d ** z) * hurwitz_zeta(-z, a / d).real
-                return val
-            residue = 0.5 * (g(-1.0 - eps) + g(-1.0 + eps))
-    assert est.abscissa is not None
-    return est.abscissa, residue
+            near = (-1.0 - _RESIDUE_EPS, -1.0 + _RESIDUE_EPS)
+            residue = 0.5 * sum((z + 1.0) * d**z * hurwitz_zeta(-z, a / d).real for z in near)
+    return abscissa, residue
 
 
 # ---------------------------------------------------------------------------
 # Hurwitz zeta (Euler-Maclaurin)
 # ---------------------------------------------------------------------------
 
+# Direct terms summed before the remainder is continued, and the Bernoulli
+# numbers B_2, B_4, ..., B_16 of the eight correction terms.
+_HURWITZ_TERMS = 25
 _BERNOULLI_2J = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
+    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510,
 )
 
 
-def hurwitz_zeta(s: complex, a: float, terms: int = 25, corrections: int = 8) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """Hurwitz zeta sum_{k>=0} (k+a)^{-s} by Euler-Maclaurin continuation.
 
-    Valid for a > 0 and s != 1 (simple pole).  ``terms`` direct terms are
-    summed; the integral, midpoint, and ``corrections`` Bernoulli correction
+    Valid for a > 0 and s != 1 (simple pole).  ``_HURWITZ_TERMS`` direct
+    terms are summed; the integral, midpoint, and eight Bernoulli correction
     terms continue the remainder.  Accuracy is far below 1e-10 for the
     moderate arguments used here.
     """
@@ -367,19 +356,17 @@ def hurwitz_zeta(s: complex, a: float, terms: int = 25, corrections: int = 8) ->
     s = complex(s)
     if s == 1:
         raise ZeroDivisionError("Hurwitz zeta has a pole at s = 1")
-    if corrections > len(_BERNOULLI_2J):
-        raise ValueError(f"at most {len(_BERNOULLI_2J)} correction terms available")
     total = 0.0 + 0.0j
-    for k in range(terms):
+    for k in range(_HURWITZ_TERMS):
         total += (k + a) ** (-s)
-    m = terms + a
+    m = _HURWITZ_TERMS + a
     total += m ** (1 - s) / (s - 1)
     total += 0.5 * m ** (-s)
     rising = s  # (s)_1
     fact = 1.0
-    for j in range(1, corrections + 1):
+    for j, bernoulli in enumerate(_BERNOULLI_2J, 1):
         fact *= (2 * j - 1) * (2 * j)
-        total += _BERNOULLI_2J[j - 1] / fact * rising * m ** (-s - 2 * j + 1)
+        total += bernoulli / fact * rising * m ** (-s - 2 * j + 1)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
     return total
 
@@ -391,65 +378,62 @@ def hurwitz_zeta(s: complex, a: float, terms: int = 25, corrections: int = 8) ->
 _TAIL_SAFETY = 1.25
 
 
-def _eigh(spec: AlgebraSpec, basis_size: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (spec, basis_size)
-    cached = _EIGH_CACHE.get(key)
-    if cached is None:
-        mat = hermite_matrix(delta1(spec), basis_size)
-        cached = np.linalg.eigh(mat)
-        _EIGH_CACHE[key] = cached
-    return cached
+def _diagonal_weights(est: SpectralEstimate, x_weight: WeylOperator) -> np.ndarray:
+    """``<v_k | x_weight | v_k>`` for the eigenvectors behind ``est.eigenvalues``.
+
+    The eigenvectors of a Kronecker sum are tensor products of block
+    eigenvectors, and each monomial ``x^a d^b`` is the tensor product of its
+    factors on the blocks, so every diagonal element is a product of
+    per-block elements.  The blocks are solved at the doubled basis size that
+    produced the estimate, and the products are sorted like its eigenvalues.
+    """
+    spec = est.spec
+    if x_weight.n != spec.n:
+        raise ValueError("weight operator has the wrong variable count")
+    size = 2 * est.basis_size
+    const, ops = _block_operators(spec)
+    solves = [np.linalg.eigh(hermite_matrix(op, size)) for op in ops]
+    order = np.argsort(_minkowski(np.add, const, [vals for vals, _ in solves]))
+    weights = np.zeros(len(order), dtype=complex)
+    for (a, b), coeff in x_weight.terms.items():
+        elements = []
+        for block, (_, vecs) in zip(spec.partition, solves):
+            factor = WeylOperator.monomial(len(block), *_on_block(block, a, b))
+            mat = hermite_matrix(factor, size)
+            elements.append(np.einsum("ik,ik->k", vecs.conj(), mat @ vecs))
+        weights += complex(coeff) * _minkowski(np.multiply, 1.0, elements)
+    return weights[order[: est.converged_count]]
 
 
 def zeta_value(
-    spec: AlgebraSpec,
-    x_weight: Optional[WeylOperator],
-    z: complex,
-    basis_size: int,
-    drift_tol: float = 1e-8,
+    est: SpectralEstimate, z: complex, x_weight: Optional[WeylOperator] = None
 ) -> tuple[complex, float]:
     """Truncated spectral zeta value with an estimate of the dropped tail.
 
     Returns ``(value, tail_bound)`` where ``value`` sums lambda_k^z over the
-    converged eigenvalues (weighted by the diagonal matrix elements of
-    ``x_weight`` in the eigenbasis when given) and ``tail_bound`` is the tail
-    of the fitted growth law times a 1.25 safety factor: an estimate, not a
-    proven bound.  It is reported, not added.  Requires Re z strictly left
-    of the fitted abscissa; otherwise the series diverges and the request is
-    refused with a pointer to the pole lattice.
+    converged eigenvalues of ``est`` (weighted by the diagonal matrix
+    elements of ``x_weight`` in the eigenbasis when given) and ``tail_bound``
+    is the tail of the fitted growth law times a 1.25 safety factor: an
+    estimate, not a proven bound.  It is reported, not added.  Requires Re z
+    strictly left of the fitted abscissa; otherwise the series diverges and
+    the request is refused with a pointer to the pole lattice.
     """
     z = complex(z)
-    est = eigenvalues(spec, basis_size, drift_tol)
-    if est.theta is None:
-        fit_growth(est)
-    assert est.abscissa is not None and est.theta is not None
-    assert est.growth_constant is not None
-    if z.real >= est.abscissa:
+    fit = fit_growth(est)
+    if z.real >= fit.abscissa:
         raise ValueError(
             f"Re z = {z.real} is not left of the fitted convergence abscissa "
-            f"{est.abscissa:.6f}; the truncated series does not converge there. "
+            f"{fit.abscissa:.6f}; the truncated series does not converge there. "
             f"Pole locations to the right are predicted by the pole lattice "
             f"(reduction.pole_lattice / the 'poles' CLI command)."
         )
-    count = est.converged_count
-    vals = est.eigenvalues[:count]
-    if x_weight is None:
-        weights = np.ones(count)
-    else:
-        if x_weight.n != spec.n:
-            raise ValueError("weight operator has the wrong variable count")
-        _, vecs = _eigh(spec, basis_size)
-        mat = hermite_matrix(x_weight, basis_size)
-        weights = np.array(
-            [np.vdot(vecs[:, k], mat @ vecs[:, k]) for k in range(count)]
-        )
+    vals = est.eigenvalues
+    count = len(vals)
+    weights = np.ones(count) if x_weight is None else _diagonal_weights(est, x_weight)
     powered = np.exp(z * np.log(vals))
     value = complex(np.sum(powered * weights))
 
-    u = est.theta * z.real  # < -1 by the precondition
-    w_bar = 1.0 if x_weight is None else float(
-        np.max(np.abs(weights[max(0, count - count // 10 - 1):]))
-    )
-    c_fit = est.growth_constant
-    tail = _TAIL_SAFETY * w_bar * (c_fit ** z.real) * (count - 1) ** (u + 1) / (-u - 1)
+    u = fit.theta * z.real  # < -1 by the precondition
+    w_bar = float(np.max(np.abs(weights[max(0, count - count // 10 - 1):])))
+    tail = _TAIL_SAFETY * w_bar * (fit.growth_constant ** z.real) * (count - 1) ** (u + 1) / (-u - 1)
     return value, float(tail)

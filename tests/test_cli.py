@@ -250,6 +250,24 @@ def test_spectrum_refuses_oversized_solve(runner, pair_joint, spec_file) -> None
     assert "above the cap" in payload["error"]
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_spectrum_refuses_non_finite_zeta_point(runner, heis, spec_file, z: str) -> None:
+    # a NaN would reach stdout as a bare NaN token, which is not JSON
+    result = runner.invoke(main, ["spectrum", spec_file(heis), "--basis-size", "64", "--zeta-at", z])
+    assert result.exit_code == 2
+    assert "--zeta-at" in result.output and "finite" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_spectrum_refuses_unusable_drift_tol(runner, quad, spec_file, tol: str) -> None:
+    # with an infinite tolerance every eigenvalue would count as converged
+    result = runner.invoke(main, ["spectrum", spec_file(quad), "--drift-tol", tol])
+    assert result.exit_code == 2
+    assert "--drift-tol" in result.output and "positive finite" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_json_output_sorted_keys(runner, heis, spec_file) -> None:
     result = runner.invoke(main, ["poles", spec_file(heis)])
     payload = json.loads(result.output)

@@ -1,10 +1,13 @@
-"""Frozen exact outputs, compared byte for byte.
+"""Frozen outputs: exact ones compared byte for byte, spectrum floats to 1e-9.
 
 ``golden_outputs.json`` holds the stdout of the exact CLI commands on the six
 standard algebras (``algebra check``, ``poles``, ``verify`` and two ``reduce``
 inputs each) and the terms of ``t_s(spec, s, rho(u))`` on heis and quad, which
-pin the operator side apart from ``h_s``.  ``spectrum`` is left out: its
-floats may move with the eigensolver.
+pin the operator side apart from ``h_s``.  It also holds the ``spectrum`` JSON
+of the four benchmark inputs (heis and pair_split at their default basis, quad
+and cubic at 400, two ``--zeta-at`` points each).  Those floats may move with
+the eigensolver by rounding, so spectrum reports compare ints, bools, strings
+and nulls exactly and floats within ``FLOAT_RTOL`` relative.
 
 Regenerate only when an output change is intended::
 
@@ -14,6 +17,7 @@ Regenerate only when an output change is intended::
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -26,6 +30,7 @@ from conftest import SPEC_PARAMS, make_spec
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 BUDGET_S = 10.0
+FLOAT_RTOL = 1e-9
 
 # Two reduce inputs per algebra, mixing out-of-order X and Y factors,
 # constants and powers of Y[0].
@@ -54,6 +59,16 @@ DESCENT_EXPRS = {
 }
 
 
+# spectrum arguments per algebra: the benchmark's basis sizes, and two zeta
+# points left of each fitted abscissa.
+SPECTRUM_ARGS = {
+    "heis": ["--basis-size", "200", "--zeta-at", "-2.0", "--zeta-at", "-3.0"],
+    "quad": ["--basis-size", "400", "--zeta-at", "-2.0", "--zeta-at", "-1.25"],
+    "cubic": ["--basis-size", "400", "--zeta-at", "-2.0", "--zeta-at", "-1.25"],
+    "pair_split": ["--basis-size", "24", "--zeta-at", "-4.0", "--zeta-at", "-3.0"],
+}
+
+
 def cli_commands(name: str) -> dict[str, list[str]]:
     """Label -> CLI arguments, with ``SPEC`` standing for the spec file."""
     first, second = REDUCE_EXPRS[name]
@@ -69,7 +84,7 @@ def cli_commands(name: str) -> dict[str, list[str]]:
 def record(tmp_dir: Path) -> dict:
     """Every frozen output of the current package."""
     runner = CliRunner()
-    out: dict = {"cli": {}, "t_s": {}}
+    out: dict = {"cli": {}, "t_s": {}, "spectrum": {}}
     for name in SPEC_PARAMS:
         spec = make_spec(name)
         spec_path = tmp_dir / f"{name}.json"
@@ -77,6 +92,11 @@ def record(tmp_dir: Path) -> dict:
         for label, args in cli_commands(name).items():
             args = [str(spec_path) if a == "SPEC" else a for a in args]
             out["cli"][f"{name}: {label}"] = runner.invoke(main, args).output
+        if name in SPECTRUM_ARGS:
+            args = ["spectrum", str(spec_path), *SPECTRUM_ARGS[name]]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            out["spectrum"][f"{name}: {' '.join(args[2:])}"] = json.loads(result.output)
     for name, text in DESCENT_EXPRS.items():
         spec = make_spec(name)
         image = rho(spec, parse_expression(text, spec))
@@ -85,6 +105,23 @@ def record(tmp_dir: Path) -> dict:
                 [list(a), list(b), c.to_json()] for (a, b), c in t_s(spec, s, image).sorted_terms()
             ]
     return out
+
+
+def assert_matches(got, want, where: str) -> None:
+    """Exact on everything but floats, which match within ``FLOAT_RTOL``."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=FLOAT_RTOL), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, where
 
 
 def test_exact_outputs_match_golden(tmp_path) -> None:
@@ -96,6 +133,7 @@ def test_exact_outputs_match_golden(tmp_path) -> None:
     for key, stdout in golden["cli"].items():
         assert current["cli"][key] == stdout, key
     assert current["t_s"] == golden["t_s"]
+    assert_matches(current["spectrum"], golden["spectrum"], "spectrum")
     assert elapsed < BUDGET_S, f"golden outputs took {elapsed:.2f}s (budget {BUDGET_S}s)"
 
 

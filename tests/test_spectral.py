@@ -13,11 +13,13 @@ Independent oracles used here:
 * a dense reference assembly (``reference_hermite_matrix``: matrix powers of
   the ladder matrices and Kronecker products on the full tensor basis) for
   the diagonal-by-diagonal assembly, and dense eigensolves of the full tensor matrix
-  for the per-block Minkowski-sum spectra.
+  for the per-block Minkowski-sum spectra and the per-block weighted zeta sums;
+* <h_k | x^2 | h_k> = k + 1/2 gives the heis zeta weighted by X1^2 in closed form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -33,6 +35,8 @@ from nilzeta.reduction import physical_abscissa
 from nilzeta.scalars import GaussianRational
 from nilzeta.spectral import (
     MIN_FIT_COUNT,
+    GrowthFit,
+    _diagonal_weights,
     _eigvals,
     abscissa_and_residue,
     eigenvalues,
@@ -207,8 +211,20 @@ def test_oversized_solve_refused_before_assembly(pair_joint, monkeypatch) -> Non
         eigenvalues(pair_joint, 128)
 
 
-def test_estimates_are_cached(heis) -> None:
-    assert eigenvalues(heis, 200) is eigenvalues(heis, 200)
+def test_estimate_and_fit_are_frozen(heis) -> None:
+    est = eigenvalues(heis, 64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.basis_size = 32
+    with pytest.raises(ValueError, match="read-only"):
+        est.eigenvalues[0] = 0.0
+    fit = fit_growth(est)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fit.theta = 1.0
+    # each call solves afresh and leaves earlier results as they were
+    again = eigenvalues(heis, 64)
+    assert again is not est
+    np.testing.assert_array_equal(again.eigenvalues, est.eigenvalues)
+    assert fit_growth(again) == fit
 
 
 def test_rayleigh_ritz_monotonicity(quad) -> None:
@@ -222,15 +238,25 @@ def test_rayleigh_ritz_monotonicity(quad) -> None:
 
 
 def test_fit_fields_empty_until_fit(heis) -> None:
-    # a non-default drift tolerance keys a fresh cache entry, so no other
-    # test can have fitted this estimate already
+    # the estimate carries no fit; fit_growth returns its own value
     est = eigenvalues(heis, 64, drift_tol=1e-9)
-    assert est.theta is None and est.abscissa is None
-    theta, const, resid = fit_growth(est)
-    assert est.theta == theta and est.growth_constant == const
-    assert est.abscissa == pytest.approx(-1.0 / theta)
-    assert est.schatten_order == pytest.approx(2.0 / theta)
-    assert est.fit_residual == resid
+    assert not hasattr(est, "theta") and not hasattr(est, "abscissa")
+    fit = fit_growth(est)
+    assert isinstance(fit, GrowthFit)
+    lo = est.converged_count // 2  # the fit window is the top half
+    ranks = np.arange(lo + 1, est.converged_count + 1, dtype=float)
+    theta, log_c = np.polyfit(np.log(ranks), np.log(est.eigenvalues[lo:]), 1)
+    assert fit.theta == pytest.approx(theta, rel=1e-12)
+    assert fit.growth_constant == pytest.approx(math.exp(log_c), rel=1e-12)
+    assert fit.abscissa == -1.0 / fit.theta
+    assert fit.schatten_order == 2.0 / fit.theta
+    assert 0 < fit.fit_residual < 0.05
+    assert fit.to_json_dict() == {
+        "theta": fit.theta,
+        "abscissa": fit.abscissa,
+        "fit_residual": fit.fit_residual,
+        "schatten_order": fit.schatten_order,
+    }
 
 
 def test_fit_requires_minimum_count(heis) -> None:
@@ -242,12 +268,9 @@ def test_fit_requires_minimum_count(heis) -> None:
 
 def test_to_json_dict_shape(heis) -> None:
     est = eigenvalues(heis, 200)
-    d = est.to_json_dict(head=4)
-    assert set(d) == {
-        "basis_size",
-        "drift_tol",
-        "converged",
-        "eigenvalues_head",
+    d = est.to_json_dict()
+    assert set(d) == {"basis_size", "drift_tol", "converged", "eigenvalues_head"}
+    assert set(fit_growth(est).to_json_dict()) == {
         "theta",
         "abscissa",
         "fit_residual",
@@ -255,7 +278,8 @@ def test_to_json_dict_shape(heis) -> None:
     }
     assert d["basis_size"] == 200
     assert d["converged"] == 200
-    assert d["eigenvalues_head"] == pytest.approx([3.0, 5.0, 7.0, 9.0], abs=1e-10)
+    assert len(d["eigenvalues_head"]) == 10
+    assert d["eigenvalues_head"][:4] == pytest.approx([3.0, 5.0, 7.0, 9.0], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +316,95 @@ def exact_heis_zeta(z: complex) -> complex:
 
 
 def test_zeta_value_honest_tail_bound(heis) -> None:
+    est = eigenvalues(heis, 200)
     for z, tail_cap in ((-2.0, 2e-3), (-3.0, 1e-5)):
-        value, tail = zeta_value(heis, None, z, 200)
+        value, tail = zeta_value(est, z)
         assert 0 < tail < tail_cap
         assert abs(value - exact_heis_zeta(z)) <= tail
 
 
 def test_zeta_value_complex_argument(heis) -> None:
     z = complex(-2.0, 0.5)
-    value, tail = zeta_value(heis, None, z, 200)
+    value, tail = zeta_value(eigenvalues(heis, 200), z)
     assert abs(value - exact_heis_zeta(z)) <= tail
 
 
 def test_zeta_value_identity_weight_matches_unweighted(heis) -> None:
-    plain, _ = zeta_value(heis, None, -2.0, 200)
-    weighted, _ = zeta_value(heis, WeylOperator.one(1), -2.0, 200)
+    est = eigenvalues(heis, 200)
+    plain, _ = zeta_value(est, -2.0)
+    weighted, _ = zeta_value(est, -2.0, WeylOperator.one(1))
     assert weighted == pytest.approx(plain, rel=1e-12)
+
+
+def test_zeta_value_identity_weight_on_two_blocks(mixed) -> None:
+    # mixed at its default basis: per-block eigenvectors, no full tensor solve
+    est = eigenvalues(mixed, 128)
+    plain, plain_tail = zeta_value(est, -3.0)
+    weighted, weighted_tail = zeta_value(est, -3.0, WeylOperator.one(2))
+    assert weighted == pytest.approx(plain, rel=1e-12)
+    assert weighted_tail == pytest.approx(plain_tail, rel=1e-12)
+    # a constant weight scales the value and the tail estimate alike
+    tripled, tripled_tail = zeta_value(est, -3.0, WeylOperator.monomial(2, (0, 0), (0, 0), 3))
+    assert tripled == pytest.approx(3 * plain, rel=1e-12)
+    assert tripled_tail == pytest.approx(3 * plain_tail, rel=1e-12)
+
+
+def test_zeta_value_weighted_heis_closed_form(heis) -> None:
+    # <h_k | x^2 | h_k> = k + 1/2 = ((2k + 3) - 2) / 2, so the weighted sum is
+    # 1/2 * 2^(z+1) zeta_H(-z-1, 3/2) - 2^z zeta_H(-z, 3/2)
+    z = -6.0
+    value, _ = zeta_value(eigenvalues(heis, 200), z, WeylOperator.monomial(1, (2,), (0,)))
+    half = mpmath.mpf(3) / 2
+    exact = mpmath.power(2, z) * mpmath.zeta(-z - 1, half) - mpmath.power(2, z) * mpmath.zeta(-z, half)
+    assert value.imag == 0.0
+    assert value.real == pytest.approx(float(exact), rel=1e-6)
+
+
+FULL_TENSOR_WEIGHTS = {
+    "pair_split": WeylOperator(
+        2,
+        {
+            ((2, 0), (0, 0)): GaussianRational(1),
+            ((1, 1), (0, 0)): GaussianRational(-1, 2),
+            ((0, 0), (0, 2)): GaussianRational(3),
+            ((0, 4), (0, 0)): GaussianRational(1, 3),
+        },
+    ),
+    "quad": WeylOperator(
+        1, {((2,), (0,)): GaussianRational(1), ((1,), (1,)): GaussianRational(0, 1)}
+    ),
+}
+
+
+@pytest.mark.parametrize("name,basis_size", [("pair_split", 12), ("quad", 64)])
+def test_diagonal_weights_match_full_tensor_solve(name, basis_size) -> None:
+    # Reference: eigenvectors of the full tensor-basis matrix at the doubled
+    # size (quad's converged vectors still move by ~1e-8 between N and 2N).
+    # pair_split's two equal blocks make exact ties, whose eigenvectors either
+    # solve may rotate, so weights are compared summed over each cluster.
+    spec, weight = make_spec(name), FULL_TENSOR_WEIGHTS[name]
+    est = eigenvalues(spec, basis_size)
+    vals, vecs = np.linalg.eigh(hermite_matrix(delta1(spec), 2 * basis_size))
+    mat = hermite_matrix(weight, 2 * basis_size)
+    want = np.einsum("ik,ik->k", vecs.conj(), mat @ vecs)
+    got = _diagonal_weights(est, weight)
+    assert len(got) == est.converged_count
+    np.testing.assert_allclose(vals[: est.converged_count], est.eigenvalues, rtol=1e-10)
+    starts = [0] + [k for k in range(1, len(vals)) if vals[k] - vals[k - 1] > 1e-8 * vals[k]]
+    clusters = [(a, b) for a, b in zip(starts, starts[1:]) if b <= est.converged_count]
+    assert len(clusters) >= 10
+    for a, b in clusters:
+        assert np.sum(got[a:b]) == pytest.approx(np.sum(want[a:b]), rel=1e-11, abs=1e-11)
+
+
+def test_zeta_value_weight_needs_matching_variables(pair_split) -> None:
+    with pytest.raises(ValueError, match="variable count"):
+        zeta_value(eigenvalues(pair_split, 12), -4.0, WeylOperator.one(1))
 
 
 def test_zeta_value_refuses_divergent_request(heis) -> None:
     with pytest.raises(ValueError, match="abscissa"):
-        zeta_value(heis, None, -0.5, 200)
+        zeta_value(eigenvalues(heis, 200), -0.5)
 
 
 # ---------------------------------------------------------------------------
