@@ -94,6 +94,11 @@ def _check(report: list, name: str, fn) -> None:
         report.append({"name": name, "status": "fail", "counterexample": counterexample})
 
 
+# Most ordered monomials up to the degree that one verify run may sweep;
+# larger requests are refused before any check runs.
+MAX_VERIFY_MONOMIALS = 5000
+
+
 def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     """Run the exact structural checks up to a monomial degree; return a report.
 
@@ -102,8 +107,16 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     form, the exact inversion identity, the first-order commutation and
     eigen-relations modulo the kernel, the shift between the two first-order
     operators, degreewise annihilation, the operator-side diagram, and the
-    interpolation identity for the continuation polynomial.
+    interpolation identity for the continuation polynomial.  Raises
+    ValueError, before any check, when the monomials up to the degree,
+    C(n + |index set| + d, d), number more than ``MAX_VERIFY_MONOMIALS``.
     """
+    count = math.comb(spec.n + len(index_set(spec)) + max_degree, max_degree)
+    if count > MAX_VERIFY_MONOMIALS:
+        raise ValueError(
+            f"verify would sweep {count} monomials up to degree {max_degree}, "
+            f"more than {MAX_VERIFY_MONOMIALS}; lower --max-degree"
+        )
     checks: list[dict] = []
 
     def check_jacobi() -> Optional[str]:
@@ -340,10 +353,10 @@ def verify_cmd(spec_file: str, max_degree: int) -> None:
     """Run the exact structural checks; nonzero exit on any failure."""
     try:
         spec = load_spec(spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
+        report = run_verify(spec, max_degree)
+    except ValueError as exc:  # a bad description, bad JSON or the monomial budget
         _emit({"error": str(exc)})
         sys.exit(1)
-    report = run_verify(spec, max_degree)
     _emit(report)
     if not report["all_passed"]:
         sys.exit(1)

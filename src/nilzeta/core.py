@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .indices import MultiIndex, box, mi_delta, mi_sub
-from .linalg import kernel_basis, vec_add_scaled
+from .linalg import IMAGE_CACHE_SIZE, kernel_basis, vec_add_scaled
 from .scalars import ONE
 
 # Basis symbols: ("X", k) with k 0-based, or ("Y", beta) with beta a multi-index.
@@ -151,7 +151,7 @@ def load_spec(path: str) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def block_bound(spec: AlgebraSpec, j: int) -> MultiIndex:
     """The componentwise bound of block j's box: alpha_k on the block, else 0."""
     return tuple(
@@ -159,13 +159,13 @@ def block_bound(spec: AlgebraSpec, j: int) -> MultiIndex:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def block_box(spec: AlgebraSpec, j: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of block j's box, ascending lex."""
     return tuple(box(block_bound(spec, j)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def index_set(spec: AlgebraSpec) -> tuple[MultiIndex, ...]:
     """The deduplicated union of the block boxes, ascending lex.
 
@@ -178,13 +178,13 @@ def index_set(spec: AlgebraSpec) -> tuple[MultiIndex, ...]:
     return tuple(sorted(union))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def y_position(spec: AlgebraSpec) -> dict:
     """Map multi-index -> position in :func:`index_set`."""
     return {beta: k for k, beta in enumerate(index_set(spec))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def basis(spec: AlgebraSpec) -> tuple[Symbol, ...]:
     """All basis symbols: X's by position, then Y's in index_set order."""
     return tuple(("X", k) for k in range(spec.n)) + tuple(

@@ -24,11 +24,11 @@ identically, which the verification suite checks exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
-from .linalg import add_term, vec_add_scaled
+from .linalg import IMAGE_CACHE_SIZE, add_term, vec_add_scaled
 from .scalars import ONE, i_power
 from .uea import (
     Monomial,
@@ -128,7 +128,7 @@ class _SliceState:
             self.processed_degree = d
 
 
-@cache
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _state(spec: AlgebraSpec) -> _SliceState:
     return _SliceState(spec)
 

@@ -33,8 +33,9 @@ K = TypeVar("K", bound=Hashable)
 Vector = dict
 # Vector[K] = dict[K, GaussianRational]; plain dict at runtime.
 
-# Entries kept by each bounded cache of the linear maps: the per-monomial
-# images of the reduction factors' parts and of the representation.
+# Entries kept by each bounded memo cache of the package: the per-monomial
+# images of the linear maps, the product kernels' monomial rules, the index
+# sets and the slice states.
 IMAGE_CACHE_SIZE = 1 << 12
 
 

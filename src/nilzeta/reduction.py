@@ -13,8 +13,16 @@ Three layers live here.
     choice of one generator position per partition block and a weight vector
     b such that g with all-ones a satisfies an eigen-relation modulo the
     kernel ideal; h differs from g by (|a| + |b|) times the identity.  Both
-    are linear in T: they are applied as cached linear maps, the images of
-    each monomial's commutator parts computed once (bounded, per algebra).
+    are linear in T, sum_k a_k A_k(T) + b_k B_k(T), and are applied as cached
+    linear maps from int images of the parts at each monomial, written down
+    from the relations with no products (Y^0 central, [X^p, Y^{delta_k}] =
+    p_k X^{p-delta_k} Y^0, [X_k, .] a derivation D_k on Y-products):
+
+        h: A_k = -i (p_k+1) X^p Y^{q+e_0},  B_k = -i X^p D_k(Y^{q+e_{delta_k}})
+        g: A_k = -i p_k X^p Y^{q+e_0},      B_k = -i X^p D_k(Y^q) Y^{delta_k}
+
+    at m = X^p Y^q; at m = x^a d^b over (P_k, Q_k) = (-d_k, -x_k), the h-form
+    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k with a_k+1.
 
 2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
     (enveloping side) and ``t_s`` (operator side): products of first-order
@@ -37,10 +45,9 @@ from itertools import product as iter_product
 from typing import Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
-from .indices import mi_delta
+from .indices import mi_delta, mi_sub
 from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, commutator, map_terms
 from .scalars import (
-    ONE,
     GaussianRational,
     Rat,
     RationalLike,
@@ -49,7 +56,7 @@ from .scalars import (
     format_rational,
     rat_ceil,
 )
-from .uea import Monomial, UEAElement, monomial_degree, pure_y
+from .uea import Monomial, UEAElement, _y_derivation, monomial_degree
 from .weyl import WeylOperator, ad_power, p_op, q_op, weyl_product
 
 
@@ -60,11 +67,6 @@ class ReductionChoiceError(ValueError):
 # ---------------------------------------------------------------------------
 # First-order operators on the enveloping algebra
 # ---------------------------------------------------------------------------
-
-
-def hat_y(spec: AlgebraSpec, k: int) -> UEAElement:
-    """The rescaled degree-one partner -i * Y^{delta_k}."""
-    return pure_y(spec, mi_delta(spec.n, k)).scale(GaussianRational(0, -1))
 
 
 def _coerce_vector(spec: AlgebraSpec, v: Sequence[ScalarLike]) -> list[GaussianRational]:
@@ -87,35 +89,47 @@ def h_ab(
     return _first_order(spec, "h", _coerce_vector(spec, a), _coerce_vector(spec, b), 0, t)
 
 
-@lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _pairs(space) -> tuple:
-    """The generator pairs (X_k, Yhat_k) of an algebra spec or, for a variable
-    count n, their images (P_k, Q_k) under the representation."""
-    if isinstance(space, int):
-        return tuple((p_op(space, k), q_op(space, k)) for k in range(space))
-    return tuple((UEAElement.x_gen(space, k), hat_y(space, k)) for k in range(space.n))
+def _bump(y: tuple, pos: int) -> tuple:
+    """The exponent vector y times one more factor at position pos."""
+    return y[:pos] + (y[pos] + 1,) + y[pos + 1:]
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _axis_images(space, form: str, mono) -> tuple:
-    """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m over
-    the pairs (x_k, y_k) of :func:`_pairs`: ``A_k = [x_k m, y_k]`` and
-    ``B_k = [x_k, m y_k]`` in the h-form, ``A_k = x_k [m, y_k]`` and
-    ``B_k = [x_k, m] y_k`` in the g-form; as ``(den, parts)``, each part a
-    tuple of ``(mono, re, im)`` int numerators over ``den``.
+    """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m, each a
+    tuple of ``(mono, re, im)`` ints, written down with no products.  Over
+    (X_k, Yhat_k) at m = X^p Y^q, with D_k the derivation ``_y_derivation``:
+
+        h: A_k = [X_k m, Yhat_k] = -i (p_k+1) X^p Y^{q+e_0}
+           B_k = [X_k, m Yhat_k] = -i X^p D_k(Y^{q+e_{delta_k}})
+        g: A_k = X_k [m, Yhat_k] = -i p_k X^p Y^{q+e_0}
+           B_k = [X_k, m] Yhat_k = -i X^p D_k(Y^q) Y^{delta_k}
+
+    For a variable count n, the h-form over (P_k, Q_k) = (-d_k, -x_k) at m = x^a d^b:
+    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k the same with a_k+1.
     """
-    pairs = _pairs(space)
-    t = type(pairs[0][0])._of_clean(space, {mono: ONE})
-    if form == "h":
-        parts = [commutator(x * t, y) for x, y in pairs]
-        parts += [commutator(x, t * y) for x, y in pairs]
-    else:
-        parts = [x * commutator(t, y) for x, y in pairs]
-        parts += [commutator(x, t) * y for x, y in pairs]
-    nums = [_numerators(part.terms) for part in parts]
-    den = math.lcm(*(d for d, _ in nums))
-    scaled = (((m, re * (den // d), im * (den // d)) for m, re, im in r) for d, r in nums)
-    return den, tuple(map(tuple, scaled))
+    if isinstance(space, int):
+        a, b = mono
+
+        def part(k, c):
+            if not (a[k] and b[k]):
+                return ((mono, c, 0),)
+            d = mi_delta(space, k)
+            return (mono, c, 0), ((mi_sub(a, d), mi_sub(b, d)), a[k] * b[k], 0)
+
+        return tuple(part(k, e[k] + 1) for e in (b, a) for k in range(space))
+    (x, y), n, pos_of = mono, space.n, y_position(space)
+    central = Monomial(x, _bump(y, pos_of[(0,) * n]))
+    lift = 1 if form == "h" else 0
+    parts = [((central, 0, -x[k] - lift),) if x[k] + lift else () for k in range(n)]
+    for k in range(n):
+        pos = pos_of[mi_delta(n, k)]
+        if lift:
+            rows = _y_derivation(space, _bump(y, pos), k)
+        else:
+            rows = [(_bump(y2, pos), m) for y2, m in _y_derivation(space, y, k)]
+        parts.append(tuple((Monomial(x, y2), 0, -m) for y2, m in rows))
+    return tuple(parts)
 
 
 def _first_order(space, form: str, a: Sequence, b: Sequence, shift, t: Combination):
@@ -129,12 +143,11 @@ def _first_order(space, form: str, a: Sequence, b: Sequence, shift, t: Combinati
     dw, (*nums, (_, sr, si)) = _numerators(dict(enumerate(weights)))
 
     def image(mono):
-        den, parts = _axis_images(space, form, mono)
-        rows = [(mono, sr * den, si * den)]
-        for part, (_, wr, wi) in zip(parts, nums):
+        rows = [(mono, sr, si)]
+        for part, (_, wr, wi) in zip(_axis_images(space, form, mono), nums):
             if wr or wi:
                 rows.extend((m, wr * re - wi * im, wr * im + wi * re) for m, re, im in part)
-        return den * dw, rows
+        return dw, rows
 
     return t._of_clean(space, map_terms(t.terms, image))
 
@@ -179,11 +192,7 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
     for j, block in enumerate(spec.partition):
         bbox = block_box(spec, j)
         zero_mi = (0,) * spec.n
-        involved = [
-            beta
-            for beta in bbox
-            if beta != zero_mi and mono.y[pos_of[beta]] > 0
-        ]
+        involved = [beta for beta in bbox if beta != zero_mi and mono.y[pos_of[beta]] > 0]
         if not involved:
             i_list.append(block[0])
             r_list.append(spec.alpha[block[0]])
@@ -192,10 +201,8 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
         q_total = sum(mono.y[pos_of[b]] for b in bbox if b != zero_mi)
         chosen = None
         for i in block:
-            if beta[i] == 0:
-                continue
             weighted = sum(mono.y[pos_of[b]] * b[i] for b in bbox if b != zero_mi)
-            if weighted == spec.alpha[i] * (q_total - 1) + beta[i]:
+            if beta[i] and weighted == spec.alpha[i] * (q_total - 1) + beta[i]:
                 chosen = i
                 break
         if chosen is None:
@@ -207,9 +214,7 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
         r_list.append(beta[chosen])
     b_vec = _factor_b_vector(spec, i_list)
     eig = _g_constant(spec, monomial_degree(mono), b_vec, _factor_root(spec, i_list, r_list))
-    return ReductionChoice(
-        tuple(i_list), tuple(r_list), (1,) * spec.n, tuple(b_vec), eig
-    )
+    return ReductionChoice(tuple(i_list), tuple(r_list), (1,) * spec.n, tuple(b_vec), eig)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +296,7 @@ def taylor_h_ab(
     n: int, a: Sequence[ScalarLike], b: Sequence[ScalarLike], w: WeylOperator
 ) -> WeylOperator:
     """sum_i a_i [-Q_i, P_i w] + b_i [P_i, Q_i w] (coefficient operators on the left)."""
-    av = [GaussianRational.coerce(c) for c in a]
-    bv = [GaussianRational.coerce(c) for c in b]
+    av, bv = ([GaussianRational.coerce(c) for c in v] for v in (a, b))
     out = WeylOperator.zero(n)
     for i in range(n):
         pi, qi = p_op(n, i), q_op(n, i)
@@ -312,8 +316,7 @@ def taylor_a_op(
     x: WeylOperator,
 ) -> WeylOperator:
     """sum_i a_i P_i x ad^k(Q_i) - b_i Q_i x ad^k(P_i), with ad = [delta, .]."""
-    av = [GaussianRational.coerce(c) for c in a]
-    bv = [GaussianRational.coerce(c) for c in b]
+    av, bv = ([GaussianRational.coerce(c) for c in v] for v in (a, b))
     out = WeylOperator.zero(n)
     for i in range(n):
         pi, qi = p_op(n, i), q_op(n, i)
@@ -553,11 +556,7 @@ def pole_lattice(
     for (i_tuple, r_tuple), root in factors:
         for l in range(rat_ceil(-root - s0), l_max + 1):
             omega = (root - q + l) / 2
-            witness = (
-                tuple(i + 1 for i in i_tuple),
-                r_tuple,
-                l,
-            )
+            witness = (tuple(i + 1 for i in i_tuple), r_tuple, l)
             buckets.setdefault(omega, []).append(witness)
     entries = tuple(
         PoleEntry(omega, len(ws), tuple(ws)) for omega, ws in sorted(buckets.items())

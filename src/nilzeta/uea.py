@@ -23,7 +23,7 @@ smaller.  The leading term of an element is its largest monomial.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from .core import AlgebraSpec, index_set, y_position
@@ -37,7 +37,7 @@ from .indices import (
     mi_factorial,
     mi_sub,
 )
-from .linalg import Combination, add_term, product_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, add_term, product_terms
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike, i_power
 
 
@@ -176,7 +176,7 @@ def _y_derivation(spec: AlgebraSpec, y: MultiIndex, k: int) -> list[tuple[MultiI
     return out
 
 
-@cache
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _push_y_through_x(
     spec: AlgebraSpec, y: MultiIndex, x: MultiIndex
 ) -> tuple[tuple[Monomial, int], ...]:

@@ -19,7 +19,7 @@ Laplace-type operator ``delta1`` built from the quadratic Casimir-style sum.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -165,7 +165,7 @@ def format_weyl(w: WeylOperator) -> str:
 # Products
 # ---------------------------------------------------------------------------
 
-@cache
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def leibniz(b: MultiIndex, a: MultiIndex) -> Mapping[WeylMonomial, int]:
     """Normal form of d^b x^a as a read-only map (x-exponent, d-exponent) -> int weight.
 

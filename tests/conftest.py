@@ -13,18 +13,26 @@ name                   n   alpha     partition
 ``mixed``              2   (1, 2)    {{1}, {2}}
 ====================  ===  ========  ================
 
+``hat_y`` is the rescaled partner -i * Y^{delta_k} of X_k, whose image under
+the representation is the position-side operator; the first-order oracles
+build their literal commutators from it.
+
 ``apply_weyl`` turns a :class:`~nilzeta.weyl.WeylOperator` into its action on
 a sympy polynomial; it is an independent route used to cross-check the
 symbolic composition rules against actual differentiation.
 
-``reduce_against`` and ``generated_span_leading`` are the elimination oracle:
-they span the ideal generated by an explicit generator set by row reduction,
-independently of the library's symbol classification.
+``reduce_against`` (over Q(i), reporting the pivot multiples it used), its
+fraction-free twin ``reduce_fraction_free`` (over Z[i], by cross-multiplication)
+and ``generated_span_leading`` are the elimination oracle: they span the ideal
+generated by an explicit generator set by row reduction, independently of the
+library's symbol classification.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from typing import Callable, Mapping, Sequence
 
 import pytest
@@ -32,8 +40,16 @@ import sympy
 from hypothesis import HealthCheck, settings
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
-from nilzeta.linalg import vec_add_scaled, vec_scale
-from nilzeta.uea import Monomial, UEAElement, monomial_degree, monomial_key, monomials_up_to
+from nilzeta.indices import mi_delta
+from nilzeta.linalg import _numerators, vec_add_scaled
+from nilzeta.uea import (
+    Monomial,
+    UEAElement,
+    monomial_degree,
+    monomial_key,
+    monomials_up_to,
+    pure_y,
+)
 
 settings.register_profile(
     "suite",
@@ -134,6 +150,11 @@ def apply_weyl(w: WeylOperator, poly, xs):
     return sympy.expand(result)
 
 
+def hat_y(spec: AlgebraSpec, k: int) -> UEAElement:
+    """The rescaled degree-one partner -i * Y^{delta_k}."""
+    return pure_y(spec, mi_delta(spec.n, k)).scale(GaussianRational(0, -1))
+
+
 def monomial_mul_commuting(m1: Monomial, m2: Monomial) -> Monomial:
     """Exponentwise product; the normal form when no Y of m1 must pass an X of m2."""
     return Monomial(
@@ -199,6 +220,39 @@ def reduce_against(
         used[top] = used.get(top, GaussianRational(0)) + coeff
 
 
+def _primitive(row: dict) -> dict:
+    """A Gaussian-integer row divided by its integer content."""
+    content = math.gcd(*(p for pair in row.values() for p in pair))
+    if content == 1:
+        return row
+    return {m: (re // content, im // content) for m, (re, im) in row.items()}
+
+
+def reduce_fraction_free(vec: dict, pivots: Mapping, key_order: Callable) -> dict:
+    """:func:`reduce_against` over Z[i], without division.
+
+    ``vec`` and the rows of ``pivots`` map keys to (re, im) int pairs; a row
+    leads at its own key with any nonzero coefficient p.  Each step replaces
+    the residual r, whose coefficient at the largest pivot key present is c,
+    by the primitive part of p*r - c*row (cross-multiplication, as in
+    Bareiss's fraction-free elimination).  The result is a nonzero multiple
+    of the residual :func:`reduce_against` leaves, so it has the same support.
+    """
+    residual = vec
+    while True:
+        hits = [k for k in residual if k in pivots]
+        if not hits:
+            return residual
+        top = max(hits, key=key_order)
+        row = pivots[top]
+        (pr, pi), (cr, ci) = row[top], residual[top]
+        out = {k: (pr * vr - pi * vi, pr * vi + pi * vr) for k, (vr, vi) in residual.items()}
+        for k, (rr, ri) in row.items():
+            re, im = out.get(k, (0, 0))
+            out[k] = (re - cr * rr + ci * ri, im - cr * ri - ci * rr)
+        residual = _primitive({k: v for k, v in out.items() if v != (0, 0)})
+
+
 def generated_span_leading(
     spec: AlgebraSpec,
     gens: Sequence[UEAElement],
@@ -220,6 +274,7 @@ def generated_span_leading(
     Returns (dimension, frozenset of leading monomials of the kept rows).
     """
     budget = degree + (max(2, max(spec.alpha)) if margin is None else margin)
+    key = functools.cache(monomial_key)
     pivots: dict = {}
     for g in gens:
         if g.is_zero():
@@ -235,9 +290,10 @@ def generated_span_leading(
                 prod = lhs * UEAElement.monomial(spec, m2)
                 if prod.is_zero():
                     continue
-                residual, _ = reduce_against(prod.terms, pivots, monomial_key)
+                _, nums = _numerators(prod.terms)
+                vec = _primitive({m: (re, im) for m, re, im in nums})
+                residual = reduce_fraction_free(vec, pivots, key)
                 if residual:
-                    lead = max(residual, key=monomial_key)
-                    pivots[lead] = vec_scale(residual, residual[lead].inverse())
+                    pivots[max(residual, key=key)] = residual
     kept = frozenset(m for m in pivots if monomial_degree(m) <= degree)
     return len(kept), kept

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import SPEC_PARAMS, leading_monomial_divides, make_spec, random_element
+from conftest import SPEC_PARAMS, hat_y, leading_monomial_divides, make_spec, random_element
 from nilzeta import GaussianRational, commutator
 from nilzeta.core import basis, index_set, y_position
 from nilzeta.ideal import (
@@ -33,7 +33,6 @@ from nilzeta.reduction import (
     g_s,
     h_ab,
     h_s,
-    hat_y,
     lagrange_identity_check,
     physical_abscissa,
     pole_lattice,

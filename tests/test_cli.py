@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import nilzeta
 from nilzeta.cli import main
+from nilzeta.uea import monomials_up_to
 
 VERIFY_CHECKS = {
     "jacobi-identity",
@@ -121,6 +122,25 @@ def test_verify_refuses_negative_max_degree(runner, heis, spec_file) -> None:
     result = runner.invoke(main, ["verify", spec_file(heis), "--max-degree", "-1"])
     assert result.exit_code == 2
     assert "--max-degree" in result.output
+
+
+def test_verify_refuses_over_monomial_budget(runner, mixed, spec_file, monkeypatch) -> None:
+    from nilzeta import cli
+
+    path = spec_file(mixed)
+    count = len(list(monomials_up_to(mixed, 2)))
+    monkeypatch.setattr(cli, "MAX_VERIFY_MONOMIALS", count)
+    assert invoke_json(runner, ["verify", path, "--max-degree", "2"])["all_passed"] is True
+    monkeypatch.setattr(cli, "MAX_VERIFY_MONOMIALS", count - 1)
+    payload = invoke_json(runner, ["verify", path, "--max-degree", "2"], exit_code=1)
+    assert f"{count} monomials" in payload["error"]
+
+
+@pytest.mark.parametrize("degree, text", [(9, "sweep 5005 monomials"), (1000, "more than 5000")])
+def test_verify_refuses_large_degree_up_front(runner, mixed, spec_file, degree, text) -> None:
+    # mixed has 3003 monomials up to degree 8 and 5005 up to degree 9.
+    payload = invoke_json(runner, ["verify", spec_file(mixed), "--max-degree", str(degree)], 1)
+    assert set(payload) == {"error"} and text in payload["error"]
 
 
 def test_poles_refuses_negative_lmax(runner, heis, spec_file) -> None:

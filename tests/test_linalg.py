@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 
-from nilzeta.linalg import add_term, kernel_basis, vec_add_scaled, vec_scale
+import nilzeta
+from nilzeta.linalg import IMAGE_CACHE_SIZE, add_term, kernel_basis, vec_add_scaled, vec_scale
 from nilzeta.scalars import ONE, ZERO, GaussianRational
 
-from conftest import reduce_against
+from conftest import reduce_against, reduce_fraction_free
 
 
 def gr(re: int, im: int = 0) -> GaussianRational:
@@ -36,6 +39,22 @@ def test_reduce_against_full_elimination() -> None:
     residual, used = reduce_against({"b": gr(3)}, pivots, key_order=str)
     assert residual == {"a": gr(-6)}
     assert set(used) == {"b"}
+
+
+def test_reduce_fraction_free_is_a_multiple_of_reduce_against() -> None:
+    # Same rows over Z[i] (lead coefficient 2 + i) and normalised over Q(i).
+    rows = {"c": {"c": (2, 1), "b": (1, -3), "a": (4, 0)}, "b": {"b": (0, 3), "a": (5, 2)}}
+    units = {}
+    for lead, row in rows.items():
+        inv = gr(*row[lead]).inverse()
+        units[lead] = {k: gr(re, im) * inv for k, (re, im) in row.items()}
+    vec = {"c": (3, -1), "b": (1, 1), "a": (2, 0), "z": (0, 7)}
+    residual = reduce_fraction_free(vec, rows, key_order=str)
+    expected, _ = reduce_against({k: gr(*v) for k, v in vec.items()}, units, key_order=str)
+    assert set(residual) == set(expected) == {"a", "z"}
+    ratio = gr(*residual["z"]) * expected["z"].inverse()
+    assert all(gr(*residual[k]) == ratio * expected[k] for k in expected)
+    assert reduce_fraction_free({"z": (1, 0)}, {}, key_order=str) == {"z": (1, 0)}
 
 
 def test_reduce_against_no_pivot() -> None:
@@ -107,3 +126,18 @@ def test_kernel_dimension_random_matrices() -> None:
                     continue
                 vec_add_scaled(row, pivot_row, -(factor * inv))
         assert len(kernel) == n_cols - len(pivot_cols)
+
+
+def test_every_package_cache_is_bounded() -> None:
+    # Every memo cache in the package, module- or class-level, has a size bound.
+    sizes = {}
+    for info in pkgutil.iter_modules(nilzeta.__path__):
+        module = importlib.import_module(f"nilzeta.{info.name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values() if isinstance(c, type)]
+        for scope in scopes:
+            for obj in scope.values():
+                if callable(getattr(obj, "cache_info", None)):
+                    sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    for name in ("uea._push_y_through_x", "weyl.leibniz", "ideal._state", "core.index_set"):
+        assert sizes[f"nilzeta.{name}"] == IMAGE_CACHE_SIZE
+    assert [name for name, size in sorted(sizes.items()) if size is None] == []

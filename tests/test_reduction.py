@@ -18,10 +18,10 @@ from itertools import product as iter_product
 
 import pytest
 
-from conftest import SPEC_PARAMS, make_spec, random_element
+from conftest import SPEC_PARAMS, hat_y, make_spec, random_element
 from nilzeta import GaussianRational, algebra_spec
 from nilzeta.ideal import build_slice, filtration_min_degree, is_member
-from nilzeta.indices import mi_delta
+from nilzeta.indices import box, mi_delta
 from nilzeta.reduction import (
     RationalPolynomial,
     ReductionChoiceError,
@@ -31,7 +31,6 @@ from nilzeta.reduction import (
     g_s,
     h_ab,
     h_s,
-    hat_y,
     lagrange_identity_check,
     physical_abscissa,
     pole_lattice,
@@ -126,14 +125,18 @@ def test_h_equals_g_plus_two_n_mod_kernel(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _literal_parts(pairs, form: str, t) -> list:
+    """A_0..A_{n-1}, B_0..B_{n-1} at t, each built from products and commutators."""
+    if form == "h":
+        return [commutator(x * t, y) for x, y in pairs] + [commutator(x, t * y) for x, y in pairs]
+    return [x * commutator(t, y) for x, y in pairs] + [commutator(x, t) * y for x, y in pairs]
+
+
 def _literal_first_order(pairs, form: str, a, b, t):
-    """sum_k a_k A_k(t) + b_k B_k(t), built from products and commutators."""
+    """sum_k a_k A_k(t) + b_k B_k(t) over the literal parts."""
     out = t.scale(0)
-    for (x, y), ak, bk in zip(pairs, a, b):
-        if form == "h":
-            out = out + commutator(x * t, y).scale(ak) + commutator(x, t * y).scale(bk)
-        else:
-            out = out + (x * commutator(t, y)).scale(ak) + (commutator(x, t) * y).scale(bk)
+    for part, weight in zip(_literal_parts(pairs, form, t), (*a, *b)):
+        out = out + part.scale(weight)
     return out
 
 
@@ -177,6 +180,37 @@ def test_first_order_maps_match_commutators(name: str) -> None:
         t = _mixed_denominator_element(spec, rng)
         assert h_ab(spec, a, b, t) == _literal_first_order(_uea_pairs(spec), "h", a, b, t)
         assert g_ab(spec, a, b, t) == _literal_first_order(_uea_pairs(spec), "g", a, b, t)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_axis_images_match_commutators_part_by_part(name: str) -> None:
+    # Every monomial to degree 4 (n = 1) or 3 (n = 2): each part of the
+    # closed-form images equals its literal commutator, with int coefficients.
+    from nilzeta.reduction import _axis_images
+
+    spec = make_spec(name)
+    n, degree = spec.n, 4 if spec.n == 1 else 3
+    cases = [
+        (spec, form, _uea_pairs(spec), UEAElement, mono)
+        for form in ("h", "g")
+        for mono in monomials_up_to(spec, degree)
+    ]
+    cases += [
+        (n, "h", _weyl_pairs(spec), WeylOperator, (a, b))
+        for a in box((degree,) * n)
+        for b in box((degree,) * n)
+        if sum(a) + sum(b) <= degree
+    ]
+    for space, form, pairs, cls, mono in cases:
+        parts = _axis_images(space, form, mono)
+        expected = _literal_parts(pairs, form, cls(space, {mono: 1}))
+        assert len(parts) == len(expected) == 2 * n
+        for part, literal in zip(parts, expected):
+            assert all(type(re) is int and type(im) is int for _, re, im in part)
+            got = cls(space)
+            for m, re, im in part:
+                got = got + cls(space, {m: GaussianRational(re, im)})
+            assert got == literal, (form, mono)
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
