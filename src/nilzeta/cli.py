@@ -35,7 +35,7 @@ from .core import (
     load_spec,
     nilpotency_class,
 )
-from .expr import ExpressionError, format_element, parse_expression
+from .expr import format_element, parse_expression
 from .ideal import (
     build_slice,
     canonical_form,
@@ -63,7 +63,6 @@ from .uea import (
     gamma_apply,
     monomials_up_to,
     pure_y,
-    slice_monomials,
     y_star,
 )
 from .weyl import rho
@@ -199,7 +198,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
         # of everything else by at least one.
         for s in range(max_degree + 1):
             chart = build_slice(spec, s)
-            for mono in slice_monomials(spec, s):
+            for mono in chart.monomials:
                 element = UEAElement.monomial(spec, mono)
                 h_image = h_s(spec, s, element)
                 if mono in chart.independent:
@@ -332,14 +331,14 @@ def reduce_cmd(spec_file: str, expr: str) -> None:
     """Canonical form of an element modulo the kernel ideal."""
     try:
         spec = load_spec(spec_file)
-        element = parse_expression(expr, spec)
-    except (SpecError, ExpressionError, json.JSONDecodeError) as exc:
+        canonical = canonical_form(spec, parse_expression(expr, spec))
+        text = format_element(canonical)
+    except ValueError as exc:  # bad input, or a coefficient past Python's int-to-str limit
         _emit({"error": str(exc)})
         sys.exit(1)
-    canonical = canonical_form(spec, element)
     _emit(
         {
-            "canonical": format_element(canonical),
+            "canonical": text,
             "in_ideal": canonical.is_zero(),
             "degree": canonical.degree() if not canonical.is_zero() else 0,
         }
@@ -375,7 +374,7 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
     try:
         spec = load_spec(spec_file)
         lattice = pole_lattice(spec, q=q, s0=s0, l_max=lmax)
-    except (SpecError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # a bad description, bad JSON or the witness budget
         _emit({"error": str(exc)})
         sys.exit(1)
     entries = [
@@ -430,14 +429,10 @@ def spectrum_cmd(
 
     try:
         spec = load_spec(spec_file)
-    except (SpecError, json.JSONDecodeError) as exc:
-        _emit({"error": str(exc)})
-        sys.exit(1)
-    try:
         est = eigenvalues(spec, basis_size, drift_tol)
         fit = fit_growth(est)
         abscissa, residue = abscissa_and_residue(spec, est)
-    except ValueError as exc:
+    except ValueError as exc:  # a bad description, bad JSON or an oversized solve
         _emit({"error": str(exc)})
         sys.exit(1)
     physical = physical_abscissa(spec, 0)

@@ -5,8 +5,8 @@ Each ordered monomial m = X^p Y^q maps to ``c_m * d^p o x^gamma`` with
 operators ``d^p o x^gamma`` are linearly independent: each normal form has
 its own top term ``x^gamma d^p``.  So the key ``(p, gamma)`` decides all.  An
 element lies in the ideal iff, on every key, its coefficients weighted by
-``c_m`` sum to zero.  One ascending sweep classifies monomials: the first
-monomial with a key is *independent*, and every later monomial m with that
+``c_m`` sum to zero.  The least monomial with a key, written down in closed
+form by :func:`_first`, is *independent*; every other monomial m with that
 key is *dependent*, with canonical form ``(c_m / c_first) * first``.
 
 The classification yields, per degree,
@@ -29,7 +29,7 @@ from functools import lru_cache
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
 from .linalg import IMAGE_CACHE_SIZE, add_term, vec_add_scaled
-from .scalars import ONE, i_power
+from .scalars import ONE, GaussianRational, i_power
 from .uea import (
     Monomial,
     UEAElement,
@@ -97,40 +97,49 @@ def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _SliceState:
-    """Incremental sweep state for one algebra (one per spec, see :func:`_state`)."""
+def _cover(spec: AlgebraSpec, gamma: MultiIndex) -> int:
+    """The fewest nonzero-index Y factors whose indices sum to gamma.
 
-    def __init__(self, spec: AlgebraSpec) -> None:
-        self.spec = spec
-        self.processed_degree = -1
-        self.first: dict = {}  # key (p, gamma) -> (degree, first Monomial, 1 / its c)
-        self.canonical: dict = {}  # dependent Monomial -> {first: c_m / c_first}
-        self.t_by_degree: dict = {}
-        self.o_by_degree: dict = {}
-
-    def advance(self, degree: int) -> None:
-        spec = self.spec
-        while self.processed_degree < degree:
-            d = self.processed_degree + 1
-            t_list: list[Monomial] = []
-            o_list: list[Monomial] = []
-            for mono in slice_monomials(spec, d):
-                key, c = monomial_symbol(spec, mono)
-                hit = self.first.get(key)
-                if hit is None:
-                    self.first[key] = (d, mono, c.inverse())
-                    o_list.append(mono)
-                else:
-                    self.canonical[mono] = {hit[1]: c * hit[2]}
-                    t_list.append(mono)
-            self.t_by_degree[d] = tuple(t_list)
-            self.o_by_degree[d] = tuple(o_list)
-            self.processed_degree = d
+    Each nonzero index lies in exactly one block's box, so the blocks are
+    covered apart, and block I needs max_{k in I} ceil(gamma_k / alpha_k).
+    """
+    return sum(
+        max(-(-gamma[k] // spec.alpha[k]) for k in block) for block in spec.partition
+    )
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _state(spec: AlgebraSpec) -> _SliceState:
-    return _SliceState(spec)
+def _first(spec: AlgebraSpec, key: tuple) -> tuple[Monomial, GaussianRational]:
+    """The least monomial with symbol key (p, gamma), and 1 / its c.
+
+    The least one has the fewest Y factors, :func:`_cover` of gamma, and
+    among those the lexicographically largest Y exponents.  So, over the
+    index set in order, each Y^beta takes the largest power t that leaves
+    the rest of gamma coverable by exactly the remaining factors; the
+    powers that do form an interval from 0, and bisection finds its end.
+    """
+    p, gamma = key
+    rest, left, y = gamma, _cover(spec, gamma), []
+    for beta in index_set(spec):
+        lo, hi = 0, left
+        while lo < hi:
+            t = (lo + hi + 1) // 2
+            after = tuple(g - t * b for g, b in zip(rest, beta))
+            if min(after) >= 0 and _cover(spec, after) == left - t:
+                lo = t
+            else:
+                hi = t - 1
+        y.append(lo)
+        rest, left = tuple(g - lo * b for g, b in zip(rest, beta)), left - lo
+    first = Monomial(p, tuple(y))
+    return first, monomial_symbol(spec, first)[1].inverse()
+
+
+def _canonical_image(spec: AlgebraSpec, mono: Monomial) -> tuple[Monomial, GaussianRational]:
+    """The least monomial sharing mono's key, and c_mono / c_first."""
+    key, c = monomial_symbol(spec, mono)
+    first, inv = _first(spec, key)
+    return first, c * inv
 
 
 @dataclass(frozen=True)
@@ -158,18 +167,17 @@ class DegreeSlice:
 
 
 def build_slice(spec: AlgebraSpec, degree: int) -> DegreeSlice:
-    """Classify the degree-d monomials (results cached incrementally)."""
+    """Classify the degree-d monomials against their keys' least monomials."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    st = _state(spec)
-    st.advance(degree)
     monos = tuple(slice_monomials(spec, degree))
-    t = st.t_by_degree[degree]
-    o = st.o_by_degree[degree]
+    images = [(m, *_canonical_image(spec, m)) for m in monos]
+    dependent = tuple(m for m, first, _ in images if first != m)
+    independent = tuple(m for m, first, _ in images if first == m)
     kernel = tuple(
-        UEAElement(spec, {m: ONE}) - UEAElement(spec, st.canonical[m]) for m in t
+        UEAElement(spec, {m: ONE, first: -ratio}) for m, first, ratio in images if first != m
     )
-    return DegreeSlice(spec, degree, monos, t, o, kernel)
+    return DegreeSlice(spec, degree, monos, dependent, independent, kernel)
 
 
 def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
@@ -178,13 +186,10 @@ def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
     Exact projection along the ideal; idempotent, and the zero element is
     returned exactly when u lies in the ideal.
     """
-    if u.is_zero():
-        return u
-    st = _state(spec)
-    st.advance(u.degree())
     out: dict = {}
     for mono, coeff in u.terms.items():
-        vec_add_scaled(out, st.canonical.get(mono, {mono: ONE}), coeff)
+        first, ratio = _canonical_image(spec, mono)
+        add_term(out, first, ratio * coeff)
     return UEAElement(spec, out)
 
 
@@ -193,23 +198,16 @@ def filtration_min_degree(
 ) -> int | None:
     """Least q with w in the image of the degree-<=q filtration level, or None.
 
-    That image is spanned by the d^b o x^a whose key (b, a) some monomial of
-    degree <= q reaches.  Peeling the top term x^a d^b of w against the
-    normal form of d^b o x^a writes w in that basis, so q is the largest
-    first degree among the keys used.  ``None`` means "not attained by
-    degree cap"; raise ``cap`` to search further.
+    That image is spanned by the d^b o x^a whose key (b, a) has first degree
+    |b| + :func:`_cover` of a at most q.  Peeling the top term x^a d^b of w
+    against the normal form of d^b o x^a writes w in that basis, so q is the
+    largest first degree among the keys used.  ``None`` means "not attained
+    by degree cap"; raise ``cap`` to search further.
     """
-    if w.is_zero():
-        return 0
-    st = _state(spec)
-    st.advance(cap)
     rest = dict(w.terms)
     level = 0
-    while rest:
+    while rest and level <= cap:
         a, b = max(rest, key=weyl_key)
-        hit = st.first.get((b, a))
-        if hit is None or hit[0] > cap:
-            return None
-        level = max(level, hit[0])
+        level = max(level, mi_abs(b) + _cover(spec, a))
         vec_add_scaled(rest, leibniz(b, a), -rest[(a, b)])
-    return level
+    return level if level <= cap else None

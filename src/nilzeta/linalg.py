@@ -35,7 +35,7 @@ Vector = dict
 
 # Entries kept by each bounded memo cache of the package: the per-monomial
 # images of the linear maps, the product kernels' monomial rules, the index
-# sets and the slice states.
+# sets and each symbol key's least monomial.
 IMAGE_CACHE_SIZE = 1 << 12
 
 

@@ -125,9 +125,9 @@ def _axis_images(space, form: str, mono) -> tuple:
     for k in range(n):
         pos = pos_of[mi_delta(n, k)]
         if lift:
-            rows = _y_derivation(space, _bump(y, pos), k)
+            rows = _y_derivation(space, {_bump(y, pos): 1}, k).items()
         else:
-            rows = [(_bump(y2, pos), m) for y2, m in _y_derivation(space, y, k)]
+            rows = [(_bump(y2, pos), m) for y2, m in _y_derivation(space, {y: 1}, k).items()]
         parts.append(tuple((Monomial(x, y2), 0, -m) for y2, m in rows))
     return tuple(parts)
 

@@ -23,6 +23,7 @@ smaller.  The leading term of an element is its largest monomial.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
@@ -157,22 +158,21 @@ class UEAElement(Combination):
 # Normal-form products
 # ---------------------------------------------------------------------------
 
-def _y_derivation(spec: AlgebraSpec, y: MultiIndex, k: int) -> list[tuple[MultiIndex, int]]:
-    """[X_k, Y^y] as a derivation: replace one Y^beta factor by Y^{beta-delta_k}."""
+def _y_derivation(spec: AlgebraSpec, ys: dict, k: int) -> dict[MultiIndex, int]:
+    """[X_k, .] on int-weighted Y-products {y: weight}, as a derivation.
+
+    Each Y^beta factor with beta_k >= 1 in turn becomes Y^{beta-delta_k}.
+    """
     idx = index_set(spec)
     pos_of = y_position(spec)
-    out: list[tuple[MultiIndex, int]] = []
-    for pos, mult in enumerate(y):
-        if mult == 0:
-            continue
-        beta = idx[pos]
-        if beta[k] >= 1:
-            target = mi_sub(beta, mi_delta(spec.n, k))
-            tpos = pos_of[target]
-            new = list(y)
-            new[pos] -= 1
-            new[tpos] += 1
-            out.append((tuple(new), mult))
+    out: dict[MultiIndex, int] = {}
+    for y, weight in ys.items():
+        for pos, mult in enumerate(y):
+            if mult and idx[pos][k]:
+                new = list(y)
+                new[pos] -= 1
+                new[pos_of[mi_sub(idx[pos], mi_delta(spec.n, k))]] += 1
+                out[tuple(new)] = out.get(tuple(new), 0) + weight * mult
     return out
 
 
@@ -180,19 +180,25 @@ def _y_derivation(spec: AlgebraSpec, y: MultiIndex, k: int) -> list[tuple[MultiI
 def _push_y_through_x(
     spec: AlgebraSpec, y: MultiIndex, x: MultiIndex
 ) -> tuple[tuple[Monomial, int], ...]:
-    """Normal form of the product Y^y * X^x as integer-weighted monomials."""
+    """Normal form of the product Y^y * X^x as integer-weighted monomials.
+
+    Right multiplication by X_k is left multiplication minus D_k = [X_k, .]
+    (:func:`_y_derivation`), and the two commute, so Y X_k^m is
+    sum_j C(m, j) (-1)^j X_k^(m-j) D_k^j(Y); D_k is nilpotent on Y-products.
+    """
     if not any(x) or not any(y):
         return ((Monomial(x, y), 1),)
     k = next(pos for pos, e in enumerate(x) if e)
-    rest = tuple(e - (1 if pos == k else 0) for pos, e in enumerate(x))
+    m, rest = x[k], x[:k] + (0,) + x[k + 1:]
     acc: dict[Monomial, int] = {}
-    for mono, coeff in _push_y_through_x(spec, y, rest):
-        lifted = Monomial(tuple(e + (1 if pos == k else 0) for pos, e in enumerate(mono.x)), mono.y)
-        acc[lifted] = acc.get(lifted, 0) + coeff
-    for y2, mult in _y_derivation(spec, y, k):
-        for mono, coeff in _push_y_through_x(spec, y2, rest):
-            acc[mono] = acc.get(mono, 0) - mult * coeff
-    return tuple((m, c) for m, c in acc.items() if c)
+    layer, j = {y: 1}, 0  # D_k^j(Y^y)
+    while layer and j <= m:
+        for y2, c2 in layer.items():
+            for mono, coeff in _push_y_through_x(spec, y2, rest):
+                lifted = Monomial(mono.x[:k] + (m - j,) + mono.x[k + 1:], mono.y)
+                acc[lifted] = acc.get(lifted, 0) + (-1) ** j * math.comb(m, j) * c2 * coeff
+        layer, j = _y_derivation(spec, layer, k), j + 1
+    return tuple((mono, c) for mono, c in acc.items() if c)
 
 
 def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
@@ -215,7 +221,7 @@ def ad_x(spec: AlgebraSpec, k: int, u: UEAElement) -> UEAElement:
     """
     out: dict[Monomial, GaussianRational] = {}
     for mono, coeff in u.terms.items():
-        for y2, mult in _y_derivation(spec, mono.y, k):
+        for y2, mult in _y_derivation(spec, {mono.y: 1}, k).items():
             add_term(out, Monomial(mono.x, y2), coeff * mult)
     return UEAElement(spec, out)
 

@@ -21,6 +21,11 @@ build their literal commutators from it.
 a sympy polynomial; it is an independent route used to cross-check the
 symbolic composition rules against actual differentiation.
 
+``first_monomials`` is the ascending sweep: the least monomial of each
+symbol key, found by walking every monomial in order.  It checks the
+library's closed form on the algebras ``algebra_specs`` generates (n <= 3,
+alpha <= 3, joint and singleton blocks).
+
 ``reduce_against`` (over Q(i), reporting the pivot multiples it used), its
 fraction-free twin ``reduce_fraction_free`` (over Z[i], by cross-multiplication)
 and ``generated_span_leading`` are the elimination oracle: they span the ideal
@@ -38,6 +43,7 @@ from typing import Callable, Mapping, Sequence
 import pytest
 import sympy
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
 from nilzeta.indices import mi_delta
@@ -50,6 +56,7 @@ from nilzeta.uea import (
     monomials_up_to,
     pure_y,
 )
+from nilzeta.weyl import monomial_symbol
 
 settings.register_profile(
     "suite",
@@ -109,6 +116,18 @@ def mixed() -> AlgebraSpec:
 @pytest.fixture(scope="session")
 def all_specs() -> dict[str, AlgebraSpec]:
     return {name: make_spec(name) for name in SPEC_PARAMS}
+
+
+@st.composite
+def algebra_specs(draw) -> AlgebraSpec:
+    """Algebras with n <= 3 and alpha <= 3, generators grouped into random blocks."""
+    n = draw(st.integers(1, 3))
+    alpha = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: dict[int, list[int]] = {}
+    for k, label in enumerate(labels):
+        blocks.setdefault(label, []).append(k)
+    return algebra_spec(n, alpha, list(blocks.values()))
 
 
 @pytest.fixture()
@@ -172,6 +191,18 @@ def random_element(spec: AlgebraSpec, rng, max_degree: int = 2, terms: int = 3) 
         coeff = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
         out = out + UEAElement.monomial(spec, m, coeff)
     return out
+
+
+def first_monomials(spec: AlgebraSpec, degree: int) -> dict:
+    """The least monomial of each symbol key (p, gamma) reached by degree <= ``degree``.
+
+    The ascending sweep: walk the monomials in ``monomial_key`` order and keep
+    the first one seen per key of rho(X^p Y^q) = c * d^p o x^gamma.
+    """
+    first: dict = {}
+    for mono in monomials_up_to(spec, degree):
+        first.setdefault(monomial_symbol(spec, mono)[0], mono)
+    return first
 
 
 def monomial_compare(m1: Monomial, m2: Monomial) -> int:

@@ -103,6 +103,26 @@ def test_reduce_frozen_values(runner, heis, quad, spec_file) -> None:
     assert payload == {"canonical": "2i * Y[2]", "in_ideal": False, "degree": 1}
 
 
+def test_reduce_deep_inputs(runner, cubic, spec_file) -> None:
+    path = spec_file(cubic)
+    # Y[1]^3 pushed through a long X power: one step per generator, not per factor
+    payload = invoke_json(runner, ["reduce", path, "--expr", "Y[1]^3 * X1^1500"])
+    assert payload == {
+        "canonical": "-6 * X1^1500 * Y[3] + 9000 * X1^1499 * Y[2]"
+        " - 6745500 * X1^1498 * Y[1] + 3368253000i * X1^1497",
+        "in_ideal": False,
+        "degree": 1501,
+    }
+    assert invoke_json(runner, ["reduce", path, "--expr", "Y[1]^40 * X1^40"])["degree"] == 54
+    # gamma = 10000 needs ceil(10000 / 3) = 3334 Y factors
+    assert invoke_json(runner, ["reduce", path, "--expr", "X1^7 * Y[2]^5000"])["degree"] == 3341
+    # its coefficient, 2 * 6^66666 up to a unit, has more digits than Python converts
+    # to text: an error, not a traceback
+    result = runner.invoke(main, ["reduce", path, "--expr", "Y[1]^200000"])
+    assert result.exit_code == 1
+    assert "digits" in json.loads(result.output)["error"]
+
+
 def test_reduce_rejects_bad_expression(runner, heis, spec_file) -> None:
     result = runner.invoke(main, ["reduce", spec_file(heis), "--expr", "Y[9]"])
     assert result.exit_code == 1

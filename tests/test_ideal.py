@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilzeta import GaussianRational, algebra_spec, build_slice, canonical_form, is_member
 from nilzeta.core import index_set, y_position
+from nilzeta.indices import box
 from nilzeta.ideal import (
     filtration_min_degree,
     gamma_generators,
@@ -28,10 +31,12 @@ from nilzeta.uea import (
     pure_y,
     slice_monomials,
 )
-from nilzeta.weyl import WeylOperator, rho, weyl_key
+from nilzeta.weyl import WeylOperator, monomial_symbol, rho, weyl_key
 
 from conftest import (
     SPEC_PARAMS,
+    algebra_specs,
+    first_monomials,
     generated_span_leading,
     leading_monomial_divides,
     make_spec,
@@ -233,6 +238,20 @@ def test_filtration_min_degree_cap(heis) -> None:
     assert filtration_min_degree(heis, x7, cap=7) == 7
 
 
+def test_deep_degrees_in_closed_form(cubic) -> None:
+    # degrees no sweep over the smaller monomials reaches
+    x = rho(cubic, pure_y(cubic, (1,)).scale(i_power(1)))
+    x300 = x**300
+    assert filtration_min_degree(cubic, x300, cap=99) is None
+    assert filtration_min_degree(cubic, x300, cap=100) == 100
+    # (Y^(2))^600 and (Y^(3))^400 share the key gamma = 1200; c = 2^-600 and 6^-400
+    u = UEAElement.monomial(cubic, y_counts(cubic, [((2,), 600)]))
+    lead = y_counts(cubic, [((3,), 400)])
+    can = canonical_form(cubic, u)
+    assert can == UEAElement.monomial(cubic, lead, Fraction(3**400, 2**200))
+    assert rho(cubic, can) == rho(cubic, u)
+
+
 # ---------------------------------------------------------------------------
 # Generator-set equivalence and divisibility
 # ---------------------------------------------------------------------------
@@ -339,10 +358,8 @@ def elimination_min_degree(pivots: dict, w: WeylOperator, cap: int):
     return None
 
 
-@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
-def test_symbol_classification_matches_elimination(name: str) -> None:
-    spec = make_spec(name)
-    top = ORACLE_DEGREE[spec.n]
+def assert_slices_match_elimination(spec, top: int) -> dict:
+    """Compare build_slice with elimination_sweep up to ``top``; return its pivots."""
     slices, pivots = elimination_sweep(spec, top)
     for d, (dependent, independent, canonical) in enumerate(slices):
         chart = build_slice(spec, d)
@@ -352,6 +369,14 @@ def test_symbol_classification_matches_elimination(name: str) -> None:
             UEAElement(spec, {m: ONE}) - UEAElement(spec, canonical[m]) for m in dependent
         )
         assert chart.kernel == expected
+    return pivots
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_symbol_classification_matches_elimination(name: str) -> None:
+    spec = make_spec(name)
+    top = ORACLE_DEGREE[spec.n]
+    pivots = assert_slices_match_elimination(spec, top)
     rng = random.Random(hash(name) & 0xFFF)
     for _ in range(12):
         w = rho(spec, random_element(spec, rng, max_degree=top, terms=3))
@@ -377,3 +402,52 @@ def test_is_member_matches_image(name: str, seed: int, in_ideal: bool, noise: bo
     if noise or not in_ideal:
         u = u + random_element(spec, rng, max_degree=3, terms=2)
     assert is_member(spec, u) == rho(spec, u).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the ascending sweep, on generated algebras
+# ---------------------------------------------------------------------------
+
+# Generated algebras are checked up to degree 4 against the sweep and 2
+# against elimination, each lowered until the monomials up to it number at
+# most the budget: a joint 3-axis block with alpha = 3 has 64 Y generators.
+SWEEP_DEGREE, SWEEP_BUDGET = 4, 2500
+ELIMINATION_DEGREE, ELIMINATION_BUDGET = 2, 500
+
+
+def budget_degree(spec, top: int, budget: int) -> int:
+    """The largest degree <= top with at most ``budget`` monomials up to it."""
+    count = spec.n + len(index_set(spec))
+    return max(d for d in range(top + 1) if math.comb(count + d, d) <= budget)
+
+
+@given(spec=algebra_specs())
+@example(spec=algebra_spec(3, (2, 1, 3), [[0, 2], [1]]))
+@example(spec=algebra_spec(3, (2, 1, 2), [[0, 1, 2]]))
+@example(spec=algebra_spec(2, (3, 1), [[0, 1]]))
+def test_closed_form_matches_sweep_on_generated_specs(spec) -> None:
+    top = budget_degree(spec, SWEEP_DEGREE, SWEEP_BUDGET)
+    first = first_monomials(spec, top)
+    for d in range(top + 1):
+        chart = build_slice(spec, d)
+        leads = {m: first[monomial_symbol(spec, m)[0]] for m in chart.monomials}
+        assert chart.independent == tuple(m for m in chart.monomials if leads[m] == m)
+        assert chart.dependent == tuple(m for m in chart.monomials if leads[m] != m)
+        for m, lead in leads.items():
+            ratio = monomial_symbol(spec, m)[1] / monomial_symbol(spec, lead)[1]
+            expected = UEAElement.monomial(spec, lead, ratio)
+            assert canonical_form(spec, UEAElement.monomial(spec, m)) == expected
+    # a lone term x^gamma d^p needs exactly its key's first degree
+    for p in box((1,) * spec.n):
+        for gamma in box(tuple(a + 1 for a in spec.alpha)):
+            w = WeylOperator.monomial(spec.n, gamma, p)
+            lead = first.get((p, gamma))
+            if lead is None:
+                assert filtration_min_degree(spec, w, top) is None
+                continue
+            level = monomial_degree(lead)
+            assert filtration_min_degree(spec, w, level) == level
+            assert filtration_min_degree(spec, w, level - 1) is None
+    assert_slices_match_elimination(
+        spec, budget_degree(spec, ELIMINATION_DEGREE, ELIMINATION_BUDGET)
+    )
