@@ -22,7 +22,8 @@ Three layers live here.
         g: A_k = -i p_k X^p Y^{q+e_0},      B_k = -i X^p D_k(Y^q) Y^{delta_k}
 
     at m = X^p Y^q; at m = x^a d^b over (P_k, Q_k) = (-d_k, -x_k), the h-form
-    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k with a_k+1.
+    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k with a_k+1, and
+    the Taylor-style form with the same A_k and B_k = (a_k+1) m.
 
 2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
     (enveloping side) and ``t_s`` (operator side): products of first-order
@@ -46,7 +47,7 @@ from typing import Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta, mi_sub
-from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, commutator, map_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms
 from .scalars import (
     GaussianRational,
     Rat,
@@ -57,7 +58,7 @@ from .scalars import (
     rat_ceil,
 )
 from .uea import Monomial, UEAElement, _y_derivation, monomial_degree
-from .weyl import WeylOperator, ad_power, p_op, q_op, weyl_product
+from .weyl import WeylOperator, ad_chain, p_op, q_op, power_ladder, weyl_product
 
 
 class ReductionChoiceError(ValueError):
@@ -105,19 +106,21 @@ def _axis_images(space, form: str, mono) -> tuple:
         g: A_k = X_k [m, Yhat_k] = -i p_k X^p Y^{q+e_0}
            B_k = [X_k, m] Yhat_k = -i X^p D_k(Y^q) Y^{delta_k}
 
-    For a variable count n, the h-form over (P_k, Q_k) = (-d_k, -x_k) at m = x^a d^b:
-    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k the same with a_k+1.
+    For a variable count n, over (P_k, Q_k) = (-d_k, -x_k) at m = x^a d^b, the h-form
+    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k the same with a_k+1;
+    the taylor form A_k = [-Q_k, P_k m] as for h, B_k = [P_k, Q_k m] = (a_k+1) m.
     """
     if isinstance(space, int):
         a, b = mono
 
-        def part(k, c):
-            if not (a[k] and b[k]):
+        def part(k, c, lower):
+            if not (lower and a[k] and b[k]):
                 return ((mono, c, 0),)
             d = mi_delta(space, k)
             return (mono, c, 0), ((mi_sub(a, d), mi_sub(b, d)), a[k] * b[k], 0)
 
-        return tuple(part(k, e[k] + 1) for e in (b, a) for k in range(space))
+        sides = ((b, True), (a, form == "h"))
+        return tuple(part(k, e[k] + 1, lower) for e, lower in sides for k in range(space))
     (x, y), n, pos_of = mono, space.n, y_position(space)
     central = Monomial(x, _bump(y, pos_of[(0,) * n]))
     lift = 1 if form == "h" else 0
@@ -296,34 +299,19 @@ def taylor_h_ab(
     n: int, a: Sequence[ScalarLike], b: Sequence[ScalarLike], w: WeylOperator
 ) -> WeylOperator:
     """sum_i a_i [-Q_i, P_i w] + b_i [P_i, Q_i w] (coefficient operators on the left)."""
-    av, bv = ([GaussianRational.coerce(c) for c in v] for v in (a, b))
-    out = WeylOperator.zero(n)
-    for i in range(n):
-        pi, qi = p_op(n, i), q_op(n, i)
-        if not av[i].is_zero():
-            out = out + commutator(-qi, weyl_product(pi, w)).scale(av[i])
-        if not bv[i].is_zero():
-            out = out + commutator(pi, weyl_product(qi, w)).scale(bv[i])
-    return out
+    if len(a) != n or len(b) != n:
+        raise ValueError(f"weight vectors must have length {n}")
+    return _first_order(n, "taylor", a, b, 0, w)
 
 
-def taylor_a_op(
-    n: int,
-    a: Sequence[ScalarLike],
-    b: Sequence[ScalarLike],
-    delta: WeylOperator,
-    k: int,
-    x: WeylOperator,
-) -> WeylOperator:
-    """sum_i a_i P_i x ad^k(Q_i) - b_i Q_i x ad^k(P_i), with ad = [delta, .]."""
-    av, bv = ([GaussianRational.coerce(c) for c in v] for v in (a, b))
-    out = WeylOperator.zero(n)
-    for i in range(n):
-        pi, qi = p_op(n, i), q_op(n, i)
-        if not av[i].is_zero():
-            out = out + weyl_product(weyl_product(pi, x), ad_power(delta, qi, k)).scale(av[i])
-        if not bv[i].is_zero():
-            out = out - weyl_product(weyl_product(qi, x), ad_power(delta, pi, k)).scale(bv[i])
+def taylor_a_op(a: Sequence[ScalarLike], b: Sequence[ScalarLike], ads, x: WeylOperator):
+    """sum_i a_i P_i x ad^k(Q_i) - b_i Q_i x ad^k(P_i), with ad = [delta, .] and
+    ``ads[i]`` the pair (ad^k(P_i), ad^k(Q_i))."""
+    n, out = x.n, WeylOperator.zero(x.n)
+    for i, (ad_p, ad_q) in enumerate(ads):
+        for weight, left, right in ((a[i], p_op(n, i), ad_q), (-b[i], q_op(n, i), ad_p)):
+            if weight and not x.is_zero():
+                out = out + weyl_product(weyl_product(left, x), right).scale(weight)
     return out
 
 
@@ -335,27 +323,26 @@ def taylor_coeffs(
 ) -> list[WeylOperator]:
     """Coefficients C_0..C_{k_max} of the iterated commutation expansion.
 
-    ``pairs`` lists the (a, b) weight pairs, first-applied first.  For one
-    pair, C_0 is the Taylor-style h operator and C_k the k-th correction; each
-    further pair wraps the previous coefficients through the recursion
+    ``pairs`` lists the (a, b) weight pairs, first-applied first.  Starting
+    from C = (x, 0, .., 0), each pair wraps the coefficients through
 
-        C_k^{new} = h(C_k) + sum_{t<k} C(k,t) a-op^{(k-t)}(C_t).
+        C_k^{new} = h(C_k) + sum_{t<k} C(k,t) a-op^{(k-t)}(C_t),
+
+    so for one pair C_0 is the Taylor-style h operator and C_k the k-th
+    correction.  ad^k(P_i) and ad^k(Q_i) come from one ad chain each.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
     n = delta.n
-    a0, b0 = pairs[0]
-    coeffs = [taylor_h_ab(n, a0, b0, x)] + [
-        taylor_a_op(n, a0, b0, delta, k, x) for k in range(1, k_max + 1)
-    ]
-    for a, b in pairs[1:]:
+    chains = [[ad_chain(delta, op(n, i), k_max) for op in (p_op, q_op)] for i in range(n)]
+    coeffs = [x] + [WeylOperator.zero(n)] * k_max
+    for a, b in pairs:
         new = []
         for k in range(k_max + 1):
             c = taylor_h_ab(n, a, b, coeffs[k])
             for t in range(k):
-                c = c + taylor_a_op(n, a, b, delta, k - t, coeffs[t]).scale(
-                    math.comb(k, t)
-                )
+                ads = [(p[k - t], q[k - t]) for p, q in chains]
+                c = c + taylor_a_op(a, b, ads, coeffs[t]).scale(math.comb(k, t))
             new.append(c)
         coeffs = new
     return coeffs
@@ -367,16 +354,16 @@ def taylor_residual(
     """Residual of the integer-exponent expansion (zero certifies exactness).
 
     Compares the composed h operators applied to x * delta^i against
-    sum_k C(i,k) C_k delta^{i-k}.
+    sum_k C(i,k) C_k delta^{i-k}, every power taken from one power ladder.
     """
-    n = delta.n
-    lhs = weyl_product(x, delta ** i)
+    n, powers = delta.n, power_ladder(delta, i)
+    lhs = weyl_product(x, powers[i])
     for a, b in pairs:
         lhs = taylor_h_ab(n, a, b, lhs)
     coeffs = taylor_coeffs(delta, pairs, x, i)
     rhs = WeylOperator.zero(n)
     for k in range(i + 1):
-        rhs = rhs + weyl_product(coeffs[k], delta ** (i - k)).scale(math.comb(i, k))
+        rhs = rhs + weyl_product(coeffs[k], powers[i - k]).scale(math.comb(i, k))
     return lhs - rhs
 
 

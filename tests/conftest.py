@@ -21,6 +21,10 @@ build their literal commutators from it.
 a sympy polynomial; it is an independent route used to cross-check the
 symbolic composition rules against actual differentiation.
 
+``taylor_h_ab_by_commutators`` builds the Taylor-style h operator from its
+definition, sum_i a_i [-Q_i, P_i w] + b_i [P_i, Q_i w], by Weyl products and
+commutators; it checks the library's closed-form images.
+
 ``first_monomials`` is the ascending sweep: the least monomial of each
 symbol key, found by walking every monomial in order.  It checks the
 library's closed form on the algebras ``algebra_specs`` generates (n <= 3,
@@ -47,7 +51,7 @@ from hypothesis import strategies as st
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
 from nilzeta.indices import mi_delta
-from nilzeta.linalg import _numerators, vec_add_scaled
+from nilzeta.linalg import _numerators, commutator, vec_add_scaled
 from nilzeta.uea import (
     Monomial,
     UEAElement,
@@ -56,7 +60,7 @@ from nilzeta.uea import (
     monomials_up_to,
     pure_y,
 )
-from nilzeta.weyl import monomial_symbol
+from nilzeta.weyl import monomial_symbol, p_op, q_op, weyl_product
 
 settings.register_profile(
     "suite",
@@ -167,6 +171,21 @@ def apply_weyl(w: WeylOperator, poly, xs):
                 term = term * xs[k] ** power
         result = result + gaussian_to_sympy(coeff) * term
     return sympy.expand(result)
+
+
+def taylor_h_ab_by_commutators(
+    n: int, a: Sequence, b: Sequence, w: WeylOperator
+) -> WeylOperator:
+    """sum_i a_i [-Q_i, P_i w] + b_i [P_i, Q_i w] over (P_i, Q_i) = (-d_i, -x_i)."""
+    av, bv = ([GaussianRational.coerce(c) for c in v] for v in (a, b))
+    out = WeylOperator.zero(n)
+    for i in range(n):
+        pi, qi = p_op(n, i), q_op(n, i)
+        if not av[i].is_zero():
+            out = out + commutator(-qi, weyl_product(pi, w)).scale(av[i])
+        if not bv[i].is_zero():
+            out = out + commutator(pi, weyl_product(qi, w)).scale(bv[i])
+    return out
 
 
 def hat_y(spec: AlgebraSpec, k: int) -> UEAElement:

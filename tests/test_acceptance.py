@@ -221,7 +221,7 @@ def test_criterion_6_exact_expansions() -> None:
         b = b_polynomial(spec)
         for q in (0, 1, 2):
             lagrange_identity_check(b, 2, q, 2)
-    _report(6, "exact expansion and interpolation identities", started, 30.0)
+    _report(6, "exact expansion and interpolation identities", started, 5.0)
 
 
 def test_criterion_7_heisenberg_quantitative() -> None:

@@ -20,7 +20,7 @@ from nilzeta.indices import mi_add
 from nilzeta.linalg import add_term, product_terms
 from nilzeta.scalars import GaussianRational
 from nilzeta.uea import Monomial, UEAElement, _push_y_through_x, monomials_up_to, normal_product
-from nilzeta.weyl import WeylOperator, leibniz, weyl_product
+from nilzeta.weyl import WeylOperator, ad_chain, ad_power, leibniz, power_ladder, weyl_product
 
 SPECS = {name: make_spec(name) for name in ("heis", "cubic", "mixed")}
 
@@ -74,9 +74,9 @@ def _terms(monomials) -> st.SearchStrategy:
 
 
 @st.composite
-def weyl_pairs(draw):
+def weyl_pairs(draw, max_exponent: int = 2):
     n = SPECS[draw(st.sampled_from(sorted(SPECS)))].n
-    exps = st.tuples(*[st.integers(0, 2)] * n)
+    exps = st.tuples(*[st.integers(0, max_exponent)] * n)
     monomials = st.tuples(exps, exps)
     return WeylOperator(n, draw(_terms(monomials))), WeylOperator(n, draw(_terms(monomials)))
 
@@ -102,6 +102,37 @@ def test_normal_product_matches_per_term_reference(pair) -> None:
     product = normal_product(u, v)
     assert_same_terms(product.terms, reference_normal(u, v))
     assert (product - normal_product(u, v)).is_zero()
+
+
+def binary_power(u: WeylOperator, k: int) -> WeylOperator:
+    """u ** k by repeated squaring, the power algorithm the ladder replaced."""
+    result, base = WeylOperator.one(u.n), u
+    while k:
+        if k & 1:
+            result = weyl_product(result, base)
+        base = weyl_product(base, base)
+        k >>= 1
+    return result
+
+
+@given(weyl_pairs(max_exponent=1))
+def test_powers_and_ad_chains_match_their_references(pair) -> None:
+    # u ** k against the k-fold left-to-right product and repeated squaring
+    # (the product is associative, so all three agree); the ladder and the
+    # chain entry by entry against **, ad_power and commutators written out
+    # here.  Exponents up to 1 keep u ** 4 to a few hundred terms.
+    u, x = pair
+    ladder, chain = power_ladder(u, 4), ad_chain(u, x, 4)
+    assert len(ladder) == len(chain) == 5
+    left_to_right, nested = WeylOperator.one(u.n), x
+    for k in range(5):
+        assert_same_terms((u ** k).terms, left_to_right.terms)
+        assert_same_terms(binary_power(u, k).terms, left_to_right.terms)
+        assert_same_terms(ladder[k].terms, left_to_right.terms)
+        assert_same_terms(chain[k].terms, nested.terms)
+        assert_same_terms(ad_power(u, x, k).terms, nested.terms)
+        left_to_right = weyl_product(left_to_right, u)
+        nested = weyl_product(u, nested) - weyl_product(nested, u)
 
 
 def test_products_cancel_inside_the_kernel() -> None:

@@ -17,8 +17,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import SPEC_PARAMS, hat_y, make_spec, random_element
+from conftest import SPEC_PARAMS, hat_y, make_spec, random_element, taylor_h_ab_by_commutators
 from nilzeta import GaussianRational, algebra_spec
 from nilzeta.ideal import build_slice, filtration_min_degree, is_member
 from nilzeta.indices import box, mi_delta
@@ -38,6 +40,7 @@ from nilzeta.reduction import (
     reduction_factors,
     t_s,
     taylor_coeffs,
+    taylor_h_ab,
     taylor_residual,
 )
 from nilzeta.scalars import Rat, as_rational
@@ -410,6 +413,36 @@ def test_taylor_coeffs_frozen_heis(heis) -> None:
     assert cs[0] == two
     assert cs[1] == (x_sq - d_sq).scale(GaussianRational(2))
     assert cs[2] == two.scale(GaussianRational(2))
+
+
+_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+# Q(i) weights; zero entries switch an axis off.
+_weights = st.one_of(st.just(0), st.builds(GaussianRational, _rational, _rational))
+
+
+@st.composite
+def taylor_operands(draw):
+    n = draw(st.integers(1, 3))
+    weights = st.lists(_weights, min_size=n, max_size=n)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), _weights, max_size=5))
+    return n, draw(weights), draw(weights), WeylOperator(n, terms)
+
+
+@given(taylor_operands())
+def test_taylor_h_ab_closed_form_matches_commutators(operands) -> None:
+    n, a, b, w = operands
+    assert taylor_h_ab(n, a, b, w) == taylor_h_ab_by_commutators(n, a, b, w)
+
+
+def test_taylor_h_ab_refuses_wrong_weight_length() -> None:
+    with pytest.raises(ValueError):
+        taylor_h_ab(2, (1, 1), (1,), WeylOperator.one(2))
+
+
+def test_taylor_residual_refuses_negative_exponent(heis) -> None:
+    with pytest.raises(ValueError):
+        taylor_residual(delta1(heis), [((1,), (1,))], WeylOperator.one(1), -1)
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))

@@ -18,6 +18,7 @@ from nilzeta.indices import mi_factorial
 from nilzeta.scalars import ONE, i_power
 from nilzeta.uea import UEAElement, monomials_up_to, normal_product, pure_y
 from nilzeta.weyl import (
+    ad_chain,
     ad_power,
     commutator_power_check,
     delta1,
@@ -25,6 +26,7 @@ from nilzeta.weyl import (
     laplace_element,
     monomial_symbol,
     p_op,
+    power_ladder,
     q_op,
     rho,
 )
@@ -225,6 +227,26 @@ def test_ad_power_heis(heis) -> None:
     assert ad_power(d1, x, 0) == x
     assert ad_power(d1, x, 1) == WeylOperator.x_op(1, 0).scale(2)
     assert ad_power(d1, x, 2) == WeylOperator.d_op(1, 0).scale(-4)
+
+
+def test_negative_or_non_int_counts_are_refused(heis) -> None:
+    d1 = delta1(heis)
+    x = rho(heis, UEAElement.x_gen(heis, 0))
+    for bad in (-1, 1.5, 2.0):
+        with pytest.raises(ValueError):
+            d1 ** bad
+        with pytest.raises(ValueError):
+            power_ladder(d1, bad)
+    with pytest.raises(ValueError):
+        ad_power(d1, x, -1)
+    with pytest.raises(ValueError):
+        ad_chain(d1, x, -1)
+
+
+def test_commutator_power_check_refuses_negative_exponent(heis) -> None:
+    d1 = delta1(heis)
+    with pytest.raises(ValueError):
+        commutator_power_check(d1, rho(heis, UEAElement.x_gen(heis, 0)), -1)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
