@@ -160,11 +160,6 @@ class DegreeSlice:
     independent: tuple
     kernel: tuple
 
-    @property
-    def dimension(self) -> int:
-        """Dimension of the ideal's slice at this degree."""
-        return len(self.dependent)
-
 
 def build_slice(spec: AlgebraSpec, degree: int) -> DegreeSlice:
     """Classify the degree-d monomials against their keys' least monomials."""

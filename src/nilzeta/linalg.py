@@ -8,14 +8,16 @@ shares the arithmetic of such dicts:
   when the entry cancels; every accumulation of sums goes through it or
   through :func:`vec_add_scaled`;
 * :func:`product_terms` — the one product kernel, on Gaussian-integer
-  numerators over one common denominator per operand;
+  numerators over one common denominator per operand, the lcm of the d of
+  the entries' reduced triples (a + b i) / d;
 * :func:`map_terms` — the one linear-map kernel, next to it: a map given by
   Gaussian-integer images of single monomials (the reduction factors and the
   representation cache theirs), applied in ints over one common denominator;
+  each output of either kernel is one triple, reduced by one gcd;
 * :class:`Combination` — the base of every finite Q(i) combination of
   monomials in one space (enveloping-algebra elements, Weyl operators): the
-  cleaning constructor, sums, negation, scaling and equality.  Subclasses add
-  their space's name, constructors and product;
+  cleaning constructor, sums, differences, negation, scaling and equality.
+  Subclasses add their space's name, constructors and product;
 * :func:`commutator` — ``u*v - v*u`` for combinations of any one space;
 * :func:`kernel_basis` — the nullspace of a small dense-ish matrix, used for
   the isotropic-subalgebra computation.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from .scalars import ONE, GaussianRational, Rat, ScalarLike
+from .scalars import ONE, GaussianRational, ScalarLike
 
 K = TypeVar("K", bound=Hashable)
 
@@ -66,18 +68,16 @@ def vec_add_scaled(target: dict, source: Mapping, coeff: GaussianRational) -> No
         add_term(target, key, coeff * value)
 
 
-def vec_scale(vec: Mapping, coeff: GaussianRational) -> dict:
-    if coeff.is_zero():
+def vec_scale(vec: Mapping, coeff: GaussianRational | int) -> dict:
+    if not coeff:
         return {}
-    return {k: coeff * v for k, v in vec.items()}
+    return {k: v * coeff for k, v in vec.items()}
 
 
 def _numerators(terms: Mapping) -> tuple[int, list]:
     """A common denominator d of ``terms`` and their (key, d * re, d * im) int triples."""
-    parts = [p for c in terms.values() for p in (c.re, c.im)]
-    den = math.lcm(*(p.denominator for p in parts))
-    nums = [p.numerator * (den // p.denominator) for p in parts]
-    return den, list(zip(terms, nums[0::2], nums[1::2]))
+    den = math.lcm(*(c._d for c in terms.values()))
+    return den, [(k, c._a * q, c._b * q) for k, c in terms.items() for q in [den // c._d]]
 
 
 def product_terms(u_terms: Mapping, v_terms: Mapping, expand: Callable) -> dict:
@@ -116,8 +116,8 @@ def map_terms(terms: Mapping, image: Callable) -> dict:
 
 def _normalised(acc: dict, den: int) -> dict:
     """Int numerator pairs over ``den`` as GaussianRationals, cancelled ones dropped."""
-    make = GaussianRational._make
-    return {m: make(Rat(re, den), Rat(im, den)) for m, (re, im) in acc.items() if re or im}
+    make = GaussianRational._of_ints
+    return {m: make(re, im, den) for m, (re, im) in acc.items() if re or im}
 
 
 class Combination:
@@ -169,13 +169,25 @@ class Combination:
         return self._of_clean(self.space, out)
 
     def __sub__(self, other: "Combination"):
-        return self + (-other)
+        self._require_same_space(other)
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            old = out.get(mono)
+            if old is None:
+                out[mono] = -coeff
+            elif old == coeff:
+                del out[mono]
+            else:
+                out[mono] = old - coeff
+        return self._of_clean(self.space, out)
 
     def __neg__(self):
         return self._of_clean(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, coeff: ScalarLike):
-        return self._of_clean(self.space, vec_scale(self.terms, GaussianRational.coerce(coeff)))
+        if type(coeff) is not int:
+            coeff = GaussianRational.coerce(coeff)
+        return self._of_clean(self.space, vec_scale(self.terms, coeff))
 
     def __rmul__(self, other: ScalarLike):
         return self.scale(other)

@@ -49,6 +49,8 @@ from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta, mi_sub
 from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms
 from .scalars import (
+    ONE,
+    ZERO,
     GaussianRational,
     Rat,
     RationalLike,
@@ -70,24 +72,18 @@ class ReductionChoiceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _coerce_vector(spec: AlgebraSpec, v: Sequence[ScalarLike]) -> list[GaussianRational]:
-    if len(v) != spec.n:
-        raise ValueError(f"weight vector must have length {spec.n}")
-    return [GaussianRational.coerce(c) for c in v]
-
-
 def g_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k X_k [t, Yhat_k] + b_k [X_k, t] Yhat_k."""
-    return _first_order(spec, "g", _coerce_vector(spec, a), _coerce_vector(spec, b), 0, t)
+    return _first_order(spec, "g", a, b, 0, t)
 
 
 def h_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k [X_k t, Yhat_k] + b_k [X_k, t Yhat_k]."""
-    return _first_order(spec, "h", _coerce_vector(spec, a), _coerce_vector(spec, b), 0, t)
+    return _first_order(spec, "h", a, b, 0, t)
 
 
 def _bump(y: tuple, pos: int) -> tuple:
@@ -142,6 +138,9 @@ def _first_order(space, form: str, a: Sequence, b: Sequence, shift, t: Combinati
     through :func:`~nilzeta.linalg.map_terms`."""
     if t.space != space:
         raise ValueError(f"{type(t).__name__} operands belong to different spaces")
+    n = space if isinstance(space, int) else space.n
+    if len(a) != n or len(b) != n:
+        raise ValueError(f"weight vectors must have length {n}")
     weights = (GaussianRational.coerce(w) for w in (*a, *b, -shift))
     dw, (*nums, (_, sr, si)) = _numerators(dict(enumerate(weights)))
 
@@ -215,9 +214,10 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
             )
         i_list.append(chosen)
         r_list.append(beta[chosen])
-    b_vec = _factor_b_vector(spec, i_list)
-    eig = _g_constant(spec, monomial_degree(mono), b_vec, _factor_root(spec, i_list, r_list))
-    return ReductionChoice(tuple(i_list), tuple(r_list), (1,) * spec.n, tuple(b_vec), eig)
+    key = (tuple(i_list), tuple(r_list))
+    b, root = next((b, root) for i, r, b, root in _factor_constants(spec) if (i, r) == key)
+    eig = monomial_degree(mono) - root - spec.n - sum(b)  # the g-shift
+    return ReductionChoice(*key, (1,) * spec.n, tuple(c.re for c in b), eig.re)
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +238,29 @@ def reduction_factors(spec: AlgebraSpec) -> list[tuple[tuple[int, ...], tuple[in
     return out
 
 
-def _factor_b_vector(spec: AlgebraSpec, i_tuple: Sequence[int]) -> list:
-    b_vec = [Rat(0)] * spec.n
-    for i in i_tuple:
-        b_vec[i] = b_vec[i] + Rat(1) / Rat(spec.alpha[i])
-    return b_vec
-
-
-def _factor_root(spec: AlgebraSpec, i_tuple: Sequence[int], r_tuple: Sequence[int]) -> "Rat":
-    """p - n - sum_j (r_j+1)/alpha_{i_j}: the root of one factor's linear term.
-
-    Every constant of the reduction factors derives from it: the h-shift at
-    degree s is s - root, the g-shift subtracts n + sum(b) from that, and the
-    factor's poles sit at (root - q + l) / 2.
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _factor_constants(spec: AlgebraSpec) -> tuple:
+    """Per reduction factor, in :func:`reduction_factors` order, the exact real
+    ``(i_tuple, r_tuple, b, root)``: the weight vector b, 1/alpha_i at each
+    position i of the i-tuple and 0 elsewhere, and the root p - n - sum_j
+    (r_j+1)/alpha_{i_j} of the factor's linear term.  Every constant of the
+    factors derives from these: the h-shift at degree s is s - root, the
+    g-shift subtracts n + sum(b) from that, and the poles sit at (root - q + l) / 2.
     """
-    shift = sum(Rat(r + 1) / Rat(spec.alpha[i]) for i, r in zip(i_tuple, r_tuple))
-    return Rat(spec.p - spec.n) - shift
-
-
-def _g_constant(spec: AlgebraSpec, s: int, b_vec: Sequence, root) -> "Rat":
-    """The g-shift at degree s: the h-shift s - root less n + sum(b)."""
-    return s - root - spec.n - sum(b_vec)
+    out = []
+    for i_tuple, r_tuple in reduction_factors(spec):
+        b = tuple(ONE / spec.alpha[i] if i in i_tuple else ZERO for i in range(spec.n))
+        shift = sum(GaussianRational(r + 1) / spec.alpha[i] for i, r in zip(i_tuple, r_tuple))
+        out.append((i_tuple, r_tuple, b, spec.p - spec.n - shift))
+    return tuple(out)
 
 
 def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
     """The shifted first-order factors of ``form`` at degree s, first factor first."""
     ones = (1,) * spec.n
-    for (i_tuple, _), root in zip(reduction_factors(spec), b_roots(spec)):
-        b_vec = _factor_b_vector(spec, i_tuple)
-        shift = s - root if form == "h" else _g_constant(spec, s, b_vec, root)
-        t = _first_order(space, form, ones, b_vec, shift, t)
+    for _, _, b, root in _factor_constants(spec):
+        shift = s - root if form == "h" else s - root - spec.n - sum(b)
+        t = _first_order(space, form, ones, b, shift, t)
     return t
 
 
@@ -299,8 +292,6 @@ def taylor_h_ab(
     n: int, a: Sequence[ScalarLike], b: Sequence[ScalarLike], w: WeylOperator
 ) -> WeylOperator:
     """sum_i a_i [-Q_i, P_i w] + b_i [P_i, Q_i w] (coefficient operators on the left)."""
-    if len(a) != n or len(b) != n:
-        raise ValueError(f"weight vectors must have length {n}")
     return _first_order(n, "taylor", a, b, 0, w)
 
 
@@ -473,7 +464,7 @@ def b_polynomial(spec: AlgebraSpec) -> RationalPolynomial:
 
 def b_roots(spec: AlgebraSpec) -> list:
     """Roots of b_polynomial with multiplicity, one per reduction factor."""
-    return [_factor_root(spec, i_tuple, r_tuple) for i_tuple, r_tuple in reduction_factors(spec)]
+    return [root.re for *_, root in _factor_constants(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +496,6 @@ class PoleLattice:
     s0: object  # Fraction
     l_max: int
     entries: tuple
-
-    def rightmost(self) -> "PoleEntry":
-        if not self.entries:
-            raise ValueError("empty lattice")
-        return self.entries[-1]
-
-    def omegas(self) -> list:
-        return [e.omega for e in self.entries]
 
 
 # Most witnesses one pole lattice may list; larger requests are refused
@@ -558,11 +541,9 @@ def physical_abscissa(spec: AlgebraSpec, q: int = 0):
     position is chosen to maximize the result.  For a twist of degree q the
     whole lattice shifts left by q/2.
     """
-    root = max(
-        _factor_root(spec, i_tuple, [spec.alpha[i] for i in i_tuple])
-        for i_tuple in iter_product(*spec.partition)
-    )
-    return (root - q) / 2
+    factors = _factor_constants(spec)
+    tops = [root.re for i, r, _, root in factors if r == tuple(spec.alpha[k] for k in i)]
+    return (max(tops) - q) / 2
 
 
 # ---------------------------------------------------------------------------

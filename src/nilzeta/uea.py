@@ -129,11 +129,6 @@ class UEAElement(Combination):
         """Terms sorted by the monomial order (default: leading first)."""
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=reverse)
 
-    def homogeneous_part(self, d: int) -> "UEAElement":
-        return UEAElement(
-            self.spec, {m: c for m, c in self.terms.items() if monomial_degree(m) == d}
-        )
-
     def coefficient(self, mono: Monomial) -> GaussianRational:
         return self.terms.get(mono, ZERO)
 
@@ -276,7 +271,7 @@ def gamma_j(spec: AlgebraSpec, j: int, u: UEAElement) -> UEAElement:
     while not current.is_zero():
         result = result + normal_product(y_pow, current).scale(coeff)
         k += 1
-        coeff = coeff * i_power(1) * GaussianRational(f"1/{k}")
+        coeff = coeff * i_power(1) / k
         y_pow = normal_product(y_pow, y_step)
         current = ad_x(spec, j, current)
     return result
@@ -299,7 +294,7 @@ def gamma_closed_form(spec: AlgebraSpec, beta: MultiIndex) -> UEAElement:
     out = UEAElement.zero(spec)
     for gamma in box(beta):
         sign = -1 if mi_abs(gamma) % 2 else 1
-        coeff = GaussianRational(sign) * GaussianRational(f"1/{mi_factorial(gamma)}")
+        coeff = GaussianRational(sign) / mi_factorial(gamma)
         out = out + normal_product(
             y_star(spec, gamma), pure_y(spec, mi_sub(beta, gamma))
         ).scale(coeff)

@@ -41,7 +41,7 @@ from .indices import (
 )
 from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, commutator, map_terms
 from .linalg import product_terms
-from .scalars import ONE, ZERO, GaussianRational, Rat, ScalarLike
+from .scalars import ONE, ZERO, GaussianRational, ScalarLike
 from .uea import Monomial, UEAElement
 
 # A Weyl monomial is (a, b): multiply by x^a, then differentiate d^b.
@@ -101,12 +101,6 @@ class WeylOperator(Combination):
         if not self.terms:
             return -1
         return max(mi_abs(a) + mi_abs(b) for a, b in self.terms)
-
-    def diff_order(self) -> int:
-        """Max of |b| over the support; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(mi_abs(b) for _, b in self.terms)
 
     def coefficient(self, a: MultiIndex, b: MultiIndex) -> GaussianRational:
         return self.terms.get((tuple(a), tuple(b)), ZERO)
@@ -214,7 +208,7 @@ def monomial_symbol(
             for k, e in enumerate(beta):
                 gamma[k] += e * mult
     re, im = _UNITS[(sum(mono.y) + 2 * (sum(mono.x) + sum(gamma))) % 4]
-    return (mono.x, tuple(gamma)), GaussianRational(Rat(re, denom), Rat(im, denom))
+    return (mono.x, tuple(gamma)), GaussianRational._of_ints(re, im, denom)
 
 
 def rho(spec: AlgebraSpec, u: UEAElement) -> WeylOperator:

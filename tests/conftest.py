@@ -30,6 +30,10 @@ symbol key, found by walking every monomial in order.  It checks the
 library's closed form on the algebras ``algebra_specs`` generates (n <= 3,
 alpha <= 3, joint and singleton blocks).
 
+``PairGaussian`` is the reference Q(i) arithmetic on a pair of
+``fractions.Fraction`` parts; it checks the reduced integer triples of
+:class:`~nilzeta.scalars.GaussianRational`, its printed forms included.
+
 ``reduce_against`` (over Q(i), reporting the pivot multiples it used), its
 fraction-free twin ``reduce_fraction_free`` (over Z[i], by cross-multiplication)
 and ``generated_span_leading`` are the elimination oracle: they span the ideal
@@ -42,6 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import pytest
@@ -51,6 +56,7 @@ from hypothesis import strategies as st
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
 from nilzeta.indices import mi_delta
+from nilzeta.scalars import format_rational
 from nilzeta.linalg import _numerators, commutator, vec_add_scaled
 from nilzeta.uea import (
     Monomial,
@@ -149,6 +155,65 @@ def spec_file(tmp_path):
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+class PairGaussian:
+    """An element re + im*i of Q(i) held as two Fractions, with the arithmetic,
+    equality and printed forms the package's scalar must reproduce."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0) -> None:
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o: "PairGaussian") -> "PairGaussian":
+        return PairGaussian(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o: "PairGaussian") -> "PairGaussian":
+        return PairGaussian(self.re - o.re, self.im - o.im)
+
+    def __neg__(self) -> "PairGaussian":
+        return PairGaussian(-self.re, -self.im)
+
+    def __mul__(self, o: "PairGaussian") -> "PairGaussian":
+        return PairGaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def inverse(self) -> "PairGaussian":
+        norm = self.re * self.re + self.im * self.im
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return PairGaussian(self.re / norm, -self.im / norm)
+
+    def __truediv__(self, o: "PairGaussian") -> "PairGaussian":
+        return self * o.inverse()
+
+    def __pow__(self, k: int) -> "PairGaussian":
+        base = self.inverse() if k < 0 else self
+        out = PairGaussian(1)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def conjugate(self) -> "PairGaussian":
+        return PairGaussian(self.re, -self.im)
+
+    def __eq__(self, o: object) -> bool:
+        return isinstance(o, PairGaussian) and (self.re, self.im) == (o.re, o.im)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({format_rational(self.re)!r}, {format_rational(self.im)!r})"
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return format_rational(self.re)
+        imag = {1: "i", -1: "-i"}.get(self.im, f"{format_rational(self.im)}i")
+        if self.re == 0:
+            return imag
+        sign = "+" if self.im > 0 else "-"
+        return f"{format_rational(self.re)}{sign}{imag.lstrip('-')}"
+
+    def to_json(self) -> dict:
+        return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
 
 def gaussian_to_sympy(c: GaussianRational):

@@ -131,7 +131,6 @@ def test_partition_and_kernel_dimension(name: str) -> None:
         chart = build_slice(spec, d)
         assert set(chart.dependent) | set(chart.independent) == set(chart.monomials)
         assert not set(chart.dependent) & set(chart.independent)
-        assert chart.dimension == len(chart.dependent)
         assert len(chart.kernel) == len(chart.dependent)
         for elem in chart.kernel:
             assert rho(spec, elem).is_zero()
@@ -263,7 +262,7 @@ def test_generator_sets_generate_same_leading_data(name: str) -> None:
     star, gamma = generators(spec)
     cumulative_kernel = 0
     for d in range(5):
-        cumulative_kernel += build_slice(spec, d).dimension
+        cumulative_kernel += len(build_slice(spec, d).dependent)
         dim_star, lead_star = generated_span_leading(spec, star, d)
         dim_gamma, lead_gamma = generated_span_leading(spec, gamma, d)
         assert dim_star == dim_gamma

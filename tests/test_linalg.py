@@ -138,6 +138,7 @@ def test_every_package_cache_is_bounded() -> None:
             for obj in scope.values():
                 if callable(getattr(obj, "cache_info", None)):
                     sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
-    for name in ("uea._push_y_through_x", "weyl.leibniz", "ideal._first", "core.index_set"):
+    for name in ("uea._push_y_through_x", "weyl.leibniz", "ideal._first", "core.index_set",
+                 "reduction._factor_constants"):
         assert sizes[f"nilzeta.{name}"] == IMAGE_CACHE_SIZE
     assert [name for name, size in sorted(sizes.items()) if size is None] == []

@@ -544,7 +544,7 @@ def test_pole_lattice_matches_first_principles(name: str) -> None:
 
 def test_pole_lattice_frozen_heis(heis) -> None:
     lat = pole_lattice(heis, q=0, s0=2, l_max=4)
-    assert [frac(o) for o in lat.omegas()] == [
+    assert [frac(o) for o in [e.omega for e in lat.entries]] == [
         Fraction(-1),
         Fraction(-1, 2),
         Fraction(0),
@@ -554,7 +554,7 @@ def test_pole_lattice_frozen_heis(heis) -> None:
     first = lat.entries[0]
     assert frac(first.omega) == frac(physical_abscissa(heis))
     assert first.witnesses == (((1,), (1,), 0),)
-    assert frac(lat.rightmost().omega) == Fraction(1)
+    assert frac(lat.entries[-1].omega) == Fraction(1)
 
 
 def test_pole_lattice_quad_leading_entry(quad) -> None:
@@ -572,7 +572,7 @@ def test_pole_lattice_pair_joint_multiplicity(pair_joint) -> None:
     # Both block positions produce the same factor, so every lattice point
     # carries multiplicity two.
     lat = pole_lattice(pair_joint, q=0, s0=3, l_max=2)
-    assert [frac(o) for o in lat.omegas()] == [
+    assert [frac(o) for o in [e.omega for e in lat.entries]] == [
         Fraction(-3, 2),
         Fraction(-1),
         Fraction(-1, 2),
@@ -605,7 +605,7 @@ def test_pole_lattice_refuses_huge_s0_up_front(quad) -> None:
 def test_pole_lattice_twist_shifts_left(heis) -> None:
     base = pole_lattice(heis, q=0, s0=2, l_max=4)
     twisted = pole_lattice(heis, q=2, s0=2, l_max=4)
-    assert [frac(o) + 1 for o in twisted.omegas()] == [frac(o) for o in base.omegas()]
+    assert [frac(o) + 1 for o in [e.omega for e in twisted.entries]] == [frac(o) for o in [e.omega for e in base.entries]]
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_associativity_random() -> None:
 def test_degree_bookkeeping() -> None:
     w = WeylOperator.monomial(2, (2, 0), (1, 1), GaussianRational(1, 1))
     assert w.total_degree() == 4
-    assert w.diff_order() == 2
+    assert max(sum(b) for _, b in w.terms) == 2  # the differential order
     assert WeylOperator.zero(2).is_zero()
 
 
