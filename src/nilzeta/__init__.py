@@ -40,7 +40,6 @@ from .ideal import (
     canonical_form,
     filtration_min_degree,
     gamma_generators,
-    generators,
     is_member,
     star_generators,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "g_s",
     "gamma_apply",
     "gamma_generators",
-    "generators",
     "h_ab",
     "h_s",
     "index_set",

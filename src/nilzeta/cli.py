@@ -60,6 +60,7 @@ from .reduction import (
 from .scalars import GaussianRational, as_rational, format_rational, i_power
 from .uea import (
     UEAElement,
+    gamma_all,
     gamma_apply,
     monomials_up_to,
     pure_y,
@@ -130,7 +131,11 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
 
     def check_closed_form() -> Optional[str]:
         for beta in index_set(spec):
-            gamma_apply(spec, beta)  # raises on operator/closed-form mismatch
+            if gamma_all(spec, pure_y(spec, beta).scale(i_power(1))) != gamma_apply(spec, beta):
+                return (
+                    "internal inconsistency: operator and closed forms differ "
+                    f"for beta={beta}"
+                )
         return None
 
     def check_inversion() -> Optional[str]:

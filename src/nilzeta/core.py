@@ -11,7 +11,10 @@ Each block ``I_j`` contributes the box of multi-indices ``beta`` with
 ``beta <= sum_{k in I_j} alpha_k * delta_k`` componentwise; the union of the
 boxes (deduplicated) indexes the second family of basis elements ``Y^beta``.
 The only nonzero brackets are ``[X_k, Y^beta] = Y^{beta - delta_k}`` when
-``beta_k >= 1``; the algebra is nilpotent.
+``beta_k >= 1``; the algebra is nilpotent.  That one bracket family fixes
+the structural invariants, so they are written down in closed form: the
+nilpotency class is the largest block sum of ``alpha`` plus one, and the
+isotropic radical is spanned by the ``Y^beta`` with ``|beta| != 1``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
-from .indices import MultiIndex, box, mi_delta, mi_sub
-from .linalg import IMAGE_CACHE_SIZE, kernel_basis, vec_add_scaled
+from .indices import MultiIndex, box, mi_abs, mi_delta, mi_sub
+from .linalg import IMAGE_CACHE_SIZE, vec_add_scaled
 from .scalars import ONE
 
 # Basis symbols: ("X", k) with k 0-based, or ("Y", beta) with beta a multi-index.
@@ -276,53 +279,20 @@ def _sym_str(sym: Symbol) -> str:
 
 
 def nilpotency_class(spec: AlgebraSpec) -> int:
-    """Length of the lower central series.
+    """Length of the lower central series: the largest block sum of alpha, plus one.
 
-    Brackets of basis symbols are (up to sign) basis symbols, so every term
-    of the series is spanned by a subset of the basis; the computation runs
-    on symbol sets.
+    Each bracket with an X lowers |beta| by one, so each step of the series
+    lowers the top |beta| of its Y symbols by one; the X's leave after the
+    first step and Y^0 goes last.
     """
-    syms = set(basis(spec))
-    current = set(syms)
-    length = 0
-    while current:
-        length += 1
-        nxt: set[Symbol] = set()
-        for a in syms:
-            for b in current:
-                for sym in bracket(spec, a, b):
-                    nxt.add(sym)
-        if nxt == current:
-            raise SpecError("lower central series stalled; algebra not nilpotent")
-        current = nxt
-    return length
+    return max(sum(spec.alpha[k] for k in block) for block in spec.partition) + 1
 
 
 def isotropic_subalgebra(spec: AlgebraSpec) -> tuple[Symbol, ...]:
     """Radical of the form (v, w) -> f([v, w]) where f reads off Y^0.
 
-    Computed by exact linear algebra: the kernel of the pairing matrix over
-    the full basis.  For every algebra in the family the result is spanned by
-    basis symbols: ``Y^0`` together with all ``Y^beta`` of ``|beta| >= 2``.
+    Y^0 arises only as [X_k, Y^{delta_k}], so the pairing matches each X_k
+    with Y^{delta_k}, and the radical is spanned by the remaining Y symbols:
+    Y^0 and every Y^beta with |beta| >= 2, in basis order.
     """
-    syms = basis(spec)
-    zero_y: Symbol = ("Y", tuple(0 for _ in range(spec.n)))
-    rows = []
-    for w in syms:
-        row = {}
-        for v in syms:
-            out = bracket(spec, v, w)
-            coeff = out.get(zero_y)
-            if coeff is not None and not coeff.is_zero():
-                row[v] = coeff
-        if row:
-            rows.append(row)
-    kernel = kernel_basis(rows, list(syms))
-    members: list[Symbol] = []
-    for vec in kernel:
-        if len(vec) != 1:
-            raise SpecError("isotropic radical is not spanned by basis symbols")
-        (sym, coeff), = vec.items()
-        members.append(sym)
-    members.sort(key=lambda s: syms.index(s))
-    return tuple(members)
+    return tuple(("Y", beta) for beta in index_set(spec) if mi_abs(beta) != 1)

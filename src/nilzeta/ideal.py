@@ -72,11 +72,6 @@ def gamma_generators(spec: AlgebraSpec) -> list[UEAElement]:
     return [first] + rest
 
 
-def generators(spec: AlgebraSpec) -> tuple[list[UEAElement], list[UEAElement]]:
-    """Both generator families (star family, gamma family)."""
-    return star_generators(spec), gamma_generators(spec)
-
-
 def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
     """Exact ideal membership: the representation image vanishes.
 

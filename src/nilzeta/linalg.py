@@ -18,17 +18,15 @@ shares the arithmetic of such dicts:
   monomials in one space (enveloping-algebra elements, Weyl operators): the
   cleaning constructor, sums, differences, negation, scaling and equality.
   Subclasses add their space's name, constructors and product;
-* :func:`commutator` — ``u*v - v*u`` for combinations of any one space;
-* :func:`kernel_basis` — the nullspace of a small dense-ish matrix, used for
-  the isotropic-subalgebra computation.
+* :func:`commutator` — ``u*v - v*u`` for combinations of any one space.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Mapping, TypeVar
 
-from .scalars import ONE, GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike
 
 K = TypeVar("K", bound=Hashable)
 
@@ -201,51 +199,3 @@ class Combination:
 def commutator(u: Combination, v: Combination):
     """The commutator u*v - v*u of two combinations in one space."""
     return u * v - v * u
-
-
-def kernel_basis(
-    rows: Iterable[Mapping],
-    columns: Sequence,
-) -> list[dict]:
-    """Basis of {v : for every row r, sum_c r[c] * v[c] == 0}.
-
-    ``columns`` fixes the variable order; pivot columns are chosen in that
-    order.  Returned vectors are exact, one per free column, each normalized
-    so the free column's entry is 1.
-    """
-    col_pos = {c: k for k, c in enumerate(columns)}
-    work: list[dict] = []
-    for row in rows:
-        r = {c: v for c, v in row.items() if not v.is_zero()}
-        if r:
-            work.append(r)
-
-    pivot_of_col: dict = {}
-    echelon: list[tuple[object, dict]] = []
-    for row in work:
-        r = dict(row)
-        for col, prow in echelon:
-            if col in r:
-                vec_add_scaled(r, prow, -r[col])
-        if not r:
-            continue
-        pivot_col = min(r, key=lambda c: col_pos[c])
-        inv = r[pivot_col].inverse()
-        r = vec_scale(r, inv)
-        for col, prow in echelon:
-            if pivot_col in prow:
-                vec_add_scaled(prow, r, -prow[pivot_col])
-        echelon.append((pivot_col, r))
-        pivot_of_col[pivot_col] = r
-
-    free_cols = [c for c in columns if c not in pivot_of_col]
-    basis = []
-    for free in free_cols:
-        vec = {free: ONE}
-        for col, prow in pivot_of_col.items():
-            if free in prow:
-                coeff = -prow[free]
-                if not coeff.is_zero():
-                    vec[col] = coeff
-        basis.append(vec)
-    return basis

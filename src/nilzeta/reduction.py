@@ -375,10 +375,6 @@ class RationalPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c: RationalLike) -> "RationalPolynomial":
-        return cls([c])
-
-    @classmethod
     def from_roots(cls, roots: Sequence[RationalLike], leading: RationalLike = 1) -> "RationalPolynomial":
         out = cls([leading])
         for r in roots:

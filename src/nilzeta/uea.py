@@ -19,6 +19,9 @@ the monomial with the *larger* exponent at the first differing position the
 compared lexicographically.  Under this order ``X_1 < .. < X_n < Y^beta`` for
 the degree-one monomials, and products concentrated on earlier variables are
 smaller.  The leading term of an element is its largest monomial.
+
+The correction operators :func:`gamma_all` act by products and ``ad(X_j)``;
+:func:`gamma_apply` writes gamma_all(i * Y^beta) down in closed form.
 """
 
 from __future__ import annotations
@@ -285,34 +288,26 @@ def gamma_all(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
     return out
 
 
-def gamma_closed_form(spec: AlgebraSpec, beta: MultiIndex) -> UEAElement:
-    """Closed form of gamma_all applied to i*Y^beta:
+def gamma_apply(spec: AlgebraSpec, beta: MultiIndex) -> UEAElement:
+    """gamma_all(i * Y^beta) in closed form, with no product.
 
-    sum over gamma <= beta of ((-1)^{|gamma|} / gamma!) Y_*^gamma Y^{beta-gamma}.
+    It is the sum over gamma <= beta of (i^{1+|gamma|} / gamma!) times the
+    Y-monomial :func:`y_monomial` (gamma) with one more factor Y^{beta-gamma}
+    (the Y's commute).  Two terms meet only when beta - gamma is a unit index,
+    with the same phase, so none cancel.
     """
     beta = tuple(beta)
-    out = UEAElement.zero(spec)
-    for gamma in box(beta):
-        sign = -1 if mi_abs(gamma) % 2 else 1
-        coeff = GaussianRational(sign) / mi_factorial(gamma)
-        out = out + normal_product(
-            y_star(spec, gamma), pure_y(spec, mi_sub(beta, gamma))
-        ).scale(coeff)
-    return out
-
-
-def gamma_apply(spec: AlgebraSpec, beta: MultiIndex) -> UEAElement:
-    """gamma_all(i * Y^beta), with the closed form checked against the operator form."""
-    beta = tuple(beta)
-    if tuple(beta) not in y_position(spec):
+    pos_of = y_position(spec)
+    if beta not in pos_of:
         raise ValueError(f"{beta} is not in the index set")
-    operator_form = gamma_all(spec, pure_y(spec, beta).scale(i_power(1)))
-    closed = gamma_closed_form(spec, beta)
-    if operator_form != closed:
-        raise RuntimeError(
-            f"internal inconsistency: operator and closed forms differ for beta={beta}"
-        )
-    return operator_form
+    terms: dict[Monomial, GaussianRational] = {}
+    for gamma in box(beta):
+        mono = y_monomial(spec, gamma)
+        y = list(mono.y)
+        y[pos_of[mi_sub(beta, gamma)]] += 1
+        coeff = i_power(1 + mi_abs(gamma)) / mi_factorial(gamma)
+        add_term(terms, Monomial(mono.x, tuple(y)), coeff)
+    return UEAElement._of_clean(spec, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ symbol key, found by walking every monomial in order.  It checks the
 library's closed form on the algebras ``algebra_specs`` generates (n <= 3,
 alpha <= 3, joint and singleton blocks).
 
+``kernel_basis`` is the exact nullspace of a sparse matrix by Gauss-Jordan
+elimination; ``isotropic_by_pairing`` runs it on the pairing matrix
+(v, w) -> f([v, w]), where f reads off Y^0, and ``lower_central_length``
+walks the lower central series on symbol sets.  They check the closed forms
+of :func:`~nilzeta.core.isotropic_subalgebra` and
+:func:`~nilzeta.core.nilpotency_class`.
+
 ``PairGaussian`` is the reference Q(i) arithmetic on a pair of
 ``fractions.Fraction`` parts; it checks the reduced integer triples of
 :class:`~nilzeta.scalars.GaussianRational`, its printed forms included.
@@ -47,7 +54,7 @@ import functools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import pytest
 import sympy
@@ -55,9 +62,10 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
+from nilzeta.core import Symbol, basis, bracket
 from nilzeta.indices import mi_delta
-from nilzeta.scalars import format_rational
-from nilzeta.linalg import _numerators, commutator, vec_add_scaled
+from nilzeta.scalars import ONE, format_rational
+from nilzeta.linalg import _numerators, commutator, vec_add_scaled, vec_scale
 from nilzeta.uea import (
     Monomial,
     UEAElement,
@@ -412,3 +420,92 @@ def generated_span_leading(
                     pivots[max(residual, key=key)] = residual
     kept = frozenset(m for m in pivots if monomial_degree(m) <= degree)
     return len(kept), kept
+
+
+def kernel_basis(
+    rows: Iterable[Mapping],
+    columns: Sequence,
+) -> list[dict]:
+    """Basis of {v : for every row r, sum_c r[c] * v[c] == 0}.
+
+    ``columns`` fixes the variable order; pivot columns are chosen in that
+    order.  Returned vectors are exact, one per free column, each normalized
+    so the free column's entry is 1.
+    """
+    col_pos = {c: k for k, c in enumerate(columns)}
+    work: list[dict] = []
+    for row in rows:
+        r = {c: v for c, v in row.items() if not v.is_zero()}
+        if r:
+            work.append(r)
+
+    pivot_of_col: dict = {}
+    echelon: list[tuple[object, dict]] = []
+    for row in work:
+        r = dict(row)
+        for col, prow in echelon:
+            if col in r:
+                vec_add_scaled(r, prow, -r[col])
+        if not r:
+            continue
+        pivot_col = min(r, key=lambda c: col_pos[c])
+        inv = r[pivot_col].inverse()
+        r = vec_scale(r, inv)
+        for col, prow in echelon:
+            if pivot_col in prow:
+                vec_add_scaled(prow, r, -prow[pivot_col])
+        echelon.append((pivot_col, r))
+        pivot_of_col[pivot_col] = r
+
+    free_cols = [c for c in columns if c not in pivot_of_col]
+    basis = []
+    for free in free_cols:
+        vec = {free: ONE}
+        for col, prow in pivot_of_col.items():
+            if free in prow:
+                coeff = -prow[free]
+                if not coeff.is_zero():
+                    vec[col] = coeff
+        basis.append(vec)
+    return basis
+
+
+def isotropic_by_pairing(spec: AlgebraSpec) -> tuple[Symbol, ...]:
+    """The radical of (v, w) -> f([v, w]) as the kernel of the pairing matrix.
+
+    Every kernel vector must be a single basis symbol; the symbols come back
+    in basis order.
+    """
+    syms = basis(spec)
+    zero_y: Symbol = ("Y", (0,) * spec.n)
+    rows = []
+    for w in syms:
+        row = {}
+        for v in syms:
+            coeff = bracket(spec, v, w).get(zero_y)
+            if coeff is not None and not coeff.is_zero():
+                row[v] = coeff
+        if row:
+            rows.append(row)
+    members = []
+    for vec in kernel_basis(rows, list(syms)):
+        assert len(vec) == 1, "isotropic radical is not spanned by basis symbols"
+        members.extend(vec)
+    return tuple(sorted(members, key=syms.index))
+
+
+def lower_central_length(spec: AlgebraSpec) -> int:
+    """Number of nonzero terms of the lower central series, walked on symbol sets.
+
+    Brackets of basis symbols are (up to sign) basis symbols, so every term
+    of the series is spanned by a subset of the basis.
+    """
+    syms = set(basis(spec))
+    current = set(syms)
+    length = 0
+    while current:
+        length += 1
+        nxt = {sym for a in syms for b in current for sym in bracket(spec, a, b)}
+        assert nxt != current, "lower central series stalled; algebra not nilpotent"
+        current = nxt
+    return length

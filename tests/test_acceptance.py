@@ -45,6 +45,7 @@ from nilzeta.spectral import abscissa_and_residue, eigenvalues
 from nilzeta.uea import (
     Monomial,
     UEAElement,
+    gamma_all,
     gamma_apply,
     gamma_j,
     monomials_up_to,
@@ -96,8 +97,9 @@ def test_criterion_2_correction_operator_identities() -> None:
                         spec, Monomial((0,) * spec.n, tuple(y)), coeff
                     )
                 assert gamma_j(spec, j, pure_y(spec, beta)) == expected
-            # (1b) full closed form: asserted internally by gamma_apply
+            # (1b) full closed form against the composite operator form
             full = gamma_apply(spec, beta)
+            assert full == gamma_all(spec, pure_y(spec, beta).scale(i_power(1)))
             # (2) regrouped star-difference form, for beta != 0
             if any(beta):
                 regrouped = UEAElement.zero(spec)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +12,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given
 
 import nilzeta
-from nilzeta.cli import main
-from nilzeta.uea import monomials_up_to
+from nilzeta.cli import main, run_verify
+from nilzeta.core import index_set
+from nilzeta.uea import UEAElement, monomials_up_to
+
+from conftest import algebra_specs
 
 VERIFY_CHECKS = {
     "jacobi-identity",
@@ -136,6 +141,33 @@ def test_verify_passes_and_reports_all_checks(runner, heis, spec_file) -> None:
     checks = {entry["name"]: entry for entry in payload["checks"]}
     assert set(checks) == VERIFY_CHECKS
     assert all(entry["status"] == "pass" for entry in checks.values())
+
+
+# Generated algebras are verified at degree 2 when the monomials up to it
+# number at most this budget, i.e. n + |index set| <= 10; each such run takes
+# under 0.6 s.  The larger ones take up to minutes, most of it in verify's
+# degree-annihilation check: every joint 3-axis block is left out.
+GENERATED_VERIFY_BUDGET = 66
+
+
+@given(spec=algebra_specs())
+def test_verify_passes_on_generated_specs(spec) -> None:
+    assume(math.comb(spec.n + len(index_set(spec)) + 2, 2) <= GENERATED_VERIFY_BUDGET)
+    assert run_verify(spec, 2)["all_passed"]
+
+
+def test_verify_catches_a_wrong_closed_form(heis, monkeypatch) -> None:
+    from nilzeta import cli
+
+    monkeypatch.setattr(cli, "gamma_apply", lambda spec, beta: UEAElement.one(spec))
+    report = run_verify(heis, 1)
+    checks = {entry["name"]: entry for entry in report["checks"]}
+    assert report["all_passed"] is False
+    assert checks["correction-closed-form"] == {
+        "name": "correction-closed-form",
+        "status": "fail",
+        "counterexample": "internal inconsistency: operator and closed forms differ for beta=(0,)",
+    }
 
 
 def test_verify_refuses_negative_max_degree(runner, heis, spec_file) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
 
 from nilzeta import (
     GaussianRational,
@@ -21,7 +22,13 @@ from nilzeta import (
 )
 from nilzeta.core import basis, index_set, y_position
 
-from conftest import SPEC_PARAMS, make_spec
+from conftest import (
+    SPEC_PARAMS,
+    algebra_specs,
+    isotropic_by_pairing,
+    lower_central_length,
+    make_spec,
+)
 
 EXPECTED_INDEX_SETS = {
     "heis": {(0,), (1,)},
@@ -79,6 +86,12 @@ def test_nilpotency_class(name: str) -> None:
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
 def test_isotropic_subalgebra(name: str) -> None:
     assert set(isotropic_subalgebra(make_spec(name))) == EXPECTED_ISOTROPIC[name]
+
+
+@given(spec=algebra_specs())
+def test_closed_forms_match_their_oracles(spec) -> None:
+    assert nilpotency_class(spec) == lower_central_length(spec)
+    assert isotropic_subalgebra(spec) == isotropic_by_pairing(spec)
 
 
 def test_bracket_relations(mixed) -> None:

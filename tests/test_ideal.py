@@ -16,7 +16,6 @@ from nilzeta.indices import box
 from nilzeta.ideal import (
     filtration_min_degree,
     gamma_generators,
-    generators,
     star_generator,
     star_generators,
 )
@@ -62,10 +61,7 @@ def y_counts(spec, pairs) -> Monomial:
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
 def test_generator_images_vanish(name: str) -> None:
     spec = make_spec(name)
-    star, gamma = generators(spec)
-    assert star == star_generators(spec)
-    assert gamma == gamma_generators(spec)
-    for gen in star + gamma:
+    for gen in star_generators(spec) + gamma_generators(spec):
         assert rho(spec, gen).is_zero()
         assert is_member(spec, gen)
 
@@ -259,7 +255,7 @@ def test_deep_degrees_in_closed_form(cubic) -> None:
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
 def test_generator_sets_generate_same_leading_data(name: str) -> None:
     spec = make_spec(name)
-    star, gamma = generators(spec)
+    star, gamma = star_generators(spec), gamma_generators(spec)
     cumulative_kernel = 0
     for d in range(5):
         cumulative_kernel += len(build_slice(spec, d).dependent)

@@ -620,8 +620,8 @@ def test_rational_polynomial_basics() -> None:
     assert poly("1/2") == Rat(2)
     assert RationalPolynomial([1, 0]).degree() == 0
     assert RationalPolynomial([]).degree() == -1
-    assert RationalPolynomial.constant(0).is_zero()
-    assert RationalPolynomial.constant(5)(12) == Rat(5)
+    assert RationalPolynomial([0]).is_zero()
+    assert RationalPolynomial([5])(12) == Rat(5)
     # compose_affine: 1 + 2(2z + 3) = 7 + 4z
     assert poly.compose_affine(2, 3) == RationalPolynomial([7, 4])
     assert poly.scale(3) == RationalPolynomial([3, 6])

@@ -23,6 +23,7 @@ from nilzeta.uea import (
     Monomial,
     UEAElement,
     ad_x,
+    gamma_all,
     gamma_apply,
     gamma_j,
     monomial_degree,
@@ -37,6 +38,7 @@ from nilzeta.weyl import rho
 
 from conftest import (
     SPEC_PARAMS,
+    algebra_specs,
     make_spec,
     monomial_compare,
     monomial_mul_commuting,
@@ -286,8 +288,18 @@ def test_pure_y(quad) -> None:
 def test_correction_operator_closed_form(name: str) -> None:
     spec = make_spec(name)
     for beta in index_set(spec):
-        # raises internally if the operator and closed form disagree
-        gamma_apply(spec, beta)
+        assert gamma_apply(spec, beta) == gamma_all(spec, pure_y(spec, beta).scale(i_power(1)))
+
+
+@given(spec=algebra_specs())
+def test_gamma_closed_form_matches_operator_form_on_generated_specs(spec) -> None:
+    for beta in index_set(spec):
+        assert gamma_apply(spec, beta) == gamma_all(spec, pure_y(spec, beta).scale(i_power(1)))
+
+
+def test_gamma_apply_refuses_index_outside_the_set(heis) -> None:
+    with pytest.raises(ValueError, match="not in the index set"):
+        gamma_apply(heis, (2,))
 
 
 def test_gamma_j_formula(cubic) -> None:
