@@ -30,6 +30,7 @@ from .core import (
     SpecError,
     basis,
     index_set,
+    index_set_size,
     isotropic_subalgebra,
     jacobi_check,
     load_spec,
@@ -108,10 +109,11 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     eigen-relations modulo the kernel, the shift between the two first-order
     operators, degreewise annihilation, the operator-side diagram, and the
     interpolation identity for the continuation polynomial.  Raises
-    ValueError, before any check, when the monomials up to the degree,
-    C(n + |index set| + d, d), number more than ``MAX_VERIFY_MONOMIALS``.
+    ValueError, before the index set or any check is built, when the
+    monomials up to the degree, C(n + |index set| + d, d), number more than
+    ``MAX_VERIFY_MONOMIALS``.
     """
-    count = math.comb(spec.n + len(index_set(spec)) + max_degree, max_degree)
+    count = math.comb(spec.n + index_set_size(spec) + max_degree, max_degree)
     if count > MAX_VERIFY_MONOMIALS:
         raise ValueError(
             f"verify would sweep {count} monomials up to degree {max_degree}, "

@@ -20,12 +20,13 @@ isotropic radical is spanned by the ``Y^beta`` with ``|beta| != 1``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .indices import MultiIndex, box, mi_abs, mi_delta, mi_sub
-from .linalg import IMAGE_CACHE_SIZE, vec_add_scaled
+from .linalg import IMAGE_CACHE_SIZE, Combination
 from .scalars import ONE
 
 # Basis symbols: ("X", k) with k 0-based, or ("Y", beta) with beta a multi-index.
@@ -130,17 +131,18 @@ def validate_spec(data: Mapping) -> AlgebraSpec:
         partition = data["partition"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"missing required field: {exc}") from exc
-    if not isinstance(alpha, (list, tuple)):
+    # JSON numbers arrive as int, float or bool; only a plain int is accepted.
+    if not isinstance(alpha, (list, tuple)) or not all(type(a) is int for a in alpha):
         raise SpecError("alpha must be a list of positive ints")
     if not isinstance(partition, (list, tuple)) or not all(
         isinstance(b, (list, tuple)) for b in partition
     ):
         raise SpecError("partition must be a list of lists of 1-based generator indices")
-    if not all(isinstance(k, int) and k >= 1 for b in partition for k in b):
+    if not all(type(k) is int and k >= 1 for b in partition for k in b):
         raise SpecError("partition entries must be 1-based positive ints")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise SpecError("n must be an int")
-    return algebra_spec(n, [int(a) for a in alpha], partition, one_based=True)
+    return algebra_spec(n, alpha, partition, one_based=True)
 
 
 def load_spec(path: str) -> AlgebraSpec:
@@ -179,6 +181,14 @@ def index_set(spec: AlgebraSpec) -> tuple[MultiIndex, ...]:
     for j in range(spec.p):
         union.update(block_box(spec, j))
     return tuple(sorted(union))
+
+
+def index_set_size(spec: AlgebraSpec) -> int:
+    """``len(index_set(spec))`` with nothing built: the block boxes meet only in
+    the zero index, so it is sum over blocks of prod_{k in block} (alpha_k + 1),
+    less p - 1."""
+    boxes = (math.prod(spec.alpha[k] + 1 for k in block) for block in spec.partition)
+    return sum(boxes) - (spec.p - 1)
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
@@ -248,9 +258,7 @@ def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
     syms = basis(spec)
     for a in syms:
         for b in syms:
-            merged = dict(table.get((a, b), {}))
-            vec_add_scaled(merged, table.get((b, a), {}), ONE)
-            if merged:
+            if Combination(spec, table.get((a, b))) + Combination(spec, table.get((b, a))):
                 raise JacobiError(
                     (a, b, b),
                     f"antisymmetry fails for [{_sym_str(a)}, {_sym_str(b)}]",
@@ -258,11 +266,13 @@ def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
     for a in syms:
         for b in syms:
             for c in syms:
-                total: LieElement = {}
+                total = None
                 for first, pair in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
                     # [first, [pair]], extended linearly in the second slot
                     for sym, coeff in table.get(pair, {}).items():
-                        vec_add_scaled(total, table.get((first, sym), {}), coeff)
+                        if (first, sym) in table:
+                            row = Combination(spec, table[(first, sym)]).scale(coeff)
+                            total = row if total is None else total + row
                 if total:
                     raise JacobiError(
                         (a, b, c),

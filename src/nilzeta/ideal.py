@@ -9,13 +9,10 @@ element lies in the ideal iff, on every key, its coefficients weighted by
 form by :func:`_first`, is *independent*; every other monomial m with that
 key is *dependent*, with canonical form ``(c_m / c_first) * first``.
 
-The classification yields, per degree,
-
-* the dependent monomials ``T`` and independent monomials ``O``,
-* a triangular basis of the ideal's slice (one element per dependent
-  monomial, with unit leading coefficient and reduced tail),
-* the canonical-form map sending any element to its unique representative
-  supported on independent monomials.
+The classification yields, per degree, the dependent monomials ``T`` and
+the independent monomials ``O``; the m - canonical_form(m), m in ``T``, are
+a basis of the ideal's degree slice.  The canonical-form map sends any
+element to its unique representative supported on independent monomials.
 
 Two distinguished generator families are provided; their images vanish
 identically, which the verification suite checks exactly.
@@ -28,8 +25,8 @@ from functools import lru_cache
 
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
-from .linalg import IMAGE_CACHE_SIZE, add_term, vec_add_scaled
-from .scalars import ONE, GaussianRational, i_power
+from .linalg import IMAGE_CACHE_SIZE, map_terms, scaled_image
+from .scalars import GaussianRational, i_power
 from .uea import (
     Monomial,
     UEAElement,
@@ -80,11 +77,12 @@ def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
     """
     if u.spec != spec:
         raise ValueError("element belongs to a different algebra")
-    sums: dict = {}
-    for mono, coeff in u.terms.items():
+
+    def image(mono: Monomial) -> tuple:
         key, c = monomial_symbol(spec, mono)
-        add_term(sums, key, c * coeff)
-    return not sums
+        return scaled_image(c, ((key, 1),))
+
+    return not map_terms(u.terms, image)
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +128,13 @@ def _first(spec: AlgebraSpec, key: tuple) -> tuple[Monomial, GaussianRational]:
     return first, monomial_symbol(spec, first)[1].inverse()
 
 
-def _canonical_image(spec: AlgebraSpec, mono: Monomial) -> tuple[Monomial, GaussianRational]:
-    """The least monomial sharing mono's key, and c_mono / c_first."""
-    key, c = monomial_symbol(spec, mono)
-    first, inv = _first(spec, key)
-    return first, c * inv
-
-
 @dataclass(frozen=True)
 class DegreeSlice:
     """Classification of the exact-degree-d monomials of one algebra.
 
     ``dependent`` monomials admit smaller-monomial representatives modulo the
-    ideal; ``independent`` monomials are a basis of the image slice.
-    ``kernel`` is a triangular basis of the ideal's degree-d slice: one
-    element per dependent monomial, unit leading coefficient, tail supported
-    on independent monomials.
+    ideal (their :func:`canonical_form`); ``independent`` monomials are a
+    basis of the image slice.
     """
 
     spec: AlgebraSpec
@@ -153,7 +142,6 @@ class DegreeSlice:
     monomials: tuple
     dependent: tuple
     independent: tuple
-    kernel: tuple
 
 
 def build_slice(spec: AlgebraSpec, degree: int) -> DegreeSlice:
@@ -161,13 +149,10 @@ def build_slice(spec: AlgebraSpec, degree: int) -> DegreeSlice:
     if degree < 0:
         raise ValueError("degree must be non-negative")
     monos = tuple(slice_monomials(spec, degree))
-    images = [(m, *_canonical_image(spec, m)) for m in monos]
-    dependent = tuple(m for m, first, _ in images if first != m)
-    independent = tuple(m for m, first, _ in images if first == m)
-    kernel = tuple(
-        UEAElement(spec, {m: ONE, first: -ratio}) for m, first, ratio in images if first != m
-    )
-    return DegreeSlice(spec, degree, monos, dependent, independent, kernel)
+    least = [_first(spec, monomial_symbol(spec, m)[0])[0] for m in monos]
+    dependent = tuple(m for m, first in zip(monos, least) if first != m)
+    independent = tuple(m for m, first in zip(monos, least) if first == m)
+    return DegreeSlice(spec, degree, monos, dependent, independent)
 
 
 def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
@@ -176,11 +161,13 @@ def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
     Exact projection along the ideal; idempotent, and the zero element is
     returned exactly when u lies in the ideal.
     """
-    out: dict = {}
-    for mono, coeff in u.terms.items():
-        first, ratio = _canonical_image(spec, mono)
-        add_term(out, first, ratio * coeff)
-    return UEAElement(spec, out)
+
+    def image(mono: Monomial) -> tuple:
+        key, c = monomial_symbol(spec, mono)
+        first, inv = _first(spec, key)
+        return scaled_image(c * inv, ((first, 1),))
+
+    return UEAElement._of_clean(spec, map_terms(u.terms, image))
 
 
 def filtration_min_degree(
@@ -194,10 +181,9 @@ def filtration_min_degree(
     largest first degree among the keys used.  ``None`` means "not attained
     by degree cap"; raise ``cap`` to search further.
     """
-    rest = dict(w.terms)
-    level = 0
+    rest, level = w, 0
     while rest and level <= cap:
-        a, b = max(rest, key=weyl_key)
+        a, b = max(rest.terms, key=weyl_key)
         level = max(level, mi_abs(b) + _cover(spec, a))
-        vec_add_scaled(rest, leibniz(b, a), -rest[(a, b)])
+        rest = rest - WeylOperator(w.n, leibniz(b, a)).scale(rest.terms[(a, b)])
     return level if level <= cap else None

@@ -4,72 +4,33 @@ Vectors are dicts mapping hashable keys to nonzero
 :class:`~nilzeta.scalars.GaussianRational` entries.  The whole exact layer
 shares the arithmetic of such dicts:
 
-* :func:`add_term` — the one place that adds to an entry and drops the key
-  when the entry cancels; every accumulation of sums goes through it or
-  through :func:`vec_add_scaled`;
+* :class:`Combination` — the one sparse Q(i) container, for every finite
+  combination of monomials in one space (enveloping-algebra elements, Weyl
+  operators, Lie elements, polynomials keyed by power): the cleaning
+  constructor, sums, differences, negation, scaling and equality; its sums
+  drop each entry that cancels.  Subclasses add constructors and a product;
 * :func:`product_terms` — the one product kernel, on Gaussian-integer
   numerators over one common denominator per operand, the lcm of the d of
   the entries' reduced triples (a + b i) / d;
 * :func:`map_terms` — the one linear-map kernel, next to it: a map given by
-  Gaussian-integer images of single monomials (the reduction factors and the
-  representation cache theirs), applied in ints over one common denominator;
+  Gaussian-integer images of single monomials (:func:`scaled_image`; the
+  representation, the ideal's key sums and canonical forms, ``ad(X_k)`` and
+  the reduction factors), applied in ints over one common denominator;
   each output of either kernel is one triple, reduced by one gcd;
-* :class:`Combination` — the base of every finite Q(i) combination of
-  monomials in one space (enveloping-algebra elements, Weyl operators): the
-  cleaning constructor, sums, differences, negation, scaling and equality.
-  Subclasses add their space's name, constructors and product;
 * :func:`commutator` — ``u*v - v*u`` for combinations of any one space.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .scalars import GaussianRational, ScalarLike
-
-K = TypeVar("K", bound=Hashable)
-
-Vector = dict
-# Vector[K] = dict[K, GaussianRational]; plain dict at runtime.
 
 # Entries kept by each bounded memo cache of the package: the per-monomial
 # images of the linear maps, the product kernels' monomial rules, the index
 # sets and each symbol key's least monomial.
 IMAGE_CACHE_SIZE = 1 << 12
-
-
-def add_term(target: dict, key: Hashable, value: GaussianRational) -> None:
-    """In-place target[key] += value, dropping the key if it cancels.
-
-    ``value`` must be nonzero: on a new key it is stored as it is.
-    """
-    old = target.get(key)
-    if old is None:
-        target[key] = value
-        return
-    new = old + value
-    if new.is_zero():
-        del target[key]
-    else:
-        target[key] = new
-
-
-def vec_add_scaled(target: dict, source: Mapping, coeff: GaussianRational) -> None:
-    """In-place target += coeff * source, dropping entries that cancel.
-
-    ``source`` values may be GaussianRationals or ints.
-    """
-    if coeff.is_zero():
-        return
-    for key, value in source.items():
-        add_term(target, key, coeff * value)
-
-
-def vec_scale(vec: Mapping, coeff: GaussianRational | int) -> dict:
-    if not coeff:
-        return {}
-    return {k: v * coeff for k, v in vec.items()}
 
 
 def _numerators(terms: Mapping) -> tuple[int, list]:
@@ -112,6 +73,13 @@ def map_terms(terms: Mapping, image: Callable) -> dict:
     return _normalised(acc, den * dt)
 
 
+def scaled_image(coeff: GaussianRational, rows: Iterable) -> tuple:
+    """``coeff`` times the int-weighted monomials ``rows``, ``(mono, weight)``
+    pairs, as one :func:`map_terms` image."""
+    a, b = coeff._a, coeff._b
+    return coeff._d, tuple([(mono, a * w, b * w) for mono, w in rows])
+
+
 def _normalised(acc: dict, den: int) -> dict:
     """Int numerator pairs over ``den`` as GaussianRationals, cancelled ones dropped."""
     make = GaussianRational._of_ints
@@ -142,8 +110,7 @@ class Combination:
     @classmethod
     def _of_clean(cls, space: Hashable, terms: dict):
         """Wrap ``terms`` as it is: a dict the caller built with nonzero
-        GaussianRational values only, such as :func:`product_terms` and
-        :func:`add_term` leave."""
+        GaussianRational values only, such as the kernels leave."""
         out = object.__new__(cls)
         out.space = space
         out.terms = terms
@@ -163,7 +130,13 @@ class Combination:
         self._require_same_space(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            add_term(out, mono, coeff)
+            old = out.get(mono)
+            if old is None:
+                out[mono] = coeff
+            elif (new := old + coeff):
+                out[mono] = new
+            else:
+                del out[mono]
         return self._of_clean(self.space, out)
 
     def __sub__(self, other: "Combination"):
@@ -185,7 +158,9 @@ class Combination:
     def scale(self, coeff: ScalarLike):
         if type(coeff) is not int:
             coeff = GaussianRational.coerce(coeff)
-        return self._of_clean(self.space, vec_scale(self.terms, coeff))
+        if not coeff:
+            return self._of_clean(self.space, {})
+        return self._of_clean(self.space, {m: c * coeff for m, c in self.terms.items()})
 
     def __rmul__(self, other: ScalarLike):
         return self.scale(other)

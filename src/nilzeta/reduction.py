@@ -47,7 +47,7 @@ from typing import Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta, mi_sub
-from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms, product_terms
 from .scalars import (
     ONE,
     ZERO,
@@ -363,16 +363,18 @@ def taylor_residual(
 # ---------------------------------------------------------------------------
 
 
-class RationalPolynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
+class RationalPolynomial(Combination):
+    """A univariate polynomial with exact rational coefficients, built from the
+    dense list constant term first (``coeffs`` reads it back as Fractions).
 
-    __slots__ = ("coeffs",)
+    A :class:`~nilzeta.linalg.Combination` keyed by power: sums, ``scale`` and
+    equality are inherited; the product runs through the product kernel.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence[RationalLike]) -> None:
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        super().__init__("z", {k: as_rational(c) for k, c in enumerate(coeffs)})
 
     @classmethod
     def from_roots(cls, roots: Sequence[RationalLike], leading: RationalLike = 1) -> "RationalPolynomial":
@@ -381,49 +383,23 @@ class RationalPolynomial:
             out = out * cls([-as_rational(r), 1])
         return out
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.terms.get(k, ZERO).re for k in range(self.degree() + 1))
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return RationalPolynomial(out)
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
+        return max(self.terms, default=-1)
 
     def __mul__(self, other: Union["RationalPolynomial", int]) -> "RationalPolynomial":
         if isinstance(other, RationalPolynomial):
-            if self.is_zero() or other.is_zero():
-                return RationalPolynomial([])
-            out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return RationalPolynomial(out)
+            terms = product_terms(self.terms, other.terms, lambda i, j: ((i + j, 1),))
+            return self._of_clean(self.space, terms)
         return self.scale(other)
-
-    def scale(self, c: RationalLike) -> "RationalPolynomial":
-        c = as_rational(c)
-        return RationalPolynomial([c * a for a in self.coeffs])
 
     def __call__(self, z: RationalLike) -> "Rat":
         z = as_rational(z)
-        acc = Rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return sum((c.re * z**k for k, c in self.terms.items()), Rat(0))
 
     def compose_affine(self, r: RationalLike, q: RationalLike) -> "RationalPolynomial":
         """The polynomial z -> self(r*z + q)."""
@@ -433,13 +409,8 @@ class RationalPolynomial:
             acc = acc * inner + RationalPolynomial([c])
         return acc
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "RationalPolynomial(0)"
         body = " + ".join(
             f"{format_rational(c)}*z^{k}" if k else format_rational(c)
@@ -567,18 +538,13 @@ def lagrange_identity_check(
             f"increase the shift count"
         )
     r, q = as_rational(r), as_rational(q)
-    nodes = list(range(node_count))
+    nodes = range(node_count)
     lhs = RationalPolynomial([])
     for i in nodes:
-        li = RationalPolynomial([1])
-        denom = Rat(1)
-        for j in nodes:
-            if j == i:
-                continue
-            li = li * RationalPolynomial([-j, 1])
-            denom = denom * (Rat(i) - Rat(j))
-        value = b(r * Rat(i) + q)
-        lhs = lhs + li.scale(value / denom)
+        others = [j for j in nodes if j != i]
+        li = RationalPolynomial.from_roots(others)
+        denom = math.prod(i - j for j in others)
+        lhs = lhs + li.scale(b(r * i + q) / denom)
     rhs = b.compose_affine(r, q)
     if lhs != rhs:
         raise RuntimeError("interpolation identity failed; arithmetic bug")

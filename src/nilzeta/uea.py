@@ -41,7 +41,7 @@ from .indices import (
     mi_factorial,
     mi_sub,
 )
-from .linalg import IMAGE_CACHE_SIZE, Combination, add_term, product_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, map_terms, product_terms, scaled_image
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike, i_power
 
 
@@ -217,11 +217,12 @@ def ad_x(spec: AlgebraSpec, k: int, u: UEAElement) -> UEAElement:
     For an ordered monomial, [X_k, X^p Y^q] = X^p [X_k, Y^q]; the X part
     commutes with X_k.
     """
-    out: dict[Monomial, GaussianRational] = {}
-    for mono, coeff in u.terms.items():
-        for y2, mult in _y_derivation(spec, {mono.y: 1}, k).items():
-            add_term(out, Monomial(mono.x, y2), coeff * mult)
-    return UEAElement(spec, out)
+
+    def image(mono: Monomial) -> tuple:
+        rows = _y_derivation(spec, {mono.y: 1}, k).items()
+        return scaled_image(ONE, ((Monomial(mono.x, y2), mult) for y2, mult in rows))
+
+    return UEAElement._of_clean(spec, map_terms(u.terms, image))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def gamma_apply(spec: AlgebraSpec, beta: MultiIndex) -> UEAElement:
     It is the sum over gamma <= beta of (i^{1+|gamma|} / gamma!) times the
     Y-monomial :func:`y_monomial` (gamma) with one more factor Y^{beta-gamma}
     (the Y's commute).  Two terms meet only when beta - gamma is a unit index,
-    with the same phase, so none cancel.
+    with the same phase, so none cancel and the sums need no zero check.
     """
     beta = tuple(beta)
     pos_of = y_position(spec)
@@ -306,7 +307,8 @@ def gamma_apply(spec: AlgebraSpec, beta: MultiIndex) -> UEAElement:
         y = list(mono.y)
         y[pos_of[mi_sub(beta, gamma)]] += 1
         coeff = i_power(1 + mi_abs(gamma)) / mi_factorial(gamma)
-        add_term(terms, Monomial(mono.x, tuple(y)), coeff)
+        key = Monomial(mono.x, tuple(y))
+        terms[key] = terms.get(key, ZERO) + coeff
     return UEAElement._of_clean(spec, terms)
 
 

@@ -39,8 +39,8 @@ from .indices import (
     mi_falling,
     mi_sub,
 )
-from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, commutator, map_terms
-from .linalg import product_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, commutator, map_terms, product_terms
+from .linalg import scaled_image
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike
 from .uea import Monomial, UEAElement
 
@@ -227,8 +227,7 @@ def rho(spec: AlgebraSpec, u: UEAElement) -> WeylOperator:
 def _rho_image(spec: AlgebraSpec, mono: Monomial) -> tuple:
     """rho of one monomial as a :func:`~nilzeta.linalg.map_terms` image."""
     (p, gamma), c = monomial_symbol(spec, mono)
-    den, ((_, re, im),) = _numerators({None: c})
-    return den, tuple((m, re * w, im * w) for m, w in leibniz(p, gamma).items())
+    return scaled_image(c, leibniz(p, gamma).items())
 
 
 def p_op(n: int, k: int) -> WeylOperator:

@@ -37,6 +37,18 @@ walks the lower central series on symbol sets.  They check the closed forms
 of :func:`~nilzeta.core.isotropic_subalgebra` and
 :func:`~nilzeta.core.nilpotency_class`.
 
+``slice_kernel`` is the triangular basis of the ideal's degree slice that
+:func:`~nilzeta.ideal.build_slice` used to carry: one element per dependent
+monomial, the monomial minus its canonical form.
+
+``add_term``, ``vec_add_scaled`` and ``vec_scale`` are the per-term dict
+arithmetic the exact layer used before every sum went through
+:class:`~nilzeta.linalg.Combination` and the int kernels; the reference
+products and the elimination oracles below accumulate with them.
+``DensePolynomial`` is the dense Fraction-list polynomial that
+:class:`~nilzeta.reduction.RationalPolynomial` replaced; it checks the
+sparse one term by term, ``repr`` included.
+
 ``PairGaussian`` is the reference Q(i) arithmetic on a pair of
 ``fractions.Fraction`` parts; it checks the reduced integer triples of
 :class:`~nilzeta.scalars.GaussianRational`, its printed forms included.
@@ -54,7 +66,7 @@ import functools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 import pytest
 import sympy
@@ -64,8 +76,9 @@ from hypothesis import strategies as st
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
 from nilzeta.core import Symbol, basis, bracket
 from nilzeta.indices import mi_delta
-from nilzeta.scalars import ONE, format_rational
-from nilzeta.linalg import _numerators, commutator, vec_add_scaled, vec_scale
+from nilzeta.ideal import build_slice, canonical_form
+from nilzeta.scalars import ONE, Rat, RationalLike, as_rational, format_rational
+from nilzeta.linalg import _numerators, commutator
 from nilzeta.uea import (
     Monomial,
     UEAElement,
@@ -163,6 +176,135 @@ def spec_file(tmp_path):
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+def add_term(target: dict, key: Hashable, value: GaussianRational) -> None:
+    """In-place target[key] += value, dropping the key if it cancels.
+
+    ``value`` must be nonzero: on a new key it is stored as it is.
+    """
+    old = target.get(key)
+    if old is None:
+        target[key] = value
+        return
+    new = old + value
+    if new.is_zero():
+        del target[key]
+    else:
+        target[key] = new
+
+
+def vec_add_scaled(target: dict, source: Mapping, coeff: GaussianRational) -> None:
+    """In-place target += coeff * source, dropping entries that cancel.
+
+    ``source`` values may be GaussianRationals or ints.
+    """
+    if coeff.is_zero():
+        return
+    for key, value in source.items():
+        add_term(target, key, coeff * value)
+
+
+def vec_scale(vec: Mapping, coeff: GaussianRational | int) -> dict:
+    if not coeff:
+        return {}
+    return {k: v * coeff for k, v in vec.items()}
+
+
+class DensePolynomial:
+    """Dense univariate polynomial with exact rational coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[RationalLike]) -> None:
+        cs = [as_rational(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def from_roots(cls, roots: Sequence[RationalLike], leading: RationalLike = 1) -> "DensePolynomial":
+        out = cls([leading])
+        for r in roots:
+            out = out * cls([-as_rational(r), 1])
+        return out
+
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other: "DensePolynomial") -> "DensePolynomial":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] = out[k] + c
+        return DensePolynomial(out)
+
+    def __sub__(self, other: "DensePolynomial") -> "DensePolynomial":
+        return self + (-other)
+
+    def __neg__(self) -> "DensePolynomial":
+        return DensePolynomial([-c for c in self.coeffs])
+
+    def __mul__(self, other: Union["DensePolynomial", int]) -> "DensePolynomial":
+        if isinstance(other, DensePolynomial):
+            if self.is_zero() or other.is_zero():
+                return DensePolynomial([])
+            out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = out[i + j] + a * b
+            return DensePolynomial(out)
+        return self.scale(other)
+
+    def scale(self, c: RationalLike) -> "DensePolynomial":
+        c = as_rational(c)
+        return DensePolynomial([c * a for a in self.coeffs])
+
+    def __call__(self, z: RationalLike) -> "Rat":
+        z = as_rational(z)
+        acc = Rat(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
+
+    def compose_affine(self, r: RationalLike, q: RationalLike) -> "DensePolynomial":
+        """The polynomial z -> self(r*z + q)."""
+        inner = DensePolynomial([q, r])
+        acc = DensePolynomial([])
+        for c in reversed(self.coeffs):
+            acc = acc * inner + DensePolynomial([c])
+        return acc
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DensePolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "RationalPolynomial(0)"
+        body = " + ".join(
+            f"{format_rational(c)}*z^{k}" if k else format_rational(c)
+            for k, c in enumerate(self.coeffs)
+        )
+        return f"RationalPolynomial({body})"
+
+
+def slice_kernel(spec: AlgebraSpec, degree: int) -> tuple:
+    """A triangular basis of the ideal's degree-d slice: for each dependent
+    monomial m, in slice order, m minus its canonical form (unit leading
+    coefficient, tail supported on independent monomials)."""
+    out = []
+    for mono in build_slice(spec, degree).dependent:
+        u = UEAElement.monomial(spec, mono)
+        out.append(u - canonical_form(spec, u))
+    return tuple(out)
 
 
 class PairGaussian:

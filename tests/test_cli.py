@@ -16,7 +16,7 @@ from hypothesis import assume, given
 
 import nilzeta
 from nilzeta.cli import main, run_verify
-from nilzeta.core import index_set
+from nilzeta.core import algebra_spec, index_set
 from nilzeta.uea import UEAElement, monomials_up_to
 
 from conftest import algebra_specs
@@ -193,6 +193,22 @@ def test_verify_refuses_large_degree_up_front(runner, mixed, spec_file, degree, 
     # mixed has 3003 monomials up to degree 8 and 5005 up to degree 9.
     payload = invoke_json(runner, ["verify", spec_file(mixed), "--max-degree", str(degree)], 1)
     assert set(payload) == {"error"} and text in payload["error"]
+
+
+def test_verify_refuses_huge_index_set_before_building_it(monkeypatch) -> None:
+    from nilzeta import cli
+
+    def refuse(spec):
+        raise AssertionError("the index set was built")
+
+    monkeypatch.setattr(cli, "index_set", refuse)
+    count = math.comb(1 + 1_000_001 + 3, 3)
+    with pytest.raises(ValueError) as excinfo:
+        run_verify(algebra_spec(1, [1_000_000]), 3)
+    assert str(excinfo.value) == (
+        f"verify would sweep {count} monomials up to degree 3, "
+        "more than 5000; lower --max-degree"
+    )
 
 
 def test_poles_refuses_negative_lmax(runner, heis, spec_file) -> None:

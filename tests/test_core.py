@@ -20,7 +20,7 @@ from nilzeta import (
     structure_constants,
     validate_spec,
 )
-from nilzeta.core import basis, index_set, y_position
+from nilzeta.core import basis, index_set, index_set_size, y_position
 
 from conftest import (
     SPEC_PARAMS,
@@ -90,6 +90,7 @@ def test_isotropic_subalgebra(name: str) -> None:
 
 @given(spec=algebra_specs())
 def test_closed_forms_match_their_oracles(spec) -> None:
+    assert index_set_size(spec) == len(index_set(spec))
     assert nilpotency_class(spec) == lower_central_length(spec)
     assert isotropic_subalgebra(spec) == isotropic_by_pairing(spec)
 
@@ -174,6 +175,18 @@ def test_validate_spec_errors() -> None:
         validate_spec({"n": 1})
     with pytest.raises(SpecError):
         validate_spec({"n": 1, "alpha": [1], "partition": [[2]]})
+    # JSON values that are not plain ints are refused, never coerced.
+    for bad in (
+        {"n": 1, "alpha": [2.7], "partition": [[1]]},
+        {"n": 1, "alpha": ["3"], "partition": [[1]]},
+        {"n": 1, "alpha": [True], "partition": [[1]]},
+        {"n": True, "alpha": [1], "partition": [[1]]},
+        {"n": 1.0, "alpha": [1], "partition": [[1]]},
+        {"n": 1, "alpha": [1], "partition": [[True]]},
+        {"n": 1, "alpha": [1], "partition": [[1.0]]},
+    ):
+        with pytest.raises(SpecError):
+            validate_spec(bad)
 
 
 def test_load_spec(tmp_path) -> None:

@@ -7,10 +7,17 @@ import pkgutil
 import random
 
 import nilzeta
-from nilzeta.linalg import IMAGE_CACHE_SIZE, add_term, vec_add_scaled, vec_scale
+from nilzeta.linalg import IMAGE_CACHE_SIZE
 from nilzeta.scalars import ONE, ZERO, GaussianRational
 
-from conftest import kernel_basis, reduce_against, reduce_fraction_free
+from conftest import (
+    add_term,
+    kernel_basis,
+    reduce_against,
+    reduce_fraction_free,
+    vec_add_scaled,
+    vec_scale,
+)
 
 
 def gr(re: int, im: int = 0) -> GaussianRational:

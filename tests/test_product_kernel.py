@@ -15,9 +15,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_spec, monomial_mul_commuting
+from conftest import add_term, make_spec, monomial_mul_commuting
 from nilzeta.indices import mi_add
-from nilzeta.linalg import add_term, product_terms
+from nilzeta.linalg import product_terms
 from nilzeta.scalars import GaussianRational
 from nilzeta.uea import Monomial, UEAElement, _push_y_through_x, monomials_up_to, normal_product
 from nilzeta.weyl import WeylOperator, ad_chain, ad_power, leibniz, power_ladder, weyl_product

@@ -20,7 +20,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SPEC_PARAMS, hat_y, make_spec, random_element, taylor_h_ab_by_commutators
+from conftest import (
+    SPEC_PARAMS,
+    DensePolynomial,
+    hat_y,
+    make_spec,
+    random_element,
+    taylor_h_ab_by_commutators,
+)
 from nilzeta import GaussianRational, algebra_spec
 from nilzeta.ideal import build_slice, filtration_min_degree, is_member
 from nilzeta.indices import box, mi_delta
@@ -628,6 +635,34 @@ def test_rational_polynomial_basics() -> None:
     assert (poly * poly) == RationalPolynomial([1, 4, 4])
     assert (poly + poly) == poly.scale(2)
     assert (poly - poly).is_zero()
+
+
+RATIONALS = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=7))
+COEFF_LISTS = st.lists(RATIONALS, max_size=5)
+
+
+@given(COEFF_LISTS, COEFF_LISTS, RATIONALS, RATIONALS, RATIONALS)
+def test_rational_polynomial_matches_dense_oracle(p, q, c, r, z) -> None:
+    def same(sparse: RationalPolynomial, dense: DensePolynomial) -> None:
+        assert sparse.coeffs == dense.coeffs
+        assert all(type(x) is Fraction for x in sparse.coeffs)
+        assert sparse.degree() == dense.degree()
+        assert sparse.is_zero() == dense.is_zero()
+        assert repr(sparse) == repr(dense)
+
+    sp, sq = RationalPolynomial(p), RationalPolynomial(q)
+    dp, dq = DensePolynomial(p), DensePolynomial(q)
+    same(sp, dp)
+    same(sp + sq, dp + dq)
+    same(sp - sq, dp - dq)
+    same(-sp, -dp)
+    same(sp * sq, dp * dq)
+    same(sp * 3, dp * 3)
+    same(sp.scale(c), dp.scale(c))
+    same(sp.compose_affine(r, c), dp.compose_affine(r, c))
+    same(RationalPolynomial.from_roots(p, leading=c), DensePolynomial.from_roots(p, leading=c))
+    assert sp(z) == dp(z) and type(sp(z)) is Fraction
+    assert (sp == sq) == (dp == dq)
 
 
 def test_from_roots_matches_product_form(quad) -> None:

@@ -367,3 +367,18 @@ def test_inversion_identity(quad) -> None:
         assert lhs == rhs
         # both sides are combinations of kernel generators
         assert rho(quad, lhs).is_zero()
+
+
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(
+    spec=algebra_specs(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    coeffs=st.lists(st.tuples(FRACTIONS, FRACTIONS), min_size=1, max_size=4),
+)
+def test_ad_x_matches_commutator_on_generated_specs(spec, seed: int, coeffs) -> None:
+    monos = random.Random(seed).sample(list(monomials_up_to(spec, 2)), len(coeffs))
+    u = UEAElement(spec, {m: GaussianRational(re, im) for m, (re, im) in zip(monos, coeffs)})
+    for k in range(spec.n):
+        assert ad_x(spec, k, u) == commutator(UEAElement.x_gen(spec, k), u)
