@@ -14,8 +14,8 @@ The package computes, for a two-parameter family of nilpotent Lie algebras:
   lattice of the spectral zeta function;
 * numeric verification: Hermite-basis Galerkin spectra with
   doubling-certified convergence, growth-law fits of the convergence
-  abscissa, residues via an independent Hurwitz-zeta oracle, and truncated
-  zeta values with tail estimates.
+  abscissa, the closed-form residue of an arithmetic spectrum's leading
+  pole, and truncated zeta values with tail estimates.
 """
 
 from .core import (
@@ -84,8 +84,8 @@ __version__ = "0.1.0"
 # The numeric layer needs numpy, which the exact layer never uses; its names
 # resolve on first use so that importing the package stays light.
 _SPECTRAL_NAMES = (
-    "GrowthFit", "SpectralEstimate", "abscissa_and_residue", "eigenvalues",
-    "fit_growth", "hermite_matrix", "hurwitz_zeta", "zeta_value",
+    "GrowthFit", "SpectralEstimate", "eigenvalues", "fit_growth",
+    "hermite_matrix", "leading_residue", "zeta_value",
 )
 
 

@@ -99,6 +99,20 @@ def _check(report: list, name: str, fn) -> None:
 # larger requests are refused before any check runs.
 MAX_VERIFY_MONOMIALS = 5000
 
+# Most basis symbols (n + |index set|) that `algebra check` and `verify` take:
+# the Jacobi check walks every triple, and 102 (alpha = 100) take about 1.7 s.
+MAX_BASIS_SYMBOLS = 100
+
+
+def _refuse_large_basis(spec: AlgebraSpec) -> None:
+    """Raise ValueError, before the index set is built, above ``MAX_BASIS_SYMBOLS``."""
+    size = spec.n + index_set_size(spec)
+    if size > MAX_BASIS_SYMBOLS:
+        raise ValueError(
+            f"the algebra has {size} basis symbols, more than {MAX_BASIS_SYMBOLS}; "
+            f"the Jacobi check would walk every triple of them"
+        )
+
 
 def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     """Run the exact structural checks up to a monomial degree; return a report.
@@ -111,7 +125,8 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     interpolation identity for the continuation polynomial.  Raises
     ValueError, before the index set or any check is built, when the
     monomials up to the degree, C(n + |index set| + d, d), number more than
-    ``MAX_VERIFY_MONOMIALS``.
+    ``MAX_VERIFY_MONOMIALS``, or the basis more than ``MAX_BASIS_SYMBOLS``
+    symbols.
     """
     count = math.comb(spec.n + index_set_size(spec) + max_degree, max_degree)
     if count > MAX_VERIFY_MONOMIALS:
@@ -119,6 +134,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
             f"verify would sweep {count} monomials up to degree {max_degree}, "
             f"more than {MAX_VERIFY_MONOMIALS}; lower --max-degree"
         )
+    _refuse_large_basis(spec)
     checks: list[dict] = []
 
     def check_jacobi() -> Optional[str]:
@@ -314,9 +330,13 @@ def algebra_check(spec_file: str) -> None:
     """Validate a description and check its structure constants."""
     try:
         spec = load_spec(spec_file)
+        _refuse_large_basis(spec)
         jacobi_check(spec)
     except (SpecError, JacobiError, json.JSONDecodeError) as exc:
         _emit({"valid": False, "error": str(exc)})
+        sys.exit(1)
+    except ValueError as exc:  # the basis budget
+        _emit({"error": str(exc)})
         sys.exit(1)
     _emit(
         {
@@ -432,21 +452,20 @@ def spectrum_cmd(
     drift_tol: float,
 ) -> None:
     """Numeric spectrum, growth fit, and truncated zeta values."""
-    from .spectral import abscissa_and_residue, eigenvalues, fit_growth, zeta_value
+    from .spectral import eigenvalues, fit_growth, leading_residue, zeta_value
 
     try:
         spec = load_spec(spec_file)
         est = eigenvalues(spec, basis_size, drift_tol)
         fit = fit_growth(est)
-        abscissa, residue = abscissa_and_residue(spec, est)
     except ValueError as exc:  # a bad description, bad JSON or an oversized solve
         _emit({"error": str(exc)})
         sys.exit(1)
     physical = physical_abscissa(spec, 0)
     report = {**est.to_json_dict(), **fit.to_json_dict()}
-    report["residue_at_leading_pole"] = residue
+    report["residue_at_leading_pole"] = leading_residue(est)
     report["physical_abscissa"] = format_rational(physical)
-    report["lattice_match"] = bool(abs(abscissa - float(physical)) <= 0.05)
+    report["lattice_match"] = bool(abs(fit.abscissa - float(physical)) <= 0.05)
     zeta_entries = []
     for z in zeta_at:
         try:

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .indices import MultiIndex, box, mi_abs, mi_delta, mi_sub
@@ -192,9 +193,9 @@ def index_set_size(spec: AlgebraSpec) -> int:
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def y_position(spec: AlgebraSpec) -> dict:
-    """Map multi-index -> position in :func:`index_set`."""
-    return {beta: k for k, beta in enumerate(index_set(spec))}
+def y_position(spec: AlgebraSpec) -> Mapping[MultiIndex, int]:
+    """Read-only map multi-index -> position in :func:`index_set`."""
+    return MappingProxyType({beta: k for k, beta in enumerate(index_set(spec))})
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)

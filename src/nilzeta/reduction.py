@@ -43,13 +43,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta, mi_sub
 from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms, product_terms
 from .scalars import (
-    ONE,
     ZERO,
     GaussianRational,
     Rat,
@@ -188,36 +187,31 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
     holds (Q_block = total Y count on the block); otherwise (no Y's from the
     block) take the block's least position with the full order alpha.
     """
-    pos_of = y_position(spec)
+    pos_of, zero_mi = y_position(spec), (0,) * spec.n
     i_list: list[int] = []
     r_list: list[int] = []
     for j, block in enumerate(spec.partition):
-        bbox = block_box(spec, j)
-        zero_mi = (0,) * spec.n
-        involved = [beta for beta in bbox if beta != zero_mi and mono.y[pos_of[beta]] > 0]
+        counts = {b: mono.y[pos_of[b]] for b in block_box(spec, j) if b != zero_mi}
+        involved = [b for b, c in counts.items() if c > 0]
         if not involved:
             i_list.append(block[0])
             r_list.append(spec.alpha[block[0]])
             continue
-        beta = min(involved)
-        q_total = sum(mono.y[pos_of[b]] for b in bbox if b != zero_mi)
-        chosen = None
-        for i in block:
-            weighted = sum(mono.y[pos_of[b]] * b[i] for b in bbox if b != zero_mi)
-            if beta[i] and weighted == spec.alpha[i] * (q_total - 1) + beta[i]:
-                chosen = i
-                break
-        if chosen is None:
+        beta, q_total = min(involved), sum(counts.values())
+        balanced = [
+            i for i in block if beta[i]
+            and sum(c * b[i] for b, c in counts.items()) == spec.alpha[i] * (q_total - 1) + beta[i]
+        ]
+        if not balanced:
             raise ReductionChoiceError(
                 f"no block position validates the eigen-relation for {mono} "
                 f"on block {tuple(k + 1 for k in block)}"
             )
-        i_list.append(chosen)
-        r_list.append(beta[chosen])
-    key = (tuple(i_list), tuple(r_list))
-    b, root = next((b, root) for i, r, b, root in _factor_constants(spec) if (i, r) == key)
-    eig = monomial_degree(mono) - root - spec.n - sum(b)  # the g-shift
-    return ReductionChoice(*key, (1,) * spec.n, tuple(c.re for c in b), eig.re)
+        i_list.append(balanced[0])
+        r_list.append(beta[balanced[0]])
+    b = _factor_weights(spec, i_list)
+    eig = monomial_degree(mono) - _factor_root(spec, i_list, r_list) - spec.n - sum(b)  # g-shift
+    return ReductionChoice(tuple(i_list), tuple(r_list), (1,) * spec.n, b, eig)
 
 
 # ---------------------------------------------------------------------------
@@ -225,40 +219,43 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
 # ---------------------------------------------------------------------------
 
 
-def reduction_factors(spec: AlgebraSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (i-tuple, r-tuple) factor labels in lexicographic order.
+def reduction_factors(spec: AlgebraSpec) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (i-tuple, r-tuple) factor labels in lexicographic order, one at a time.
 
     i-tuples run over the product of the partition blocks (one position per
     block); r-tuples over the per-position order ranges 1..alpha_i.
     """
-    out = []
     for i_tuple in iter_product(*spec.partition):
         for r_tuple in iter_product(*(range(1, spec.alpha[i] + 1) for i in i_tuple)):
-            out.append((i_tuple, r_tuple))
-    return out
+            yield i_tuple, r_tuple
+
+
+def _factor_weights(spec: AlgebraSpec, i_tuple: Sequence[int]) -> tuple:
+    """A factor's weight vector b: 1/alpha_i at each position i of the i-tuple, 0 elsewhere."""
+    return tuple(Rat(1, spec.alpha[i]) if i in i_tuple else Rat(0) for i in range(spec.n))
+
+
+def _factor_root(spec: AlgebraSpec, i_tuple: Sequence[int], r_tuple: Sequence[int]) -> Rat:
+    """The root p - n - sum_j (r_j+1)/alpha_{i_j} of a factor's linear term."""
+    return spec.p - spec.n - sum(Rat(r + 1, spec.alpha[i]) for i, r in zip(i_tuple, r_tuple))
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _factor_constants(spec: AlgebraSpec) -> tuple:
-    """Per reduction factor, in :func:`reduction_factors` order, the exact real
-    ``(i_tuple, r_tuple, b, root)``: the weight vector b, 1/alpha_i at each
-    position i of the i-tuple and 0 elsewhere, and the root p - n - sum_j
-    (r_j+1)/alpha_{i_j} of the factor's linear term.  Every constant of the
-    factors derives from these: the h-shift at degree s is s - root, the
-    g-shift subtracts n + sum(b) from that, and the poles sit at (root - q + l) / 2.
-    """
-    out = []
-    for i_tuple, r_tuple in reduction_factors(spec):
-        b = tuple(ONE / spec.alpha[i] if i in i_tuple else ZERO for i in range(spec.n))
-        shift = sum(GaussianRational(r + 1) / spec.alpha[i] for i, r in zip(i_tuple, r_tuple))
-        out.append((i_tuple, r_tuple, b, spec.p - spec.n - shift))
-    return tuple(out)
+    """Per reduction factor, in :func:`reduction_factors` order, ``(b, root)`` as
+    Gaussian rationals: the h-shift at degree s is s - root, and the g-shift
+    subtracts n + sum(b) from that."""
+    return tuple(
+        (tuple(map(GaussianRational, _factor_weights(spec, i))),
+         GaussianRational(_factor_root(spec, i, r)))
+        for i, r in reduction_factors(spec)
+    )
 
 
 def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
     """The shifted first-order factors of ``form`` at degree s, first factor first."""
     ones = (1,) * spec.n
-    for _, _, b, root in _factor_constants(spec):
+    for b, root in _factor_constants(spec):
         shift = s - root if form == "h" else s - root - spec.n - sum(b)
         t = _first_order(space, form, ones, b, shift, t)
     return t
@@ -431,7 +428,7 @@ def b_polynomial(spec: AlgebraSpec) -> RationalPolynomial:
 
 def b_roots(spec: AlgebraSpec) -> list:
     """Roots of b_polynomial with multiplicity, one per reduction factor."""
-    return [root.re for *_, root in _factor_constants(spec)]
+    return [_factor_root(spec, i, r) for i, r in reduction_factors(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +479,16 @@ def pole_lattice(
     more than ``MAX_POLE_WITNESSES``.
     """
     s0 = as_rational(s0)
-    factors = list(zip(reduction_factors(spec), b_roots(spec)))
-    count = sum(max(0, l_max - rat_ceil(-root - s0) + 1) for _, root in factors)
-    if count > MAX_POLE_WITNESSES:
-        raise ValueError(
-            f"the pole lattice would list {count} witnesses, more than "
-            f"{MAX_POLE_WITNESSES}; lower s0 or l_max"
-        )
+    count = 0
+    for i_tuple, r_tuple in reduction_factors(spec):
+        count += max(0, l_max - rat_ceil(-_factor_root(spec, i_tuple, r_tuple) - s0) + 1)
+        if count > MAX_POLE_WITNESSES:
+            raise ValueError(
+                f"the pole lattice would list at least {count} witnesses, more than "
+                f"{MAX_POLE_WITNESSES}; lower s0 or l_max"
+            )
     buckets: dict = {}
-    for (i_tuple, r_tuple), root in factors:
+    for (i_tuple, r_tuple), root in zip(reduction_factors(spec), b_roots(spec)):
         for l in range(rat_ceil(-root - s0), l_max + 1):
             omega = (root - q + l) / 2
             witness = (tuple(i + 1 for i in i_tuple), r_tuple, l)
@@ -501,16 +499,15 @@ def pole_lattice(
     return PoleLattice(spec, q, s0, l_max, entries)
 
 
-def physical_abscissa(spec: AlgebraSpec, q: int = 0):
+def physical_abscissa(spec: AlgebraSpec, q: int = 0) -> Rat:
     """The predicted convergence abscissa: the l = 0, maximal-order lattice point.
 
-    Per block the order r equals the full alpha at the chosen position; the
-    position is chosen to maximize the result.  For a twist of degree q the
-    whole lattice shifts left by q/2.
+    A full order r = alpha puts 1 + 1/alpha per block into the root, so the
+    largest such root takes each block's largest alpha: (-n - sum_blocks
+    1/max alpha - q) / 2, for a twist of degree q.
     """
-    factors = _factor_constants(spec)
-    tops = [root.re for i, r, _, root in factors if r == tuple(spec.alpha[k] for k in i)]
-    return (max(tops) - q) / 2
+    tops = sum(Rat(1, max(spec.alpha[k] for k in block)) for block in spec.partition)
+    return (-spec.n - tops - q) / 2
 
 
 # ---------------------------------------------------------------------------

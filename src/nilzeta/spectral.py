@@ -20,12 +20,14 @@ abscissa of convergence of the eigenvalue power series, and tail estimates
 for truncated zeta values — the estimates are reported, never silently added.
 Estimates and fits are frozen values; nothing is cached between calls.
 
-The Hurwitz-zeta oracle used for residue checks is an independent
-Euler-Maclaurin implementation (no external special-function dependency).
+The residue at the leading pole is given in closed form where one exists:
+an arithmetic spectrum a + d*k has zeta d^z * zeta_H(-z, a/d), whose only
+pole, at z = -1, has residue -1/d.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -76,12 +78,13 @@ def _ladder_step(diags: dict, s: np.ndarray, sign: float) -> dict:
     return out
 
 
-def _add_diagonals(target: np.ndarray, diags: dict, c: complex) -> None:
+def _add_diagonals(target: np.ndarray, diags: dict, c: complex) -> np.ndarray:
     """In-place target += c * M for a square ``target`` and M stored by diagonals."""
     rows = np.arange(target.shape[0])
     for k, v in diags.items():
         on = rows[max(0, -k) : len(rows) - max(0, k)]
         target[on, on + k] += c * v[on]
+    return target
 
 
 def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
@@ -91,13 +94,11 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
     Entries are assembled at size basis_size + total_degree and truncated,
     so every retained entry equals the exact infinite-basis matrix element
     (up to float rounding).  Each per-axis factor ``x^a d^b`` is built by the
-    ladder recursion on its a + b + 1 diagonals.  Supports n = 1 and n = 2;
-    larger n is rejected, and so is an assembly above ``MAX_SOLVE_ENTRIES``
-    entries.
+    ladder recursion on its a + b + 1 diagonals; a term on several axes is
+    the Kronecker product of its factors.  An assembly above
+    ``MAX_SOLVE_ENTRIES`` entries is refused.
     """
     n = w.n
-    if n > 2:
-        raise ValueError("Hermite assembly supports n = 1 or n = 2 only")
     if basis_size < 1:
         raise ValueError("basis size must be positive")
     size = _assembly_size(w, basis_size)
@@ -113,33 +114,18 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
             diags = _ladder_step(diags, s, 1.0)
         return diags
 
-    def dense(a: int, b: int) -> np.ndarray:
-        m = np.zeros((size, size))
-        _add_diagonals(m, factor(a, b), 1.0)
-        return m
-
     real = all(coeff.im == 0 for coeff in w.terms.values())
-    full = np.zeros((size,) * (2 * n), dtype=float if real else complex)
+    full = np.zeros((size**n, size**n), dtype=float if real else complex)
     for (a, b), coeff in w.terms.items():
         c = float(coeff.re) if real else complex(coeff)
         if n == 1:
             _add_diagonals(full, factor(a[0], b[0]), c)
-        elif a[1] == b[1] == 0:
-            # a term on axis 1 only is factor (x) identity; full is indexed [i1, i2, j1, j2]
-            diags = factor(a[0], b[0])
-            for k in range(size):
-                _add_diagonals(full[:, k, :, k], diags, c)
-        elif a[0] == b[0] == 0:
-            diags = factor(a[1], b[1])
-            for k in range(size):
-                _add_diagonals(full[k, :, k, :], diags, c)
         else:
-            full.reshape(size * size, size * size)[...] += c * np.kron(
-                dense(a[0], b[0]), dense(a[1], b[1])
-            )
+            mats = [_add_diagonals(np.zeros((size, size)), factor(*ab), 1.0) for ab in zip(a, b)]
+            full += c * functools.reduce(np.kron, mats)
 
     dim = basis_size ** n
-    sub = full[(slice(basis_size),) * (2 * n)].reshape(dim, dim)
+    sub = full.reshape((size,) * (2 * n))[(slice(basis_size),) * (2 * n)].reshape(dim, dim)
     if not real and not np.any(sub.imag):
         return sub.real.copy()
     return sub.copy()
@@ -165,8 +151,11 @@ class SpectralEstimate:
     spec: AlgebraSpec
     basis_size: int
     drift_tol: float
-    converged_count: int
     eigenvalues: np.ndarray
+
+    @property
+    def converged_count(self) -> int:
+        return len(self.eigenvalues)
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,7 +240,7 @@ def eigenvalues(
     drifted = np.abs(coarse - fine) > drift_tol * np.maximum(1.0, np.abs(fine))
     converged = fine[: np.argmax(drifted) if drifted.any() else len(fine)].copy()
     converged.flags.writeable = False
-    return SpectralEstimate(spec, basis_size, drift_tol, len(converged), converged)
+    return SpectralEstimate(spec, basis_size, drift_tol, converged)
 
 
 MIN_FIT_COUNT = 50
@@ -303,72 +292,18 @@ def fit_growth(est: SpectralEstimate) -> GrowthFit:
     return GrowthFit(theta, float(math.exp(log_c)), resid, -1.0 / theta, 2.0 / theta)
 
 
-# Half-width of the symmetric sampling of (z + 1) * zeta(z) around z = -1.
-_RESIDUE_EPS = 1e-4
+def leading_residue(est: SpectralEstimate) -> Optional[float]:
+    """Residue of the eigenvalue zeta at its leading pole, in closed form.
 
-
-def abscissa_and_residue(
-    spec: AlgebraSpec, est: SpectralEstimate
-) -> tuple[float, Optional[float]]:
-    """Fitted convergence abscissa, plus the residue at the leading pole.
-
-    The residue is computed only when the converged spectrum is an exact
-    arithmetic progression a + d*k (then the eigenvalue zeta is
-    d^z * hurwitz_zeta(-z, a/d) with a single pole at z = -1, and the residue
-    is evaluated by symmetric sampling of (z+1) times the series there).
-    Otherwise the residue slot is None.
+    When the converged spectrum is an arithmetic progression a + d*k (at
+    least ten values, spacings equal within 1e-8) the zeta is
+    d^z * zeta_H(-z, a/d), whose only pole is z = -1 with residue exactly
+    -1/d.  Otherwise there is no closed form here and the result is None.
     """
-    abscissa = fit_growth(est).abscissa
-    vals = est.eigenvalues
-    residue: Optional[float] = None
-    if len(vals) >= 10:
-        diffs = np.diff(vals)
-        d = float(np.mean(diffs))
-        if d > 0 and float(np.max(np.abs(diffs - d))) < 1e-8:
-            a = float(vals[0])
-            near = (-1.0 - _RESIDUE_EPS, -1.0 + _RESIDUE_EPS)
-            residue = 0.5 * sum((z + 1.0) * d**z * hurwitz_zeta(-z, a / d).real for z in near)
-    return abscissa, residue
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz zeta (Euler-Maclaurin)
-# ---------------------------------------------------------------------------
-
-# Direct terms summed before the remainder is continued, and the Bernoulli
-# numbers B_2, B_4, ..., B_16 of the eight correction terms.
-_HURWITZ_TERMS = 25
-_BERNOULLI_2J = (
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510,
-)
-
-
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Hurwitz zeta sum_{k>=0} (k+a)^{-s} by Euler-Maclaurin continuation.
-
-    Valid for a > 0 and s != 1 (simple pole).  ``_HURWITZ_TERMS`` direct
-    terms are summed; the integral, midpoint, and eight Bernoulli correction
-    terms continue the remainder.  Accuracy is far below 1e-10 for the
-    moderate arguments used here.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    s = complex(s)
-    if s == 1:
-        raise ZeroDivisionError("Hurwitz zeta has a pole at s = 1")
-    total = 0.0 + 0.0j
-    for k in range(_HURWITZ_TERMS):
-        total += (k + a) ** (-s)
-    m = _HURWITZ_TERMS + a
-    total += m ** (1 - s) / (s - 1)
-    total += 0.5 * m ** (-s)
-    rising = s  # (s)_1
-    fact = 1.0
-    for j, bernoulli in enumerate(_BERNOULLI_2J, 1):
-        fact *= (2 * j - 1) * (2 * j)
-        total += bernoulli / fact * rising * m ** (-s - 2 * j + 1)
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-    return total
+    diffs = np.diff(est.eigenvalues)
+    d = float(np.mean(diffs)) if len(diffs) >= 9 else 0.0
+    arithmetic = d > 0 and float(np.max(np.abs(diffs - d))) < 1e-8
+    return -1.0 / d if arithmetic else None
 
 
 # ---------------------------------------------------------------------------

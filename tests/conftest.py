@@ -37,6 +37,12 @@ walks the lower central series on symbol sets.  They check the closed forms
 of :func:`~nilzeta.core.isotropic_subalgebra` and
 :func:`~nilzeta.core.nilpotency_class`.
 
+``factor_constants_by_enumeration`` is the table of every reduction factor's
+weight vector b and root, enumerated; ``physical_abscissa_by_enumeration``
+takes the largest full-order root from it.  They check the closed forms
+behind :func:`~nilzeta.reduction.physical_abscissa` and
+:func:`~nilzeta.reduction.reduction_data`.
+
 ``slice_kernel`` is the triangular basis of the ideal's degree slice that
 :func:`~nilzeta.ideal.build_slice` used to carry: one element per dependent
 monomial, the monomial minus its canonical form.
@@ -77,7 +83,8 @@ from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
 from nilzeta.core import Symbol, basis, bracket
 from nilzeta.indices import mi_delta
 from nilzeta.ideal import build_slice, canonical_form
-from nilzeta.scalars import ONE, Rat, RationalLike, as_rational, format_rational
+from nilzeta.reduction import reduction_factors
+from nilzeta.scalars import ONE, ZERO, Rat, RationalLike, as_rational, format_rational
 from nilzeta.linalg import _numerators, commutator
 from nilzeta.uea import (
     Monomial,
@@ -651,3 +658,27 @@ def lower_central_length(spec: AlgebraSpec) -> int:
         assert nxt != current, "lower central series stalled; algebra not nilpotent"
         current = nxt
     return length
+
+
+def factor_constants_by_enumeration(spec: AlgebraSpec) -> dict:
+    """(i-tuple, r-tuple) -> (b, root) for every reduction factor, enumerated
+    as the library once did: b is 1/alpha_i at each position of the i-tuple
+    and 0 elsewhere, root is p - n - sum_j (r_j+1)/alpha_{i_j}, both as
+    Gaussian rationals.  Insertion order is the factor order."""
+    out = {}
+    for i_tuple, r_tuple in reduction_factors(spec):
+        b = tuple(ONE / spec.alpha[i] if i in i_tuple else ZERO for i in range(spec.n))
+        shift = sum(GaussianRational(r + 1) / spec.alpha[i] for i, r in zip(i_tuple, r_tuple))
+        out[(i_tuple, r_tuple)] = (b, spec.p - spec.n - shift)
+    return out
+
+
+def physical_abscissa_by_enumeration(spec: AlgebraSpec, q: int = 0) -> Rat:
+    """The largest root among the full-order factors (r = alpha at every
+    chosen position), shifted by the twist q and halved."""
+    factors = factor_constants_by_enumeration(spec)
+    tops = [
+        root.re for (i, r), (_, root) in factors.items()
+        if r == tuple(spec.alpha[k] for k in i)
+    ]
+    return (max(tops) - q) / 2

@@ -41,7 +41,7 @@ from nilzeta.reduction import (
     taylor_residual,
 )
 from nilzeta.scalars import Rat, i_power
-from nilzeta.spectral import abscissa_and_residue, eigenvalues
+from nilzeta.spectral import eigenvalues, fit_growth, leading_residue
 from nilzeta.uea import (
     Monomial,
     UEAElement,
@@ -234,7 +234,7 @@ def test_criterion_7_heisenberg_quantitative() -> None:
     assert est.converged_count >= 101
     assert np.max(np.abs(est.eigenvalues[:101] - (2.0 * ks + 3.0))) < 1e-10
 
-    fitted, residue = abscissa_and_residue(spec, est)
+    fitted, residue = fit_growth(est).abscissa, leading_residue(est)
     assert fitted == pytest.approx(-1.0, abs=0.02)
     # the fitted value matches the l = 0, full-order lattice point
     lattice = pole_lattice(spec, q=0, s0=2, l_max=2)
@@ -262,7 +262,7 @@ def test_criterion_8_quartic_quantitative() -> None:
     spec = make_spec("quad")
     est = eigenvalues(spec, 400)  # converged under basis doubling
     assert est.converged_count >= 50
-    fitted, _ = abscissa_and_residue(spec, est)
+    fitted = fit_growth(est).abscissa
     assert fitted == pytest.approx(-0.75, abs=0.05)
     lattice = pole_lattice(spec, q=0, s0=Rat(3, 2), l_max=2)
     edge = lattice.entries[0]

@@ -15,8 +15,8 @@ from click.testing import CliRunner
 from hypothesis import assume, given
 
 import nilzeta
-from nilzeta.cli import main, run_verify
-from nilzeta.core import algebra_spec, index_set
+from nilzeta.cli import MAX_BASIS_SYMBOLS, main, run_verify
+from nilzeta.core import algebra_spec, index_set, index_set_size
 from nilzeta.uea import UEAElement, monomials_up_to
 
 from conftest import algebra_specs
@@ -96,6 +96,23 @@ def test_algebra_check_malformed_json(runner, tmp_path) -> None:
     assert json.loads(result.output)["valid"] is False
 
 
+def test_large_basis_refused_before_the_index_set(runner, spec_file, monkeypatch) -> None:
+    # alpha = 200 has 202 basis symbols; its Jacobi check would take about 12 s
+    from nilzeta import cli, core
+
+    def refuse(spec):
+        raise AssertionError("the index set was built")
+
+    for module in (cli, core):
+        monkeypatch.setattr(module, "index_set", refuse)
+    path = spec_file(algebra_spec(1, [200]))
+    text = "the algebra has 202 basis symbols, more than 100"
+    for args in (["algebra", "check", path], ["verify", path, "--max-degree", "1"],
+                 ["verify", path, "--max-degree", "0"]):
+        payload = invoke_json(runner, args, exit_code=1)
+        assert set(payload) == {"error"} and text in payload["error"], args
+
+
 def test_reduce_frozen_values(runner, heis, quad, spec_file) -> None:
     heis_file = spec_file(heis)
     payload = invoke_json(runner, ["reduce", heis_file, "--expr", "Y[0]"])
@@ -152,6 +169,7 @@ GENERATED_VERIFY_BUDGET = 66
 
 @given(spec=algebra_specs())
 def test_verify_passes_on_generated_specs(spec) -> None:
+    assert spec.n + index_set_size(spec) <= MAX_BASIS_SYMBOLS  # no generated spec is refused
     assume(math.comb(spec.n + len(index_set(spec)) + 2, 2) <= GENERATED_VERIFY_BUDGET)
     assert run_verify(spec, 2)["all_passed"]
 

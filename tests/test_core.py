@@ -151,6 +151,13 @@ def test_y_position_consistent(cubic) -> None:
         assert positions[beta] == pos
 
 
+def test_y_position_is_read_only(cubic) -> None:
+    # the cached map is shared by every caller, so it must refuse writes
+    with pytest.raises(TypeError):
+        y_position(cubic)[(4,)] = 4
+    assert (4,) not in y_position(cubic)
+
+
 def test_algebra_spec_validation() -> None:
     with pytest.raises(SpecError):
         algebra_spec(0, ())

@@ -23,8 +23,11 @@ from hypothesis import strategies as st
 from conftest import (
     SPEC_PARAMS,
     DensePolynomial,
+    algebra_specs,
+    factor_constants_by_enumeration,
     hat_y,
     make_spec,
+    physical_abscissa_by_enumeration,
     random_element,
     taylor_h_ab_by_commutators,
 )
@@ -336,16 +339,16 @@ def test_eigen_relation_through_representation(name: str) -> None:
 
 
 def test_reduction_factors_frozen() -> None:
-    assert reduction_factors(make_spec("heis")) == [((0,), (1,))]
-    assert reduction_factors(make_spec("quad")) == [((0,), (1,)), ((0,), (2,))]
-    assert reduction_factors(make_spec("cubic")) == [
+    assert list(reduction_factors(make_spec("heis"))) == [((0,), (1,))]
+    assert list(reduction_factors(make_spec("quad"))) == [((0,), (1,)), ((0,), (2,))]
+    assert list(reduction_factors(make_spec("cubic"))) == [
         ((0,), (1,)),
         ((0,), (2,)),
         ((0,), (3,)),
     ]
-    assert reduction_factors(make_spec("pair_split")) == [((0, 1), (1, 1))]
-    assert reduction_factors(make_spec("pair_joint")) == [((0,), (1,)), ((1,), (1,))]
-    assert reduction_factors(make_spec("mixed")) == [((0, 1), (1, 1)), ((0, 1), (1, 2))]
+    assert list(reduction_factors(make_spec("pair_split"))) == [((0, 1), (1, 1))]
+    assert list(reduction_factors(make_spec("pair_joint"))) == [((0,), (1,)), ((1,), (1,))]
+    assert list(reduction_factors(make_spec("mixed"))) == [((0, 1), (1, 1)), ((0, 1), (1, 2))]
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
@@ -605,8 +608,33 @@ def test_pole_lattice_refuses_over_witness_budget(name: str, monkeypatch) -> Non
 
 
 def test_pole_lattice_refuses_huge_s0_up_front(quad) -> None:
-    with pytest.raises(ValueError, match="20000011 witnesses"):
+    # the count stops at the first factor that takes it past the budget
+    with pytest.raises(ValueError, match="at least 10000006 witnesses"):
         pole_lattice(quad, s0=10_000_000, l_max=6)
+
+
+def test_pole_lattice_refuses_huge_alpha_before_the_factor_table(monkeypatch) -> None:
+    from nilzeta import reduction
+
+    def no_table(spec):
+        raise AssertionError("the factor table was built before the witness count")
+
+    monkeypatch.setattr(reduction, "_factor_constants", no_table)
+    with pytest.raises(ValueError, match="more than 100000; lower s0 or l_max"):
+        pole_lattice(algebra_spec(1, [1_000_000]))
+
+
+@given(spec=algebra_specs(), q=st.integers(0, 3))
+def test_factor_closed_forms_match_enumeration(spec, q) -> None:
+    assert physical_abscissa(spec, q) == physical_abscissa_by_enumeration(spec, q)
+    factors = factor_constants_by_enumeration(spec)
+    assert b_roots(spec) == [root.re for _, root in factors.values()]
+    for d in range(2):
+        for mono in build_slice(spec, d).independent:
+            choice = reduction_data(spec, mono)
+            b, root = factors[(choice.i_tuple, choice.r_tuple)]
+            assert choice.b == tuple(c.re for c in b)
+            assert choice.eigenvalue == (monomial_degree(mono) - root - spec.n - sum(b)).re
 
 
 def test_pole_lattice_twist_shifts_left(heis) -> None:

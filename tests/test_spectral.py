@@ -5,9 +5,9 @@ Independent oracles used here:
 * the Hermite functions diagonalize 2 - d^2 + x^2 exactly, so its Galerkin
   matrix must be diag(2k + 3) to float precision and the converged spectrum
   an exact arithmetic progression;
-* ``mpmath.zeta`` supplies reference values both for the internal Hurwitz
-  evaluator and for truncated zeta values (lambda_k = 2k + 3 gives
-  zeta(z) = 2^z * hurwitz_zeta(-z, 3/2) in closed form);
+* ``mpmath.zeta`` supplies reference values for truncated zeta values
+  (lambda_k = 2k + 3 gives zeta(z) = 2^z * zeta_H(-z, 3/2) in closed form,
+  whose residue at its one pole z = -1 is -1/2);
 * Rayleigh-Ritz monotonicity: eigenvalue approximations from nested basis
   sizes decrease toward the true values;
 * a dense reference assembly (``reference_hermite_matrix``: matrix powers of
@@ -38,11 +38,10 @@ from nilzeta.spectral import (
     GrowthFit,
     _diagonal_weights,
     _eigvals,
-    abscissa_and_residue,
     eigenvalues,
     fit_growth,
     hermite_matrix,
-    hurwitz_zeta,
+    leading_residue,
     zeta_value,
 )
 from nilzeta.weyl import WeylOperator, delta1
@@ -89,11 +88,6 @@ def test_hermite_matrix_two_axes(pair_split) -> None:
     assert np.allclose(m, m.T, atol=1e-12)
 
 
-def test_hermite_matrix_rejects_three_axes() -> None:
-    with pytest.raises(ValueError):
-        hermite_matrix(WeylOperator.one(3), 4)
-
-
 def reference_hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
     """Dense assembly: powers of the ladder matrices by matrix products, one
     Kronecker product per term on the full tensor basis, then truncation."""
@@ -128,15 +122,19 @@ _gaussian = st.builds(
 
 
 @st.composite
-def weyl_operators(draw) -> WeylOperator:
-    n = draw(st.sampled_from([1, 2]))
-    exps = st.tuples(*[st.integers(0, 3)] * n)
+def hermite_cases(draw) -> tuple[WeylOperator, int]:
+    """A Weyl operator on 1 to 3 axes and a basis size, small enough on three
+    axes that the dense reference stays at most 10^6 complex entries."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    top, most = (3, 6) if n < 3 else (1, 4)
+    exps = st.tuples(*[st.integers(0, top)] * n)
     terms = draw(st.dictionaries(st.tuples(exps, exps), _gaussian, min_size=1, max_size=5))
-    return WeylOperator(n, terms)
+    return WeylOperator(n, terms), draw(st.integers(1, most))
 
 
-@given(weyl_operators(), st.integers(1, 6))
-def test_hermite_matrix_matches_dense_reference(w, basis_size) -> None:
+@given(hermite_cases())
+def test_hermite_matrix_matches_dense_reference(case) -> None:
+    w, basis_size = case
     got = hermite_matrix(w, basis_size)
     want = reference_hermite_matrix(w, basis_size)
     assert got.shape == want.shape
@@ -289,21 +287,20 @@ def test_to_json_dict_shape(heis) -> None:
 
 def test_heis_abscissa_and_residue(heis) -> None:
     est = eigenvalues(heis, 200)
-    abscissa, residue = abscissa_and_residue(heis, est)
+    abscissa = fit_growth(est).abscissa
     assert abscissa == pytest.approx(-1.0, abs=0.02)
     assert abscissa == pytest.approx(float(physical_abscissa(heis)), abs=0.02)
     # lambda_k = 3 + 2k: the eigenvalue zeta is 2^z zeta_H(-z, 3/2) with a
     # simple pole at z = -1 of residue -1/2.
-    assert residue is not None
-    assert residue == pytest.approx(-0.5, abs=1e-6)
+    assert leading_residue(est) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_quad_abscissa_no_residue(quad) -> None:
     est = eigenvalues(quad, 400)
-    abscissa, residue = abscissa_and_residue(quad, est)
+    abscissa = fit_growth(est).abscissa
     assert abscissa == pytest.approx(-0.75, abs=0.05)
     assert abscissa == pytest.approx(float(physical_abscissa(quad)), abs=0.05)
-    assert residue is None  # spectrum is not an arithmetic progression
+    assert leading_residue(est) is None  # spectrum is not an arithmetic progression
 
 
 # ---------------------------------------------------------------------------
@@ -405,34 +402,3 @@ def test_zeta_value_weight_needs_matching_variables(pair_split) -> None:
 def test_zeta_value_refuses_divergent_request(heis) -> None:
     with pytest.raises(ValueError, match="abscissa"):
         zeta_value(eigenvalues(heis, 200), -0.5)
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz zeta continuation
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "s,a,tol",
-    [
-        (2.0, 0.5, 1e-12),
-        (3.0, 1.5, 1e-12),
-        (2.5, 3.0, 1e-12),
-        (complex(2, 3), 1.5, 1e-12),
-        (-1.0, 1.5, 1e-9),
-        (-2.0, 0.75, 1e-9),
-        (-3.5, 2.0, 1e-9),
-        (complex(-1, 1), 0.5, 1e-9),
-    ],
-)
-def test_hurwitz_zeta_against_mpmath(s, a, tol) -> None:
-    got = hurwitz_zeta(s, a)
-    want = complex(mpmath.zeta(s, a))
-    assert abs(got - want) < tol
-
-
-def test_hurwitz_zeta_negative_integer_closed_form() -> None:
-    # zeta_H(-1, a) = -(6a^2 - 6a + 1)/12 (Bernoulli polynomial identity).
-    for a in (0.5, 1.0, 2.5):
-        want = -(6 * a * a - 6 * a + 1) / 12
-        assert hurwitz_zeta(-1.0, a) == pytest.approx(want, abs=1e-9)
