@@ -88,6 +88,29 @@ def test_hermite_matrix_two_axes(pair_split) -> None:
     assert np.allclose(m, m.T, atol=1e-12)
 
 
+def test_hermite_matrix_three_axes() -> None:
+    # Three axes are assembled, not refused.  The oscillator sum
+    # sum_k (x_k^2 - d_k^2) is diagonal with entries sum_k (2 j_k + 1) on the
+    # row-major tensor basis, and a term on all three axes is the Kronecker
+    # product of its one-axis matrices.
+    z = (0, 0, 0)
+    terms = {}
+    for k in range(3):
+        e = tuple(2 if i == k else 0 for i in range(3))
+        terms[(e, z)] = GaussianRational(1)
+        terms[(z, e)] = GaussianRational(-1)
+    m = hermite_matrix(WeylOperator(3, terms), 4)
+    assert m.shape == (64, 64)
+    expected = [sum(2 * j + 1 for j in js) for js in np.ndindex(4, 4, 4)]
+    assert np.allclose(m, np.diag(expected), atol=1e-12)
+
+    mixed = hermite_matrix(WeylOperator.monomial(3, (1, 0, 2), (0, 1, 0)), 4)
+    one_axis = [
+        hermite_matrix(WeylOperator.monomial(1, (a,), (b,)), 4) for a, b in [(1, 0), (0, 1), (2, 0)]
+    ]
+    assert np.allclose(mixed, np.kron(np.kron(*one_axis[:2]), one_axis[2]), atol=1e-12)
+
+
 def reference_hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
     """Dense assembly: powers of the ladder matrices by matrix products, one
     Kronecker product per term on the full tensor basis, then truncation."""
