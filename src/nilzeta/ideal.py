@@ -70,19 +70,11 @@ def gamma_generators(spec: AlgebraSpec) -> list[UEAElement]:
 
 
 def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
-    """Exact ideal membership: the representation image vanishes.
-
-    The image is the sum over keys of (sum of c_m * coeff_m) * d^p o x^gamma,
-    so it vanishes iff every key's sum does.
-    """
+    """Exact ideal membership: the canonical form, which puts each key's sum on
+    that key's own first monomial, vanishes iff every key's sum does."""
     if u.spec != spec:
         raise ValueError("element belongs to a different algebra")
-
-    def image(mono: Monomial) -> tuple:
-        key, c = monomial_symbol(spec, mono)
-        return scaled_image(c, ((key, 1),))
-
-    return not map_terms(u.terms, image)
+    return not map_terms(u.terms, lambda m: _canonical_image(spec, m))
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +147,22 @@ def build_slice(spec: AlgebraSpec, degree: int) -> DegreeSlice:
     return DegreeSlice(spec, degree, monos, dependent, independent)
 
 
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _canonical_image(spec: AlgebraSpec, mono: Monomial) -> tuple:
+    """The canonical form of one monomial, ``(c_m / c_first) * first``, as a
+    :func:`~nilzeta.linalg.map_terms` image."""
+    key, c = monomial_symbol(spec, mono)
+    first, inv = _first(spec, key)
+    return scaled_image(c * inv, ((first, 1),))
+
+
 def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
     """The unique representative of u's coset supported on independent monomials.
 
     Exact projection along the ideal; idempotent, and the zero element is
     returned exactly when u lies in the ideal.
     """
-
-    def image(mono: Monomial) -> tuple:
-        key, c = monomial_symbol(spec, mono)
-        first, inv = _first(spec, key)
-        return scaled_image(c * inv, ((first, 1),))
-
-    return UEAElement._of_clean(spec, map_terms(u.terms, image))
+    return UEAElement._of_clean(spec, map_terms(u.terms, lambda m: _canonical_image(spec, m)))
 
 
 def filtration_min_degree(

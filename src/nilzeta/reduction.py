@@ -463,8 +463,24 @@ class PoleLattice:
 
 
 # Most witnesses one pole lattice may list; larger requests are refused
-# before any is enumerated (the listing grows linearly in s0 and l_max).
+# before any is listed (the listing grows linearly in s0 and l_max).
 MAX_POLE_WITNESSES = 100_000
+
+
+def _rooted_factors(spec: AlgebraSpec, floor: Rat, i_tuple: tuple, prefix: tuple = ()) -> Iterator:
+    """``(r_tuple, root)`` of the factors on ``i_tuple`` whose root is at least
+    ``floor``, r-tuples in lexicographic order after ``prefix``.  A root only
+    falls as an r_j grows, so each r-range stops at the first r whose least
+    completion (the later r's at 1) has its root below ``floor``."""
+    later = (1,) * (len(i_tuple) - len(prefix) - 1)
+    for r in range(1, spec.alpha[i_tuple[len(prefix)]] + 1):
+        root = _factor_root(spec, i_tuple, prefix + (r,) + later)
+        if root < floor:
+            return
+        if later:
+            yield from _rooted_factors(spec, floor, i_tuple, prefix + (r,))
+        else:
+            yield prefix + (r,), root
 
 
 def pole_lattice(
@@ -473,26 +489,26 @@ def pole_lattice(
     """Candidate poles omega = (p - n - q - sum_j (r_j+1)/alpha_{i_j} + l) / 2.
 
     For each reduction factor, l runs from the exact ceiling of
-    sum (r_j+1)/alpha_{i_j} + n - p - s0 up to l_max.  Entries are grouped by
-    exact location and sorted ascending; multiplicity counts witnesses.
-    Raises ValueError, before enumerating, when the witnesses would number
-    more than ``MAX_POLE_WITNESSES``.
+    sum (r_j+1)/alpha_{i_j} + n - p - s0 up to l_max, so only the factors with
+    root at least -s0 - l_max are walked.  Entries are grouped by exact location
+    and sorted ascending; multiplicity counts witnesses.  Raises ValueError, before
+    listing any, at the first factor that takes them past ``MAX_POLE_WITNESSES``.
     """
     s0 = as_rational(s0)
-    count = 0
-    for i_tuple, r_tuple in reduction_factors(spec):
-        count += max(0, l_max - rat_ceil(-_factor_root(spec, i_tuple, r_tuple) - s0) + 1)
-        if count > MAX_POLE_WITNESSES:
-            raise ValueError(
-                f"the pole lattice would list at least {count} witnesses, more than "
-                f"{MAX_POLE_WITNESSES}; lower s0 or l_max"
-            )
-    buckets: dict = {}
-    for (i_tuple, r_tuple), root in zip(reduction_factors(spec), b_roots(spec)):
-        for l in range(rat_ceil(-root - s0), l_max + 1):
-            omega = (root - q + l) / 2
-            witness = (tuple(i + 1 for i in i_tuple), r_tuple, l)
-            buckets.setdefault(omega, []).append(witness)
+    count, factors, buckets = 0, [], {}
+    for i_tuple in iter_product(*spec.partition):
+        for r_tuple, root in _rooted_factors(spec, -s0 - l_max, i_tuple):
+            first = rat_ceil(-root - s0)
+            count += l_max - first + 1
+            if count > MAX_POLE_WITNESSES:
+                raise ValueError(
+                    f"the pole lattice would list at least {count} witnesses, more than "
+                    f"{MAX_POLE_WITNESSES}; lower s0 or l_max"
+                )
+            factors.append((tuple(i + 1 for i in i_tuple), r_tuple, root, first))
+    for positions, r_tuple, root, first in factors:
+        for l in range(first, l_max + 1):
+            buckets.setdefault((root - q + l) / 2, []).append((positions, r_tuple, l))
     entries = tuple(
         PoleEntry(omega, len(ws), tuple(ws)) for omega, ws in sorted(buckets.items())
     )

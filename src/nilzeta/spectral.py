@@ -1,10 +1,10 @@
 """Numeric spectral verification: Galerkin eigenvalues, growth fits, zeta sums.
 
 The Schroedinger-type operator produced by :func:`~nilzeta.weyl.delta1` is
-discretized in the Hermite-function basis.  Matrix entries are assembled from
-the ladder recursion at an enlarged size (basis size plus the operator's
-total degree) and then truncated, which makes every retained entry exact up
-to float rounding; the truncated problem is therefore a genuine Rayleigh-Ritz
+discretized in the Hermite-function basis.  Per-axis diagonals come from the
+ladder recursion at an enlarged size (basis size plus the operator's total
+degree), so every entry written into the basis-size matrix is exact up to
+float rounding; the truncated problem is therefore a genuine Rayleigh-Ritz
 restriction and eigenvalues decrease monotonically in the basis size.
 
 delta1 is a constant plus one operator per partition block, each acting on
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
@@ -42,9 +43,10 @@ from .weyl import WeylOperator, delta1
 # Exact-entry Galerkin assembly
 # ---------------------------------------------------------------------------
 
-# The largest number of float entries one spectral solve may hold: the
-# entries of a dense Hermite matrix as assembled, or the length of the
-# Minkowski sum of block spectra.  Larger requests are refused up front.
+# The largest number of float entries one spectral solve may hold: a dense
+# Hermite matrix's entries counted at its enlarged assembly size (an upper
+# bound on what is allocated, kept so that refusals do not move), or the
+# length of the Minkowski sum of block spectra.  Larger ones are refused.
 MAX_SOLVE_ENTRIES = 1 << 24
 
 
@@ -57,7 +59,7 @@ def _refuse_above_cap(entries: int, what: str) -> None:
 
 
 def _assembly_size(w: WeylOperator, basis_size: int) -> int:
-    """Per-axis size at which ``w`` is assembled before truncation."""
+    """Per-axis size at which the diagonals of ``w``'s factors are built."""
     return basis_size + max(w.total_degree(), 0)
 
 
@@ -78,25 +80,16 @@ def _ladder_step(diags: dict, s: np.ndarray, sign: float) -> dict:
     return out
 
 
-def _add_diagonals(target: np.ndarray, diags: dict, c: complex) -> np.ndarray:
-    """In-place target += c * M for a square ``target`` and M stored by diagonals."""
-    rows = np.arange(target.shape[0])
-    for k, v in diags.items():
-        on = rows[max(0, -k) : len(rows) - max(0, k)]
-        target[on, on + k] += c * v[on]
-    return target
-
-
 def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
     """Galerkin matrix of a Weyl operator in the Hermite-function basis.
 
     ``basis_size`` counts basis functions per axis (total basis_size**n).
-    Entries are assembled at size basis_size + total_degree and truncated,
-    so every retained entry equals the exact infinite-basis matrix element
-    (up to float rounding).  Each per-axis factor ``x^a d^b`` is built by the
-    ladder recursion on its a + b + 1 diagonals; a term on several axes is
-    the Kronecker product of its factors.  An assembly above
-    ``MAX_SOLVE_ENTRIES`` entries is refused.
+    Each per-axis factor ``x^a d^b`` is built by the ladder recursion on its
+    a + b + 1 diagonals at size basis_size + total_degree, so every entry
+    equals the exact infinite-basis matrix element (up to float rounding).
+    For each term and each choice of one diagonal per axis, the product of
+    those diagonals is added straight into the basis-size matrix.  An
+    enlarged size above ``MAX_SOLVE_ENTRIES`` entries is refused.
     """
     n = w.n
     if basis_size < 1:
@@ -115,20 +108,17 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
         return diags
 
     real = all(coeff.im == 0 for coeff in w.terms.values())
-    full = np.zeros((size**n, size**n), dtype=float if real else complex)
+    mat = np.zeros((basis_size,) * (2 * n), dtype=float if real else complex)
     for (a, b), coeff in w.terms.items():
         c = float(coeff.re) if real else complex(coeff)
-        if n == 1:
-            _add_diagonals(full, factor(a[0], b[0]), c)
-        else:
-            mats = [_add_diagonals(np.zeros((size, size)), factor(*ab), 1.0) for ab in zip(a, b)]
-            full += c * functools.reduce(np.kron, mats)
-
-    dim = basis_size ** n
-    sub = full.reshape((size,) * (2 * n))[(slice(basis_size),) * (2 * n)].reshape(dim, dim)
-    if not real and not np.any(sub.imag):
-        return sub.real.copy()
-    return sub.copy()
+        for diags in iter_product(*(factor(*ab).items() for ab in zip(a, b))):
+            ks, vs = zip(*diags)
+            ranges = [np.arange(max(0, -k), basis_size - max(0, k)) for k in ks]
+            rows = np.ix_(*ranges)
+            values = functools.reduce(np.multiply.outer, [v[r] for v, r in zip(vs, ranges)])
+            mat[rows + tuple(r + k for r, k in zip(rows, ks))] += c * values
+    mat = mat.reshape(basis_size**n, basis_size**n)
+    return mat.real.copy() if not real and not np.any(mat.imag) else mat
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +184,6 @@ def _block_operators(spec: AlgebraSpec) -> tuple[float, list[WeylOperator]]:
     return const, ops
 
 
-def _refuse_oversized(spec: AlgebraSpec, basis_size: int) -> None:
-    """Refuse, before any allocation, a doubling check of ``basis_size`` whose
-    block matrices or Minkowski sum would exceed ``MAX_SOLVE_ENTRIES``."""
-    doubled = 2 * basis_size
-    for op in _block_operators(spec)[1]:
-        entries = _assembly_size(op, doubled) ** (2 * op.n)
-        _refuse_above_cap(
-            entries, f"a dense {op.n}-axis block matrix at the doubled basis size {doubled}"
-        )
-    _refuse_above_cap(doubled ** spec.n, f"the spectrum at the doubled basis size {doubled}")
-
-
 def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
     """``combine`` of ``start`` with one entry of each part, for every index
     tuple in row-major order: with ``np.add`` and block eigenvalues, the
@@ -216,10 +194,9 @@ def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
     return total
 
 
-def _eigvals(spec: AlgebraSpec, basis_size: int) -> np.ndarray:
-    """Ascending eigenvalues of the truncated ``delta1(spec)``: the sums
-    ``const + l1[i] + l2[j] + ...`` of the block eigenvalues, sorted."""
-    const, ops = _block_operators(spec)
+def _eigvals(const: float, ops: list[WeylOperator], basis_size: int) -> np.ndarray:
+    """Ascending eigenvalues of the truncated ``const + sum(ops)`` (one operator per
+    block): the sums ``const + l1[i] + l2[j] + ...`` of block eigenvalues, sorted."""
     blocks = [np.linalg.eigvalsh(hermite_matrix(op, basis_size)) for op in ops]
     return np.sort(_minkowski(np.add, const, blocks))
 
@@ -234,9 +211,14 @@ def eigenvalues(
     request whose doubled solve would exceed ``MAX_SOLVE_ENTRIES`` raises
     ValueError before anything is assembled.
     """
-    _refuse_oversized(spec, basis_size)
-    coarse = _eigvals(spec, basis_size)
-    fine = _eigvals(spec, 2 * basis_size)[: len(coarse)]
+    const, ops = _block_operators(spec)
+    doubled = 2 * basis_size
+    for op in ops:
+        what = f"a dense {op.n}-axis block matrix at the doubled basis size {doubled}"
+        _refuse_above_cap(_assembly_size(op, doubled) ** (2 * op.n), what)
+    _refuse_above_cap(doubled**spec.n, f"the spectrum at the doubled basis size {doubled}")
+    coarse = _eigvals(const, ops, basis_size)
+    fine = _eigvals(const, ops, doubled)[: len(coarse)]
     drifted = np.abs(coarse - fine) > drift_tol * np.maximum(1.0, np.abs(fine))
     converged = fine[: np.argmax(drifted) if drifted.any() else len(fine)].copy()
     converged.flags.writeable = False

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,20 @@ def test_poles_refuses_over_witness_budget(runner, quad, spec_file) -> None:
     result = runner.invoke(main, ["poles", spec_file(quad), "--s0", "10000000"])
     assert result.exit_code == 1
     assert "witnesses" in json.loads(result.output)["error"]
+
+
+def test_poles_refuses_huge_factor_count_quickly(runner, spec_file) -> None:
+    # one b_roots entry per reduction factor: 10^6 of them are refused before
+    # any root or lattice point is built
+    path = spec_file(algebra_spec(1, [1_000_000]))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["poles", path, "--s0", "-10"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "error": "the b-polynomial has 1000000 roots, more than 100000; lower alpha"
+    }
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("s0", ["abc", "1/0"])

@@ -146,6 +146,6 @@ def test_every_package_cache_is_bounded() -> None:
                 if callable(getattr(obj, "cache_info", None)):
                     sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
     for name in ("uea._push_y_through_x", "weyl.leibniz", "ideal._first", "core.index_set",
-                 "reduction._factor_constants"):
+                 "reduction._factor_constants", "ideal._canonical_image"):
         assert sizes[f"nilzeta.{name}"] == IMAGE_CACHE_SIZE
     assert [name for name, size in sorted(sizes.items()) if size is None] == []

@@ -13,6 +13,7 @@ Independent oracles used here:
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -550,6 +551,28 @@ def test_pole_lattice_matches_first_principles(name: str) -> None:
         witnesses = oracle[frac(entry.omega)]
         assert entry.multiplicity == len(witnesses)
         assert sorted(entry.witnesses) == sorted(witnesses)
+
+
+@given(
+    spec=algebra_specs(),
+    s0=st.fractions(-6, 6, max_denominator=4),
+    l_max=st.integers(0, 4),
+)
+def test_pole_lattice_matches_first_principles_at_any_start(spec, s0, l_max) -> None:
+    # only the factors with a witness are walked; each entry lists its
+    # witnesses in factor order, then by l
+    lat = pole_lattice(spec, s0=s0, l_max=l_max)
+    oracle = _lattice_oracle(spec, 0, s0, l_max)
+    assert [(frac(e.omega), e.witnesses) for e in lat.entries] == [
+        (omega, tuple(ws)) for omega, ws in sorted(oracle.items())
+    ]
+
+
+def test_pole_lattice_huge_alpha_below_every_root_is_empty_and_quick() -> None:
+    start = time.perf_counter()
+    lat = pole_lattice(algebra_spec(1, [1_000_000]), s0=-10)
+    assert lat.entries == ()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_pole_lattice_frozen_heis(heis) -> None:

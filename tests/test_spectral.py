@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -172,14 +173,51 @@ def test_block_spectrum_matches_full_tensor_solve(name, basis_size) -> None:
     # eigenvalues are the eigenvalues of the full tensor-basis matrix.
     spec = make_spec(name)
     full = np.linalg.eigvalsh(hermite_matrix(delta1(spec), basis_size))
-    np.testing.assert_allclose(_eigvals(spec, basis_size), full, rtol=1e-10)
+    const, ops = spectral._block_operators(spec)
+    np.testing.assert_allclose(_eigvals(const, ops, basis_size), full, rtol=1e-10)
 
 
 def test_block_split_rejects_term_across_blocks(pair_split, monkeypatch) -> None:
     spanning = WeylOperator.monomial(2, (1, 1), (0, 0))
     monkeypatch.setattr(spectral, "delta1", lambda spec: spanning)
     with pytest.raises(ValueError, match="spans partition blocks"):
-        _eigvals(pair_split, 4)
+        eigenvalues(pair_split, 4)
+
+
+def test_hermite_matrix_allocates_nothing_larger_than_its_result(pair_joint) -> None:
+    # pair_joint's 2-axis block: the per-axis diagonals go straight into the
+    # basis-size matrix, with no enlarged or Kronecker-product intermediate.
+    (op,) = spectral._block_operators(pair_joint)[1]
+    tracemalloc.start()
+    try:
+        mat = hermite_matrix(op, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (1600, 1600)
+    assert peak <= 1.5 * mat.nbytes
+
+
+def test_eigenvalues_assemble_through_the_module_global(pair_split, monkeypatch) -> None:
+    # The benchmark's matrix-size figure comes from wrapping
+    # spectral.hermite_matrix, so every block solve must look it up there;
+    # delta1 is split into blocks once per call.
+    assembled, inner = [], spectral.hermite_matrix
+    splits, inner_delta1 = [], spectral.delta1
+
+    def recorder(w, basis_size):
+        assembled.append((w.n, basis_size))
+        return inner(w, basis_size)
+
+    def counted_delta1(spec):
+        splits.append(spec)
+        return inner_delta1(spec)
+
+    monkeypatch.setattr(spectral, "hermite_matrix", recorder)
+    monkeypatch.setattr(spectral, "delta1", counted_delta1)
+    eigenvalues(pair_split, 8)
+    assert assembled == [(1, 8), (1, 8), (1, 16), (1, 16)]
+    assert splits == [pair_split]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +260,8 @@ def test_three_singleton_axes_solve_by_blocks() -> None:
 
 
 def test_oversized_solve_refused_before_assembly(pair_joint, monkeypatch) -> None:
-    # pair_joint's one 2-axis block at basis 2 * 128 would be a dense matrix
-    # of 260^2 rows; the refusal must come before anything is assembled.
+    # pair_joint's one 2-axis block at basis 2 * 128 counts 260^2 rows at its
+    # enlarged assembly size; the refusal must come before anything is assembled.
     def no_assembly(w, basis_size):
         raise AssertionError("assembly started before the size check")
 
