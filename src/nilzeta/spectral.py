@@ -9,9 +9,11 @@ restriction and eigenvalues decrease monotonically in the basis size.
 
 delta1 is a constant plus one operator per partition block, each acting on
 its own block's axes, so its matrix on the tensor basis is a Kronecker sum:
-every eigensolve is of one block's matrix; eigenvalues combine by a Minkowski
-sum and eigenvectors by tensor products.  Solves whose matrices or sums would
-exceed ``MAX_SOLVE_ENTRIES`` are refused before anything is assembled.
+eigenvalues combine by a Minkowski sum and eigenvectors by tensor products.
+Every term of delta1 is even in every axis, so a block's matrix is the direct
+sum of its per-axis parity sectors, each assembled and solved on its own.
+Solves whose whole block matrices or sums would exceed ``MAX_SOLVE_ENTRIES``
+are refused before anything is assembled.
 
 Convergence is certified by doubling: an eigenvalue counts as converged when
 it moves relatively less than a drift tolerance between the basis size and
@@ -80,7 +82,7 @@ def _ladder_step(diags: dict, s: np.ndarray, sign: float) -> dict:
     return out
 
 
-def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
+def hermite_matrix(w: WeylOperator, basis_size: int, parity: Optional[tuple] = None) -> np.ndarray:
     """Galerkin matrix of a Weyl operator in the Hermite-function basis.
 
     ``basis_size`` counts basis functions per axis (total basis_size**n).
@@ -90,12 +92,18 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
     For each term and each choice of one diagonal per axis, the product of
     those diagonals is added straight into the basis-size matrix.  An
     enlarged size above ``MAX_SOLVE_ENTRIES`` entries is refused.
+
+    With ``parity`` (0 or 1 per axis) only that sector is built: the principal
+    submatrix on the h_i with every i_j = parity[j] (mod 2), by stride 2 and
+    halved diagonals.  A term with an odd a_j + b_j couples sectors and is refused.
     """
     n = w.n
     if basis_size < 1:
         raise ValueError("basis size must be positive")
     size = _assembly_size(w, basis_size)
     _refuse_above_cap(size ** (2 * n), "the Hermite matrix")
+    step, offsets = (1, (0,) * n) if parity is None else (2, parity)
+    axes = [np.arange(p, basis_size, step) for p in offsets]  # basis indices kept per axis
     s = np.sqrt(np.arange(1, size) / 2.0)
 
     def factor(a: int, b: int) -> dict:
@@ -108,17 +116,26 @@ def hermite_matrix(w: WeylOperator, basis_size: int) -> np.ndarray:
         return diags
 
     real = all(coeff.im == 0 for coeff in w.terms.values())
-    mat = np.zeros((basis_size,) * (2 * n), dtype=float if real else complex)
+    mat = np.zeros(tuple(len(i) for i in axes) * 2, dtype=float if real else complex)
     for (a, b), coeff in w.terms.items():
+        if any((ai + bi) % step for ai, bi in zip(a, b)):
+            raise ValueError(f"a term of odd degree on an axis has no parity sector {parity}")
         c = float(coeff.re) if real else complex(coeff)
         for diags in iter_product(*(factor(*ab).items() for ab in zip(a, b))):
             ks, vs = zip(*diags)
-            ranges = [np.arange(max(0, -k), basis_size - max(0, k)) for k in ks]
-            rows = np.ix_(*ranges)
-            values = functools.reduce(np.multiply.outer, [v[r] for v, r in zip(vs, ranges)])
-            mat[rows + tuple(r + k for r, k in zip(rows, ks))] += c * values
-    mat = mat.reshape(basis_size**n, basis_size**n)
+            kept = [i[(i >= -k) & (i < basis_size - k)] for i, k in zip(axes, ks)]
+            rows = np.ix_(*((i - p) // step for i, p in zip(kept, offsets)))
+            values = functools.reduce(np.multiply.outer, [v[i] for v, i in zip(vs, kept)])
+            mat[rows + tuple(r + k // step for r, k in zip(rows, ks))] += c * values
+    mat = mat.reshape((math.prod(mat.shape[:n]),) * 2)
     return mat.real.copy() if not real and not np.any(mat.imag) else mat
+
+
+def _sectors(w: WeylOperator) -> list:
+    """The parities of the 2^n sectors of ``w``'s matrix when every term is even on
+    every axis (opposite parities then never couple), else ``[None]``: the whole."""
+    even = all((ai + bi) % 2 == 0 for a, b in w.terms for ai, bi in zip(a, b))
+    return list(iter_product((0, 1), repeat=w.n)) if even else [None]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +213,11 @@ def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
 
 def _eigvals(const: float, ops: list[WeylOperator], basis_size: int) -> np.ndarray:
     """Ascending eigenvalues of the truncated ``const + sum(ops)`` (one operator per
-    block): the sums ``const + l1[i] + l2[j] + ...`` of block eigenvalues, sorted."""
-    blocks = [np.linalg.eigvalsh(hermite_matrix(op, basis_size)) for op in ops]
+    block): the sorted sums ``const + l1[i] + l2[j] + ...``, each block solved by sector."""
+    blocks = []
+    for op in ops:
+        vals = [np.linalg.eigvalsh(hermite_matrix(op, basis_size, p)) for p in _sectors(op)]
+        blocks.append(np.concatenate(vals))
     return np.sort(_minkowski(np.add, const, blocks))
 
 
@@ -302,22 +322,32 @@ def _diagonal_weights(est: SpectralEstimate, x_weight: WeylOperator) -> np.ndarr
     eigenvectors, and each monomial ``x^a d^b`` is the tensor product of its
     factors on the blocks, so every diagonal element is a product of
     per-block elements.  The blocks are solved at the doubled basis size that
-    produced the estimate, and the products are sorted like its eigenvalues.
+    produced the estimate, sector by sector, and the products are sorted like
+    its eigenvalues; a term odd on an axis of a split block has zero elements.
     """
     spec = est.spec
     if x_weight.n != spec.n:
         raise ValueError("weight operator has the wrong variable count")
     size = 2 * est.basis_size
     const, ops = _block_operators(spec)
-    solves = [np.linalg.eigh(hermite_matrix(op, size)) for op in ops]
-    order = np.argsort(_minkowski(np.add, const, [vals for vals, _ in solves]))
+    sectors = [_sectors(op) for op in ops]
+    solves = [
+        [np.linalg.eigh(hermite_matrix(op, size, p)) for p in ps] for op, ps in zip(ops, sectors)
+    ]
+    block_vals = [np.concatenate([vals for vals, _ in solve]) for solve in solves]
+    order = np.argsort(_minkowski(np.add, const, block_vals))
     weights = np.zeros(len(order), dtype=complex)
     for (a, b), coeff in x_weight.terms.items():
+        factors = [WeylOperator.monomial(len(bl), *_on_block(bl, a, b)) for bl in spec.partition]
+        if any(ps != [None] and _sectors(f) == [None] for f, ps in zip(factors, sectors)):
+            continue
         elements = []
-        for block, (_, vecs) in zip(spec.partition, solves):
-            factor = WeylOperator.monomial(len(block), *_on_block(block, a, b))
-            mat = hermite_matrix(factor, size)
-            elements.append(np.einsum("ik,ik->k", vecs.conj(), mat @ vecs))
+        for factor, ps, solve in zip(factors, sectors, solves):
+            diags = [
+                np.einsum("ik,ik->k", v.conj(), hermite_matrix(factor, size, p) @ v)
+                for p, (_, v) in zip(ps, solve)
+            ]
+            elements.append(np.concatenate(diags))
         weights += complex(coeff) * _minkowski(np.multiply, 1.0, elements)
     return weights[order[: est.converged_count]]
 

@@ -14,7 +14,11 @@ Independent oracles used here:
   the ladder matrices and Kronecker products on the full tensor basis) for
   the diagonal-by-diagonal assembly, and dense eigensolves of the full tensor matrix
   for the per-block Minkowski-sum spectra and the per-block weighted zeta sums;
-* <h_k | x^2 | h_k> = k + 1/2 gives the heis zeta weighted by X1^2 in closed form.
+* <h_k | x^2 | h_k> = k + 1/2 gives the heis zeta weighted by X1^2 in closed form;
+* the full Galerkin matrix, whose principal submatrices the parity sectors
+  must equal bitwise, and whose entries between sectors must be exactly zero;
+* the shifted oscillator 2 - d^2 + x^2 + x, with eigenvalues 2k + 11/4 and
+  <x> = -1/2, for a block that does not split into parity sectors.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -30,7 +35,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nilzeta.spectral as spectral
-from conftest import make_spec
+from conftest import SPEC_PARAMS, make_spec
 from nilzeta import algebra_spec
 from nilzeta.reduction import physical_abscissa
 from nilzeta.scalars import GaussianRational
@@ -166,15 +171,83 @@ def test_hermite_matrix_matches_dense_reference(case) -> None:
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
 
-@pytest.mark.parametrize("name", ["pair_split", "mixed"])
-@pytest.mark.parametrize("basis_size", [3, 8, 12])
+@st.composite
+def parity_cases(draw) -> tuple[WeylOperator, int]:
+    """A Weyl operator on 1 to 3 axes whose every term has an even a_j + b_j on
+    every axis, or a block operator of a standard algebra, and a basis size."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(SPEC_PARAMS)))
+        op = draw(st.sampled_from(spectral._block_operators(make_spec(name))[1]))
+        return op, draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, 2, 3]))
+    exps = st.tuples(*[st.integers(0, 3 if n < 3 else 2)] * n)
+    even = st.tuples(exps, exps).map(
+        lambda ab: (ab[0], tuple(bj + (aj + bj) % 2 for aj, bj in zip(*ab)))
+    )
+    terms = draw(st.dictionaries(even, _gaussian, min_size=1, max_size=5))
+    return WeylOperator(n, terms), draw(st.integers(1, 9 if n < 3 else 5))
+
+
+@given(parity_cases())
+def test_parity_sectors_are_exact_principal_submatrices(case) -> None:
+    # Each sector is the full matrix restricted, bitwise, to the basis
+    # functions of its per-axis parities (row-major), every entry between two
+    # sectors is exactly zero, and a term odd on an axis is refused per sector.
+    w, basis_size = case
+    full = hermite_matrix(w, basis_size)
+    parities = np.array(list(np.ndindex(*(basis_size,) * w.n))) % 2
+    for p in product((0, 1), repeat=w.n):
+        inside = np.flatnonzero((parities == p).all(axis=1))
+        assert np.array_equal(hermite_matrix(w, basis_size, p), full[np.ix_(inside, inside)])
+    across = (parities[:, None, :] != parities[None, :, :]).any(axis=2)
+    assert np.all(full[across] == 0.0)
+    axis_x = tuple(1 if i == 0 else 0 for i in range(w.n))
+    odd = WeylOperator(w.n, {**w.terms, (axis_x, (0,) * w.n): GaussianRational(1)})
+    for p in product((0, 1), repeat=w.n):
+        with pytest.raises(ValueError, match="odd degree"):
+            hermite_matrix(odd, basis_size, p)
+
+
+def test_basis_size_zero_refused_per_sector(quad) -> None:
+    with pytest.raises(ValueError, match="basis size must be positive"):
+        hermite_matrix(delta1(quad), 0, (0,))
+    with pytest.raises(ValueError, match="basis size must be positive"):
+        eigenvalues(quad, 0)
+
+
+@pytest.mark.parametrize("name", ["pair_split", "mixed", "cubic", "pair_joint"])
+@pytest.mark.parametrize("basis_size", [1, 3, 8, 12])
 def test_block_spectrum_matches_full_tensor_solve(name, basis_size) -> None:
-    # delta1 is a Kronecker sum over the blocks, so the sorted sums of block
-    # eigenvalues are the eigenvalues of the full tensor-basis matrix.
+    # delta1 is a Kronecker sum over the blocks, and each block the direct sum
+    # of its parity sectors, so the sorted sums of sector eigenvalues are the
+    # eigenvalues of the full tensor-basis matrix (at basis size 1 every odd
+    # sector is empty).
     spec = make_spec(name)
     full = np.linalg.eigvalsh(hermite_matrix(delta1(spec), basis_size))
     const, ops = spectral._block_operators(spec)
     np.testing.assert_allclose(_eigvals(const, ops, basis_size), full, rtol=1e-10)
+
+
+def test_block_with_an_odd_term_is_solved_whole(heis, monkeypatch) -> None:
+    # 2 - d^2 + x^2 + x = 2 - d^2 + (x + 1/2)^2 - 1/4 has eigenvalues 2k + 11/4
+    # and <x> = -1/2 on every eigenvector.  Its x term couples the parity
+    # sectors, so the block is assembled and solved whole, weights included.
+    shifted = delta1(heis) + WeylOperator.x_op(1, 0)
+    assembled, inner = [], spectral.hermite_matrix
+
+    def recorder(w, basis_size, parity=None):
+        assembled.append(parity)
+        return inner(w, basis_size, parity)
+
+    monkeypatch.setattr(spectral, "delta1", lambda spec: shifted)
+    monkeypatch.setattr(spectral, "hermite_matrix", recorder)
+    est = eigenvalues(heis, 64)
+    assert est.converged_count >= 20
+    ks = np.arange(est.converged_count)
+    np.testing.assert_allclose(est.eigenvalues, 2.0 * ks + 2.75, rtol=1e-10)
+    weights = _diagonal_weights(est, WeylOperator.x_op(1, 0))
+    np.testing.assert_allclose(weights, -0.5, rtol=1e-8)
+    assert set(assembled) == {None}
 
 
 def test_block_split_rejects_term_across_blocks(pair_split, monkeypatch) -> None:
@@ -198,16 +271,29 @@ def test_hermite_matrix_allocates_nothing_larger_than_its_result(pair_joint) -> 
     assert peak <= 1.5 * mat.nbytes
 
 
+def test_sector_solves_allocate_no_full_block(quad) -> None:
+    # quad's block at the doubled size 800 is solved as two 400 x 400
+    # sectors; no 800 x 800 matrix (5.12 MB) is ever held.
+    tracemalloc.start()
+    try:
+        eigenvalues(quad, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 800 * 800 * 8
+
+
 def test_eigenvalues_assemble_through_the_module_global(pair_split, monkeypatch) -> None:
     # The benchmark's matrix-size figure comes from wrapping
-    # spectral.hermite_matrix, so every block solve must look it up there;
-    # delta1 is split into blocks once per call.
+    # spectral.hermite_matrix, so every sector solve must look it up there;
+    # delta1 is split into blocks once per call, and each block into its
+    # even and odd sectors.
     assembled, inner = [], spectral.hermite_matrix
     splits, inner_delta1 = [], spectral.delta1
 
-    def recorder(w, basis_size):
-        assembled.append((w.n, basis_size))
-        return inner(w, basis_size)
+    def recorder(w, basis_size, parity=None):
+        assembled.append((w.n, basis_size, parity))
+        return inner(w, basis_size, parity)
 
     def counted_delta1(spec):
         splits.append(spec)
@@ -216,7 +302,8 @@ def test_eigenvalues_assemble_through_the_module_global(pair_split, monkeypatch)
     monkeypatch.setattr(spectral, "hermite_matrix", recorder)
     monkeypatch.setattr(spectral, "delta1", counted_delta1)
     eigenvalues(pair_split, 8)
-    assert assembled == [(1, 8), (1, 8), (1, 16), (1, 16)]
+    sectors = [(1, size, (p,)) for size in (8, 16) for _block in range(2) for p in (0, 1)]
+    assert assembled == sectors
     assert splits == [pair_split]
 
 
@@ -244,10 +331,17 @@ def test_quad_ground_levels_regression(quad) -> None:
 
 @pytest.mark.parametrize(
     "name,basis_size,converged",
-    [("heis", 200, 200), ("quad", 400, 100), ("cubic", 400, 70), ("pair_split", 24, 323)],
+    [
+        ("heis", 200, 200),
+        ("quad", 400, 100),
+        ("cubic", 400, 70),
+        ("pair_split", 24, 323),
+        ("pair_joint", 30, 19),
+    ],
 )
 def test_converged_counts_regression(name, basis_size, converged) -> None:
-    # pinned from the full tensor-basis solve the block solve replaced
+    # pinned from the solves the sector solves replaced: the full tensor basis,
+    # and for pair_joint its whole 2-axis block (3600 x 3600 at the doubled size)
     assert eigenvalues(make_spec(name), basis_size).converged_count == converged
 
 
