@@ -46,7 +46,6 @@ from .ideal import (
 )
 from .indices import box, mi_factorial, mi_sub
 from .reduction import (
-    MAX_POLE_WITNESSES,
     b_polynomial,
     b_roots,
     g_ab,
@@ -401,13 +400,9 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
     """Candidate pole lattice of the spectral zeta function."""
     try:
         spec = load_spec(spec_file)
-        roots = math.prod(sum(spec.alpha[k] for k in block) for block in spec.partition)
-        if roots > MAX_POLE_WITNESSES:  # b_roots lists one per reduction factor
-            raise ValueError(
-                f"the b-polynomial has {roots} roots, more than {MAX_POLE_WITNESSES}; lower alpha"
-            )
+        roots = b_roots(spec)
         lattice = pole_lattice(spec, q=q, s0=s0, l_max=lmax)
-    except ValueError as exc:  # a bad description, bad JSON or a witness budget
+    except ValueError as exc:  # a bad description, bad JSON, or a root or witness budget
         _emit({"error": str(exc)})
         sys.exit(1)
     entries = [
@@ -426,7 +421,7 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
             "q": q,
             "s0": s0,
             "l_max": lmax,
-            "b_roots": [format_rational(r) for r in b_roots(spec)],
+            "b_roots": [format_rational(r) for r in roots],
             "physical_abscissa": format_rational(physical_abscissa(spec, q)),
             "entries": entries,
         }

@@ -427,7 +427,13 @@ def b_polynomial(spec: AlgebraSpec) -> RationalPolynomial:
 
 
 def b_roots(spec: AlgebraSpec) -> list:
-    """Roots of b_polynomial with multiplicity, one per reduction factor."""
+    """Roots of b_polynomial with multiplicity, one per reduction factor; more than
+    ``MAX_POLE_WITNESSES`` factors raise ValueError before any root is built."""
+    roots = math.prod(sum(spec.alpha[k] for k in block) for block in spec.partition)
+    if roots > MAX_POLE_WITNESSES:
+        raise ValueError(
+            f"the b-polynomial has {roots} roots, more than {MAX_POLE_WITNESSES}; lower alpha"
+        )
     return [_factor_root(spec, i, r) for i, r in reduction_factors(spec)]
 
 
@@ -462,8 +468,9 @@ class PoleLattice:
     entries: tuple
 
 
-# Most witnesses one pole lattice may list; larger requests are refused
-# before any is listed (the listing grows linearly in s0 and l_max).
+# Most witnesses one pole lattice, or roots ``b_roots``, may list; larger
+# requests are refused before any is listed (the listing grows linearly in s0
+# and l_max, the roots with the product over blocks of the block sums of alpha).
 MAX_POLE_WITNESSES = 100_000
 
 

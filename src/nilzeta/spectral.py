@@ -11,9 +11,9 @@ delta1 is a constant plus one operator per partition block, each acting on
 its own block's axes, so its matrix on the tensor basis is a Kronecker sum:
 eigenvalues combine by a Minkowski sum and eigenvectors by tensor products.
 Every term of delta1 is even in every axis, so a block's matrix is the direct
-sum of its per-axis parity sectors, each assembled and solved on its own.
-Solves whose whole block matrices or sums would exceed ``MAX_SOLVE_ENTRIES``
-are refused before anything is assembled.
+sum of its 2^axes per-axis parity sectors, each assembled and solved on its
+own; a block is never built whole.  Solves whose sector matrices or sums
+would exceed ``MAX_SOLVE_ENTRIES`` are refused before anything is assembled.
 
 Convergence is certified by doubling: an eigenvalue counts as converged when
 it moves relatively less than a drift tolerance between the basis size and
@@ -45,10 +45,9 @@ from .weyl import WeylOperator, delta1
 # Exact-entry Galerkin assembly
 # ---------------------------------------------------------------------------
 
-# The largest number of float entries one spectral solve may hold: a dense
-# Hermite matrix's entries counted at its enlarged assembly size (an upper
-# bound on what is allocated, kept so that refusals do not move), or the
-# length of the Minkowski sum of block spectra.  Larger ones are refused.
+# The largest number of float entries one spectral solve may hold: the
+# entries of one dense Hermite (sector) matrix as allocated, or the length of
+# the Minkowski sum of block spectra.  Larger ones are refused.
 MAX_SOLVE_ENTRIES = 1 << 24
 
 
@@ -58,11 +57,6 @@ def _refuse_above_cap(entries: int, what: str) -> None:
             f"{what} would hold {entries} float entries, above the cap of "
             f"{MAX_SOLVE_ENTRIES}; lower the basis size"
         )
-
-
-def _assembly_size(w: WeylOperator, basis_size: int) -> int:
-    """Per-axis size at which the diagonals of ``w``'s factors are built."""
-    return basis_size + max(w.total_degree(), 0)
 
 
 def _ladder_step(diags: dict, s: np.ndarray, sign: float) -> dict:
@@ -90,8 +84,8 @@ def hermite_matrix(w: WeylOperator, basis_size: int, parity: Optional[tuple] = N
     a + b + 1 diagonals at size basis_size + total_degree, so every entry
     equals the exact infinite-basis matrix element (up to float rounding).
     For each term and each choice of one diagonal per axis, the product of
-    those diagonals is added straight into the basis-size matrix.  An
-    enlarged size above ``MAX_SOLVE_ENTRIES`` entries is refused.
+    those diagonals is added straight into the basis-size matrix.  A result
+    of more than ``MAX_SOLVE_ENTRIES`` entries is refused.
 
     With ``parity`` (0 or 1 per axis) only that sector is built: the principal
     submatrix on the h_i with every i_j = parity[j] (mod 2), by stride 2 and
@@ -100,10 +94,10 @@ def hermite_matrix(w: WeylOperator, basis_size: int, parity: Optional[tuple] = N
     n = w.n
     if basis_size < 1:
         raise ValueError("basis size must be positive")
-    size = _assembly_size(w, basis_size)
-    _refuse_above_cap(size ** (2 * n), "the Hermite matrix")
     step, offsets = (1, (0,) * n) if parity is None else (2, parity)
     axes = [np.arange(p, basis_size, step) for p in offsets]  # basis indices kept per axis
+    _refuse_above_cap(math.prod(map(len, axes)) ** 2, "the Hermite matrix")
+    size = basis_size + max(w.total_degree(), 0)
     s = np.sqrt(np.arange(1, size) / 2.0)
 
     def factor(a: int, b: int) -> dict:
@@ -129,13 +123,6 @@ def hermite_matrix(w: WeylOperator, basis_size: int, parity: Optional[tuple] = N
             mat[rows + tuple(r + k // step for r, k in zip(rows, ks))] += c * values
     mat = mat.reshape((math.prod(mat.shape[:n]),) * 2)
     return mat.real.copy() if not real and not np.any(mat.imag) else mat
-
-
-def _sectors(w: WeylOperator) -> list:
-    """The parities of the 2^n sectors of ``w``'s matrix when every term is even on
-    every axis (opposite parities then never couple), else ``[None]``: the whole."""
-    even = all((ai + bi) % 2 == 0 for a, b in w.terms for ai, bi in zip(a, b))
-    return list(iter_product((0, 1), repeat=w.n)) if even else [None]
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +198,22 @@ def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
     return total
 
 
+def _sector_solves(ops: list[WeylOperator], basis_size: int, solve) -> list:
+    """``(parity, solve(sector matrix))`` for each parity sector of each block
+    operator at ``basis_size``: one list per block, in row-major parity order.
+    An operator with a term odd on an axis couples sectors and is refused by
+    :func:`hermite_matrix`."""
+    return [
+        [(p, solve(hermite_matrix(op, basis_size, p))) for p in iter_product((0, 1), repeat=op.n)]
+        for op in ops
+    ]
+
+
 def _eigvals(const: float, ops: list[WeylOperator], basis_size: int) -> np.ndarray:
     """Ascending eigenvalues of the truncated ``const + sum(ops)`` (one operator per
     block): the sorted sums ``const + l1[i] + l2[j] + ...``, each block solved by sector."""
-    blocks = []
-    for op in ops:
-        vals = [np.linalg.eigvalsh(hermite_matrix(op, basis_size, p)) for p in _sectors(op)]
-        blocks.append(np.concatenate(vals))
+    solves = _sector_solves(ops, basis_size, np.linalg.eigvalsh)
+    blocks = [np.concatenate([vals for _, vals in solve]) for solve in solves]
     return np.sort(_minkowski(np.add, const, blocks))
 
 
@@ -229,13 +225,14 @@ def eigenvalues(
     An eigenvalue is converged when its relative drift between basis sizes N
     and 2N is below ``drift_tol``; only the contiguous prefix counts.  A
     request whose doubled solve would exceed ``MAX_SOLVE_ENTRIES`` raises
-    ValueError before anything is assembled.
+    ValueError before anything is assembled: the largest sector of an n-axis
+    block at the doubled size holds basis_size**(2n) entries.
     """
     const, ops = _block_operators(spec)
     doubled = 2 * basis_size
     for op in ops:
-        what = f"a dense {op.n}-axis block matrix at the doubled basis size {doubled}"
-        _refuse_above_cap(_assembly_size(op, doubled) ** (2 * op.n), what)
+        what = f"a {op.n}-axis parity sector matrix at the doubled basis size {doubled}"
+        _refuse_above_cap(basis_size ** (2 * op.n), what)
     _refuse_above_cap(doubled**spec.n, f"the spectrum at the doubled basis size {doubled}")
     coarse = _eigvals(const, ops, basis_size)
     fine = _eigvals(const, ops, doubled)[: len(coarse)]
@@ -323,29 +320,27 @@ def _diagonal_weights(est: SpectralEstimate, x_weight: WeylOperator) -> np.ndarr
     factors on the blocks, so every diagonal element is a product of
     per-block elements.  The blocks are solved at the doubled basis size that
     produced the estimate, sector by sector, and the products are sorted like
-    its eigenvalues; a term odd on an axis of a split block has zero elements.
+    its eigenvalues; a term odd on an axis maps each sector into another, so
+    its elements are zero and it is skipped.
     """
     spec = est.spec
     if x_weight.n != spec.n:
         raise ValueError("weight operator has the wrong variable count")
     size = 2 * est.basis_size
     const, ops = _block_operators(spec)
-    sectors = [_sectors(op) for op in ops]
-    solves = [
-        [np.linalg.eigh(hermite_matrix(op, size, p)) for p in ps] for op, ps in zip(ops, sectors)
-    ]
-    block_vals = [np.concatenate([vals for vals, _ in solve]) for solve in solves]
+    solves = _sector_solves(ops, size, np.linalg.eigh)
+    block_vals = [np.concatenate([vals for _, (vals, _) in solve]) for solve in solves]
     order = np.argsort(_minkowski(np.add, const, block_vals))
     weights = np.zeros(len(order), dtype=complex)
     for (a, b), coeff in x_weight.terms.items():
-        factors = [WeylOperator.monomial(len(bl), *_on_block(bl, a, b)) for bl in spec.partition]
-        if any(ps != [None] and _sectors(f) == [None] for f, ps in zip(factors, sectors)):
+        if any((ai + bi) % 2 for ai, bi in zip(a, b)):
             continue
         elements = []
-        for factor, ps, solve in zip(factors, sectors, solves):
+        for block, solve in zip(spec.partition, solves):
+            factor = WeylOperator.monomial(len(block), *_on_block(block, a, b))
             diags = [
                 np.einsum("ik,ik->k", v.conj(), hermite_matrix(factor, size, p) @ v)
-                for p, (_, v) in zip(ps, solve)
+                for p, (_, v) in solve
             ]
             elements.append(np.concatenate(diags))
         weights += complex(coeff) * _minkowski(np.multiply, 1.0, elements)

@@ -647,6 +647,17 @@ def test_pole_lattice_refuses_huge_alpha_before_the_factor_table(monkeypatch) ->
         pole_lattice(algebra_spec(1, [1_000_000]))
 
 
+def test_b_roots_refuses_huge_factor_count_before_any_root(monkeypatch) -> None:
+    from nilzeta import reduction
+
+    def no_root(*args):
+        raise AssertionError("a root was built before the factor count")
+
+    monkeypatch.setattr(reduction, "_factor_root", no_root)
+    with pytest.raises(ValueError, match="has 1000000 roots, more than 100000; lower alpha"):
+        b_roots(algebra_spec(1, [1_000_000]))
+
+
 @given(spec=algebra_specs(), q=st.integers(0, 3))
 def test_factor_closed_forms_match_enumeration(spec, q) -> None:
     assert physical_abscissa(spec, q) == physical_abscissa_by_enumeration(spec, q)

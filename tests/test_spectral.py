@@ -16,9 +16,7 @@ Independent oracles used here:
   for the per-block Minkowski-sum spectra and the per-block weighted zeta sums;
 * <h_k | x^2 | h_k> = k + 1/2 gives the heis zeta weighted by X1^2 in closed form;
 * the full Galerkin matrix, whose principal submatrices the parity sectors
-  must equal bitwise, and whose entries between sectors must be exactly zero;
-* the shifted oscillator 2 - d^2 + x^2 + x, with eigenvalues 2k + 11/4 and
-  <x> = -1/2, for a block that does not split into parity sectors.
+  must equal bitwise, and whose entries between sectors must be exactly zero.
 """
 
 from __future__ import annotations
@@ -228,26 +226,13 @@ def test_block_spectrum_matches_full_tensor_solve(name, basis_size) -> None:
     np.testing.assert_allclose(_eigvals(const, ops, basis_size), full, rtol=1e-10)
 
 
-def test_block_with_an_odd_term_is_solved_whole(heis, monkeypatch) -> None:
-    # 2 - d^2 + x^2 + x = 2 - d^2 + (x + 1/2)^2 - 1/4 has eigenvalues 2k + 11/4
-    # and <x> = -1/2 on every eigenvector.  Its x term couples the parity
-    # sectors, so the block is assembled and solved whole, weights included.
+def test_block_with_an_odd_term_is_refused(heis, monkeypatch) -> None:
+    # Every block is solved by parity sector, and an x term couples the
+    # sectors, so a block carrying one is refused rather than solved.
     shifted = delta1(heis) + WeylOperator.x_op(1, 0)
-    assembled, inner = [], spectral.hermite_matrix
-
-    def recorder(w, basis_size, parity=None):
-        assembled.append(parity)
-        return inner(w, basis_size, parity)
-
     monkeypatch.setattr(spectral, "delta1", lambda spec: shifted)
-    monkeypatch.setattr(spectral, "hermite_matrix", recorder)
-    est = eigenvalues(heis, 64)
-    assert est.converged_count >= 20
-    ks = np.arange(est.converged_count)
-    np.testing.assert_allclose(est.eigenvalues, 2.0 * ks + 2.75, rtol=1e-10)
-    weights = _diagonal_weights(est, WeylOperator.x_op(1, 0))
-    np.testing.assert_allclose(weights, -0.5, rtol=1e-8)
-    assert set(assembled) == {None}
+    with pytest.raises(ValueError, match="odd degree"):
+        eigenvalues(heis, 64)
 
 
 def test_block_split_rejects_term_across_blocks(pair_split, monkeypatch) -> None:
@@ -337,11 +322,14 @@ def test_quad_ground_levels_regression(quad) -> None:
         ("cubic", 400, 70),
         ("pair_split", 24, 323),
         ("pair_joint", 30, 19),
+        ("pair_joint", 40, 54),
     ],
 )
 def test_converged_counts_regression(name, basis_size, converged) -> None:
     # pinned from the solves the sector solves replaced: the full tensor basis,
-    # and for pair_joint its whole 2-axis block (3600 x 3600 at the doubled size)
+    # and for pair_joint its whole 2-axis block (3600 x 3600 at the doubled
+    # size); pair_joint at 40 from the sector solves with the size cap lifted,
+    # before the cap counted sectors
     assert eigenvalues(make_spec(name), basis_size).converged_count == converged
 
 
@@ -354,8 +342,9 @@ def test_three_singleton_axes_solve_by_blocks() -> None:
 
 
 def test_oversized_solve_refused_before_assembly(pair_joint, monkeypatch) -> None:
-    # pair_joint's one 2-axis block at basis 2 * 128 counts 260^2 rows at its
-    # enlarged assembly size; the refusal must come before anything is assembled.
+    # pair_joint's one 2-axis block at basis 2 * 128 has a largest parity sector
+    # of 128^2 rows, so 128^4 = 2^28 entries; the refusal must come before
+    # anything is assembled.
     def no_assembly(w, basis_size):
         raise AssertionError("assembly started before the size check")
 
