@@ -18,137 +18,59 @@ The package computes, for a two-parameter family of nilpotent Lie algebras:
   pole, and truncated zeta values with tail estimates.
 """
 
-from .core import (
-    AlgebraSpec,
-    JacobiError,
-    SpecError,
-    algebra_spec,
-    basis,
-    bracket,
-    index_set,
-    isotropic_subalgebra,
-    jacobi_check,
-    load_spec,
-    nilpotency_class,
-    structure_constants,
-    validate_spec,
-)
-from .expr import ExpressionError, format_element, parse_expression
-from .ideal import (
-    DegreeSlice,
-    build_slice,
-    canonical_form,
-    filtration_min_degree,
-    gamma_generators,
-    is_member,
-    star_generators,
-)
-from .linalg import commutator
-from .reduction import (
-    PoleEntry,
-    PoleLattice,
-    RationalPolynomial,
-    ReductionChoice,
-    b_polynomial,
-    g_ab,
-    g_s,
-    h_ab,
-    h_s,
-    lagrange_identity_check,
-    physical_abscissa,
-    pole_lattice,
-    reduction_data,
-    t_s,
-    taylor_coeffs,
-    taylor_residual,
-)
-from .scalars import RATIONAL_BACKEND, GaussianRational
-from .uea import (
-    Monomial,
-    UEAElement,
-    gamma_apply,
-    normal_product,
-    y_star,
-)
-from .weyl import (
-    WeylOperator,
-    ad_power,
-    commutator_power_check,
-    delta1,
-    rho,
-    weyl_product,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-# The numeric layer needs numpy, which the exact layer never uses; its names
-# resolve on first use so that importing the package stays light.
-_SPECTRAL_NAMES = (
-    "GrowthFit", "SpectralEstimate", "eigenvalues", "fit_growth",
-    "hermite_matrix", "leading_residue", "zeta_value",
-)
+# Every submodule, with the public names the package exports from it; this
+# table drives ``__all__``, ``__dir__`` and ``__getattr__``.  Nothing is
+# imported until a name is first used, so ``import nilzeta`` loads no
+# submodule and the exact layer never pulls in numpy, which only ``spectral``
+# needs.
+_EXPORTS = {
+    "core": (
+        "AlgebraSpec", "JacobiError", "SpecError", "algebra_spec", "basis", "bracket",
+        "index_set", "isotropic_subalgebra", "jacobi_check", "load_spec",
+        "nilpotency_class", "structure_constants", "validate_spec",
+    ),
+    "expr": ("ExpressionError", "format_element", "parse_expression"),
+    "ideal": (
+        "DegreeSlice", "build_slice", "canonical_form", "filtration_min_degree",
+        "gamma_generators", "is_member", "star_generators",
+    ),
+    "indices": (),
+    "linalg": ("commutator",),
+    "reduction": (
+        "PoleEntry", "PoleLattice", "RationalPolynomial", "ReductionChoice",
+        "b_polynomial", "g_ab", "g_s", "h_ab", "h_s", "lagrange_identity_check",
+        "physical_abscissa", "pole_lattice", "reduction_data", "t_s", "taylor_coeffs",
+        "taylor_residual",
+    ),
+    "scalars": ("RATIONAL_BACKEND", "GaussianRational"),
+    "spectral": (
+        "GrowthFit", "SpectralEstimate", "eigenvalues", "fit_growth", "hermite_matrix",
+        "leading_residue", "zeta_value",
+    ),
+    "uea": ("Monomial", "UEAElement", "gamma_apply", "normal_product", "y_star"),
+    "weyl": ("WeylOperator", "ad_power", "commutator_power_check", "delta1", "rho", "weyl_product"),
+    "cli": (),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _SPECTRAL_NAMES:
-        from . import spectral
+    """Import a public name's module (or a submodule) on first use and keep the name."""
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
-        return getattr(spectral, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "AlgebraSpec",
-    "DegreeSlice",
-    "ExpressionError",
-    "GaussianRational",
-    "JacobiError",
-    "Monomial",
-    "PoleEntry",
-    "PoleLattice",
-    "RATIONAL_BACKEND",
-    "RationalPolynomial",
-    "ReductionChoice",
-    "SpecError",
-    "UEAElement",
-    "WeylOperator",
-    "ad_power",
-    "algebra_spec",
-    "b_polynomial",
-    "basis",
-    "bracket",
-    "build_slice",
-    "canonical_form",
-    "commutator",
-    "commutator_power_check",
-    "delta1",
-    "filtration_min_degree",
-    "format_element",
-    "g_ab",
-    "g_s",
-    "gamma_apply",
-    "gamma_generators",
-    "h_ab",
-    "h_s",
-    "index_set",
-    "is_member",
-    "isotropic_subalgebra",
-    "jacobi_check",
-    "lagrange_identity_check",
-    "load_spec",
-    "nilpotency_class",
-    "normal_product",
-    "parse_expression",
-    "physical_abscissa",
-    "pole_lattice",
-    "reduction_data",
-    "rho",
-    "star_generators",
-    "structure_constants",
-    "t_s",
-    "taylor_coeffs",
-    "taylor_residual",
-    "validate_spec",
-    "weyl_product",
-    "y_star",
-    *_SPECTRAL_NAMES,
-]
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -10,68 +10,38 @@ Subcommands::
 
 The algebra description file is JSON: ``{"n": 2, "alpha": [1, 2],
 "partition": [[1], [2]]}`` with 1-based generator indices.  All output is
-deterministic JSON (sorted keys); rationals are ``"p/q"`` strings.
+deterministic JSON (sorted keys); rationals are ``"p/q"`` strings.  Each
+command imports the modules it runs, so importing this module loads none of
+the package and a command loads only what it calls.
 """
 
 from __future__ import annotations
 
-import csv as csv_module
 import json
 import math
-import random
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Optional
 
 import click
 
-from .core import (
-    AlgebraSpec,
-    JacobiError,
-    SpecError,
-    basis,
-    index_set,
-    index_set_size,
-    isotropic_subalgebra,
-    jacobi_check,
-    load_spec,
-    nilpotency_class,
-)
-from .expr import format_element, parse_expression
-from .ideal import (
-    build_slice,
-    canonical_form,
-    gamma_generators,
-    is_member,
-    star_generators,
-)
-from .indices import box, mi_factorial, mi_sub
-from .reduction import (
-    b_polynomial,
-    b_roots,
-    g_ab,
-    g_s,
-    h_ab,
-    h_s,
-    lagrange_identity_check,
-    physical_abscissa,
-    pole_lattice,
-    reduction_data,
-    t_s,
-)
-from .scalars import GaussianRational, as_rational, format_rational, i_power
-from .uea import (
-    UEAElement,
-    gamma_all,
-    gamma_apply,
-    monomials_up_to,
-    pure_y,
-    y_star,
-)
-from .weyl import rho
+if TYPE_CHECKING:
+    from .core import AlgebraSpec
 
 
 def _emit(obj: dict) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
+
+
+@contextmanager
+def _errors_as_json():
+    """Turn a ValueError (bad input or a refused budget) into ``{"error": ...}``
+    on stdout and exit status 1."""
+    try:
+        yield
+    except ValueError as exc:
+        _emit({"error": str(exc)})
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +50,9 @@ def _emit(obj: dict) -> None:
 
 
 def _mono_str(spec: AlgebraSpec, mono) -> str:
+    from .expr import format_element
+    from .uea import UEAElement
+
     return format_element(UEAElement.monomial(spec, mono))
 
 
@@ -106,6 +79,8 @@ MAX_BASIS_SYMBOLS = 100
 
 def _refuse_large_basis(spec: AlgebraSpec) -> None:
     """Raise ValueError, before the index set is built, above ``MAX_BASIS_SYMBOLS``."""
+    from .core import index_set_size
+
     size = spec.n + index_set_size(spec)
     if size > MAX_BASIS_SYMBOLS:
         raise ValueError(
@@ -128,6 +103,19 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     ``MAX_VERIFY_MONOMIALS``, or the basis more than ``MAX_BASIS_SYMBOLS``
     symbols.
     """
+    import random
+
+    from .core import index_set, index_set_size, jacobi_check
+    from .expr import format_element
+    from .ideal import build_slice, canonical_form, gamma_generators, is_member, star_generators
+    from .indices import box, mi_factorial, mi_sub
+    from .reduction import (
+        b_polynomial, g_ab, g_s, h_ab, h_s, lagrange_identity_check, reduction_data, t_s,
+    )
+    from .scalars import GaussianRational, i_power
+    from .uea import UEAElement, gamma_all, gamma_apply, monomials_up_to, pure_y, y_star
+    from .weyl import rho
+
     count = math.comb(spec.n + index_set_size(spec) + max_degree, max_degree)
     if count > MAX_VERIFY_MONOMIALS:
         raise ValueError(
@@ -291,6 +279,8 @@ class _Rational(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
+        from .scalars import as_rational
+
         try:
             as_rational(value)
         except (ValueError, ZeroDivisionError):
@@ -328,16 +318,19 @@ def algebra() -> None:
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 def algebra_check(spec_file: str) -> None:
     """Validate a description and check its structure constants."""
-    try:
-        spec = load_spec(spec_file)
-        _refuse_large_basis(spec)
-        jacobi_check(spec)
-    except (SpecError, JacobiError, json.JSONDecodeError) as exc:
-        _emit({"valid": False, "error": str(exc)})
-        sys.exit(1)
-    except ValueError as exc:  # the basis budget
-        _emit({"error": str(exc)})
-        sys.exit(1)
+    from .core import (
+        JacobiError, SpecError, basis, index_set, isotropic_subalgebra, jacobi_check,
+        load_spec, nilpotency_class,
+    )
+
+    with _errors_as_json():  # the basis budget
+        try:
+            spec = load_spec(spec_file)
+            _refuse_large_basis(spec)
+            jacobi_check(spec)
+        except (SpecError, JacobiError, json.JSONDecodeError) as exc:
+            _emit({"valid": False, "error": str(exc)})
+            sys.exit(1)
     _emit(
         {
             "valid": True,
@@ -356,13 +349,14 @@ def algebra_check(spec_file: str) -> None:
 @click.option("--expr", required=True, help="element in the text grammar")
 def reduce_cmd(spec_file: str, expr: str) -> None:
     """Canonical form of an element modulo the kernel ideal."""
-    try:
+    from .core import load_spec
+    from .expr import format_element, parse_expression
+    from .ideal import canonical_form
+
+    with _errors_as_json():  # bad input, or a coefficient past Python's int-to-str limit
         spec = load_spec(spec_file)
         canonical = canonical_form(spec, parse_expression(expr, spec))
         text = format_element(canonical)
-    except ValueError as exc:  # bad input, or a coefficient past Python's int-to-str limit
-        _emit({"error": str(exc)})
-        sys.exit(1)
     _emit(
         {
             "canonical": text,
@@ -377,12 +371,11 @@ def reduce_cmd(spec_file: str, expr: str) -> None:
 @click.option("--max-degree", default=3, show_default=True, type=click.IntRange(min=0))
 def verify_cmd(spec_file: str, max_degree: int) -> None:
     """Run the exact structural checks; nonzero exit on any failure."""
-    try:
+    from .core import load_spec
+
+    with _errors_as_json():  # a bad description, bad JSON or the monomial budget
         spec = load_spec(spec_file)
         report = run_verify(spec, max_degree)
-    except ValueError as exc:  # a bad description, bad JSON or the monomial budget
-        _emit({"error": str(exc)})
-        sys.exit(1)
     _emit(report)
     if not report["all_passed"]:
         sys.exit(1)
@@ -398,13 +391,14 @@ def verify_cmd(spec_file: str, max_degree: int) -> None:
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str]) -> None:
     """Candidate pole lattice of the spectral zeta function."""
-    try:
+    from .core import load_spec
+    from .reduction import b_roots, physical_abscissa, pole_lattice
+    from .scalars import format_rational
+
+    with _errors_as_json():  # a bad description, bad JSON, or a root or witness budget
         spec = load_spec(spec_file)
         roots = b_roots(spec)
         lattice = pole_lattice(spec, q=q, s0=s0, l_max=lmax)
-    except ValueError as exc:  # a bad description, bad JSON, or a root or witness budget
-        _emit({"error": str(exc)})
-        sys.exit(1)
     entries = [
         {
             "omega": e.omega_str(),
@@ -427,8 +421,10 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
         }
     )
     if csv_path:
+        import csv
+
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv_module.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["omega", "multiplicity", "witnesses"])
             for e in lattice.entries:
                 witness_text = "|".join(
@@ -453,15 +449,15 @@ def spectrum_cmd(
     drift_tol: float,
 ) -> None:
     """Numeric spectrum, growth fit, and truncated zeta values."""
+    from .core import load_spec
+    from .reduction import physical_abscissa
+    from .scalars import format_rational
     from .spectral import eigenvalues, fit_growth, leading_residue, zeta_value
 
-    try:
+    with _errors_as_json():  # a bad description, bad JSON or an oversized solve
         spec = load_spec(spec_file)
         est = eigenvalues(spec, basis_size, drift_tol)
         fit = fit_growth(est)
-    except ValueError as exc:  # a bad description, bad JSON or an oversized solve
-        _emit({"error": str(exc)})
-        sys.exit(1)
     physical = physical_abscissa(spec, 0)
     report = {**est.to_json_dict(), **fit.to_json_dict()}
     report["residue_at_leading_pole"] = leading_residue(est)

@@ -210,7 +210,7 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
         i_list.append(balanced[0])
         r_list.append(beta[balanced[0]])
     b = _factor_weights(spec, i_list)
-    eig = monomial_degree(mono) - _factor_root(spec, i_list, r_list) - spec.n - sum(b)  # g-shift
+    eig = _shift(spec, "g", monomial_degree(mono), b, _factor_root(spec, i_list, r_list))
     return ReductionChoice(tuple(i_list), tuple(r_list), (1,) * spec.n, b, eig)
 
 
@@ -240,11 +240,16 @@ def _factor_root(spec: AlgebraSpec, i_tuple: Sequence[int], r_tuple: Sequence[in
     return spec.p - spec.n - sum(Rat(r + 1, spec.alpha[i]) for i, r in zip(i_tuple, r_tuple))
 
 
+def _shift(spec: AlgebraSpec, form: str, s, b: Sequence, root):
+    """A factor's shift at degree s: s - root for ``form`` "h"; the "g" form
+    subtracts n + sum(b) from that."""
+    return s - root if form == "h" else s - root - spec.n - sum(b)
+
+
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _factor_constants(spec: AlgebraSpec) -> tuple:
     """Per reduction factor, in :func:`reduction_factors` order, ``(b, root)`` as
-    Gaussian rationals: the h-shift at degree s is s - root, and the g-shift
-    subtracts n + sum(b) from that."""
+    Gaussian rationals, for :func:`_shift`."""
     return tuple(
         (tuple(map(GaussianRational, _factor_weights(spec, i))),
          GaussianRational(_factor_root(spec, i, r)))
@@ -256,8 +261,7 @@ def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
     """The shifted first-order factors of ``form`` at degree s, first factor first."""
     ones = (1,) * spec.n
     for b, root in _factor_constants(spec):
-        shift = s - root if form == "h" else s - root - spec.n - sum(b)
-        t = _first_order(space, form, ones, b, shift, t)
+        t = _first_order(space, form, ones, b, _shift(spec, form, s, b, root), t)
     return t
 
 

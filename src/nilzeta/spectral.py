@@ -198,14 +198,19 @@ def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
     return total
 
 
-def _sector_solves(ops: list[WeylOperator], basis_size: int, solve) -> list:
-    """``(parity, solve(sector matrix))`` for each parity sector of each block
-    operator at ``basis_size``: one list per block, in row-major parity order.
+def _sector_solves(
+    ops: list[WeylOperator], basis_size: int, solve, reduce=lambda k, p, solved: solved
+) -> list:
+    """``solve(sector matrix)`` for each parity sector of each block operator
+    ``ops[k]`` at ``basis_size``, passed through ``reduce(k, parity, solved)``:
+    one list per block, in row-major parity order.  Each sector's
+    matrix, and then its solution, is dropped before the next sector is built.
     An operator with a term odd on an axis couples sectors and is refused by
     :func:`hermite_matrix`."""
     return [
-        [(p, solve(hermite_matrix(op, basis_size, p))) for p in iter_product((0, 1), repeat=op.n)]
-        for op in ops
+        [reduce(k, p, solve(hermite_matrix(op, basis_size, p)))
+         for p in iter_product((0, 1), repeat=op.n)]
+        for k, op in enumerate(ops)
     ]
 
 
@@ -213,8 +218,12 @@ def _eigvals(const: float, ops: list[WeylOperator], basis_size: int) -> np.ndarr
     """Ascending eigenvalues of the truncated ``const + sum(ops)`` (one operator per
     block): the sorted sums ``const + l1[i] + l2[j] + ...``, each block solved by sector."""
     solves = _sector_solves(ops, basis_size, np.linalg.eigvalsh)
-    blocks = [np.concatenate([vals for _, vals in solve]) for solve in solves]
-    return np.sort(_minkowski(np.add, const, blocks))
+    return np.sort(_minkowski(np.add, const, [np.concatenate(solve) for solve in solves]))
+
+
+def _doubled(basis_size: int) -> int:
+    """The basis size whose solve certifies, and refines, one at ``basis_size``."""
+    return 2 * basis_size
 
 
 def eigenvalues(
@@ -229,7 +238,7 @@ def eigenvalues(
     block at the doubled size holds basis_size**(2n) entries.
     """
     const, ops = _block_operators(spec)
-    doubled = 2 * basis_size
+    doubled = _doubled(basis_size)
     for op in ops:
         what = f"a {op.n}-axis parity sector matrix at the doubled basis size {doubled}"
         _refuse_above_cap(basis_size ** (2 * op.n), what)
@@ -319,31 +328,33 @@ def _diagonal_weights(est: SpectralEstimate, x_weight: WeylOperator) -> np.ndarr
     eigenvectors, and each monomial ``x^a d^b`` is the tensor product of its
     factors on the blocks, so every diagonal element is a product of
     per-block elements.  The blocks are solved at the doubled basis size that
-    produced the estimate, sector by sector, and the products are sorted like
-    its eigenvalues; a term odd on an axis maps each sector into another, so
-    its elements are zero and it is skipped.
+    produced the estimate, sector by sector, and each sector's elements are
+    taken as soon as it is solved, so one sector's eigenvectors are held at a
+    time.  The products are sorted like its eigenvalues; a term odd on an axis
+    maps each sector into another, so its elements are zero and it is skipped.
     """
     spec = est.spec
     if x_weight.n != spec.n:
         raise ValueError("weight operator has the wrong variable count")
-    size = 2 * est.basis_size
+    size = _doubled(est.basis_size)
+    terms = [(a, b, coeff) for (a, b), coeff in x_weight.terms.items()
+             if not any((ai + bi) % 2 for ai, bi in zip(a, b))]
+
+    def elements(k: int, p: tuple, solved) -> tuple:
+        """A sector's eigenvalues and, per even term, its diagonal elements."""
+        vals, v = solved
+        block = spec.partition[k]
+        factors = (WeylOperator.monomial(len(block), *_on_block(block, a, b)) for a, b, _ in terms)
+        return vals, [np.einsum("ik,ik->k", v.conj(), hermite_matrix(f, size, p) @ v) for f in factors]
+
     const, ops = _block_operators(spec)
-    solves = _sector_solves(ops, size, np.linalg.eigh)
-    block_vals = [np.concatenate([vals for _, (vals, _) in solve]) for solve in solves]
+    solves = _sector_solves(ops, size, np.linalg.eigh, elements)
+    block_vals = [np.concatenate([vals for vals, _ in solve]) for solve in solves]
     order = np.argsort(_minkowski(np.add, const, block_vals))
     weights = np.zeros(len(order), dtype=complex)
-    for (a, b), coeff in x_weight.terms.items():
-        if any((ai + bi) % 2 for ai, bi in zip(a, b)):
-            continue
-        elements = []
-        for block, solve in zip(spec.partition, solves):
-            factor = WeylOperator.monomial(len(block), *_on_block(block, a, b))
-            diags = [
-                np.einsum("ik,ik->k", v.conj(), hermite_matrix(factor, size, p) @ v)
-                for p, (_, v) in solve
-            ]
-            elements.append(np.concatenate(diags))
-        weights += complex(coeff) * _minkowski(np.multiply, 1.0, elements)
+    for t, (_, _, coeff) in enumerate(terms):
+        per_block = [np.concatenate([diags[t] for _, diags in solve]) for solve in solves]
+        weights += complex(coeff) * _minkowski(np.multiply, 1.0, per_block)
     return weights[order[: est.converged_count]]
 
 

@@ -54,18 +54,69 @@ def test_help_lists_commands(runner) -> None:
         assert command in result.output
 
 
-def test_cli_import_leaves_numpy_unloaded() -> None:
-    # only the spectrum command needs numpy; importing the CLI must not load it
+def run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(nilzeta.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import nilzeta.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_cli_import_leaves_numpy_unloaded() -> None:
+    # only the spectrum command needs numpy; importing the CLI must not load it
+    run_python("import nilzeta.cli, sys; assert 'numpy' not in sys.modules")
+
+
+def test_package_import_loads_no_submodule() -> None:
+    run_python(
+        "import nilzeta, sys; "
+        "loaded = [m for m in sys.modules if m.startswith('nilzeta.')]; "
+        "assert not loaded, loaded"
+    )
+
+
+def test_cli_import_loads_only_the_cli() -> None:
+    # each command imports the modules it runs, and csv only for --csv
+    run_python(
+        "import nilzeta.cli, sys; "
+        "loaded = [m for m in sys.modules if m.startswith('nilzeta.')]; "
+        "assert loaded == ['nilzeta.cli'], loaded; "
+        "assert 'numpy' not in sys.modules and 'csv' not in sys.modules"
+    )
+
+
+# The package's public names, as exported before the one export table.
+PUBLIC_NAMES = [
+    "AlgebraSpec", "DegreeSlice", "ExpressionError", "GaussianRational", "GrowthFit",
+    "JacobiError", "Monomial", "PoleEntry", "PoleLattice", "RATIONAL_BACKEND",
+    "RationalPolynomial", "ReductionChoice", "SpecError", "SpectralEstimate", "UEAElement",
+    "WeylOperator", "ad_power", "algebra_spec", "b_polynomial", "basis", "bracket",
+    "build_slice", "canonical_form", "commutator", "commutator_power_check", "delta1",
+    "eigenvalues", "filtration_min_degree", "fit_growth", "format_element", "g_ab", "g_s",
+    "gamma_apply", "gamma_generators", "h_ab", "h_s", "hermite_matrix", "index_set",
+    "is_member", "isotropic_subalgebra", "jacobi_check", "lagrange_identity_check",
+    "leading_residue", "load_spec", "nilpotency_class", "normal_product",
+    "parse_expression", "physical_abscissa", "pole_lattice", "reduction_data", "rho",
+    "star_generators", "structure_constants", "t_s", "taylor_coeffs", "taylor_residual",
+    "validate_spec", "weyl_product", "y_star", "zeta_value",
+]
+
+
+def test_public_names_are_frozen() -> None:
+    assert sorted(nilzeta.__all__) == PUBLIC_NAMES
+    # dir() lists them before any is used
+    run_python(f"import nilzeta; missing = set({PUBLIC_NAMES!r}) - set(dir(nilzeta)); "
+               "assert not missing, missing")
 
 
 def test_public_names_resolve() -> None:
     # every exported name, the lazily loaded spectral ones included
     for name in nilzeta.__all__:
         assert getattr(nilzeta, name) is not None, name
+    namespace: dict = {}
+    exec("from nilzeta import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert nilzeta.spectral.eigenvalues is nilzeta.eigenvalues
+    assert isinstance(nilzeta.RATIONAL_BACKEND, str)
 
 
 def test_algebra_check_valid(runner, heis, spec_file) -> None:
@@ -99,13 +150,12 @@ def test_algebra_check_malformed_json(runner, tmp_path) -> None:
 
 def test_large_basis_refused_before_the_index_set(runner, spec_file, monkeypatch) -> None:
     # alpha = 200 has 202 basis symbols; its Jacobi check would take about 12 s
-    from nilzeta import cli, core
+    from nilzeta import core
 
     def refuse(spec):
         raise AssertionError("the index set was built")
 
-    for module in (cli, core):
-        monkeypatch.setattr(module, "index_set", refuse)
+    monkeypatch.setattr(core, "index_set", refuse)
     path = spec_file(algebra_spec(1, [200]))
     text = "the algebra has 202 basis symbols, more than 100"
     for args in (["algebra", "check", path], ["verify", path, "--max-degree", "1"],
@@ -176,9 +226,9 @@ def test_verify_passes_on_generated_specs(spec) -> None:
 
 
 def test_verify_catches_a_wrong_closed_form(heis, monkeypatch) -> None:
-    from nilzeta import cli
+    from nilzeta import uea
 
-    monkeypatch.setattr(cli, "gamma_apply", lambda spec, beta: UEAElement.one(spec))
+    monkeypatch.setattr(uea, "gamma_apply", lambda spec, beta: UEAElement.one(spec))
     report = run_verify(heis, 1)
     checks = {entry["name"]: entry for entry in report["checks"]}
     assert report["all_passed"] is False
@@ -215,12 +265,12 @@ def test_verify_refuses_large_degree_up_front(runner, mixed, spec_file, degree, 
 
 
 def test_verify_refuses_huge_index_set_before_building_it(monkeypatch) -> None:
-    from nilzeta import cli
+    from nilzeta import core
 
     def refuse(spec):
         raise AssertionError("the index set was built")
 
-    monkeypatch.setattr(cli, "index_set", refuse)
+    monkeypatch.setattr(core, "index_set", refuse)
     count = math.comb(1 + 1_000_001 + 3, 3)
     with pytest.raises(ValueError) as excinfo:
         run_verify(algebra_spec(1, [1_000_000]), 3)

@@ -538,6 +538,24 @@ def test_diagonal_weights_match_full_tensor_solve(name, basis_size) -> None:
         assert np.sum(got[a:b]) == pytest.approx(np.sum(want[a:b]), rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("basis_size", [20, 24])
+def test_diagonal_weights_hold_one_sector_at_a_time(pair_joint, basis_size) -> None:
+    # pair_joint's 2-axis block at the doubled size has four parity sectors of
+    # basis_size**2 rows each.  Each sector's weight elements are taken as soon
+    # as it is solved, so its eigenvectors, one weight matrix and their product
+    # are the most held at once; holding every sector's eigenvectors peaks at 6x.
+    est = eigenvalues(pair_joint, basis_size)
+    weight = WeylOperator.monomial(2, (2, 0), (0, 0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _diagonal_weights(est, weight)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * basis_size**4 * 8
+
+
 def test_zeta_value_weight_needs_matching_variables(pair_split) -> None:
     with pytest.raises(ValueError, match="variable count"):
         zeta_value(eigenvalues(pair_split, 12), -4.0, WeylOperator.one(1))
