@@ -158,17 +158,11 @@ def load_spec(path: str) -> AlgebraSpec:
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def block_bound(spec: AlgebraSpec, j: int) -> MultiIndex:
-    """The componentwise bound of block j's box: alpha_k on the block, else 0."""
-    return tuple(
-        spec.alpha[k] if k in spec.partition[j] else 0 for k in range(spec.n)
-    )
-
-
-@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def block_box(spec: AlgebraSpec, j: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices of block j's box, ascending lex."""
-    return tuple(box(block_bound(spec, j)))
+    """All multi-indices of block j's box, ascending lex: bounded by alpha_k
+    on the block's axes and by 0 elsewhere."""
+    block = spec.partition[j]
+    return tuple(box(tuple(spec.alpha[k] if k in block else 0 for k in range(spec.n))))
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)

@@ -72,9 +72,7 @@ def gamma_generators(spec: AlgebraSpec) -> list[UEAElement]:
 def is_member(spec: AlgebraSpec, u: UEAElement) -> bool:
     """Exact ideal membership: the canonical form, which puts each key's sum on
     that key's own first monomial, vanishes iff every key's sum does."""
-    if u.spec != spec:
-        raise ValueError("element belongs to a different algebra")
-    return not map_terms(u.terms, lambda m: _canonical_image(spec, m))
+    return not canonical_form(spec, u)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +158,11 @@ def canonical_form(spec: AlgebraSpec, u: UEAElement) -> UEAElement:
     """The unique representative of u's coset supported on independent monomials.
 
     Exact projection along the ideal; idempotent, and the zero element is
-    returned exactly when u lies in the ideal.
+    returned exactly when u lies in the ideal.  An element of another algebra
+    is refused.
     """
+    if u.spec != spec:
+        raise ValueError("element belongs to a different algebra")
     return UEAElement._of_clean(spec, map_terms(u.terms, lambda m: _canonical_image(spec, m)))
 
 
@@ -174,8 +175,11 @@ def filtration_min_degree(
     |b| + :func:`_cover` of a at most q.  Peeling the top term x^a d^b of w
     against the normal form of d^b o x^a writes w in that basis, so q is the
     largest first degree among the keys used.  ``None`` means "not attained
-    by degree cap"; raise ``cap`` to search further.
+    by degree cap"; raise ``cap`` to search further.  An operator on another
+    number of variables than the algebra's is refused.
     """
+    if w.n != spec.n:
+        raise ValueError(f"operator has {w.n} variables, the algebra {spec.n}")
     rest, level = w, 0
     while rest and level <= cap:
         a, b = max(rest.terms, key=weyl_key)

@@ -113,9 +113,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not (self._a or self._b)
 
-    def is_real(self) -> bool:
-        return not self._b
-
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
@@ -185,9 +182,6 @@ class GaussianRational:
                 result = result * base
             base, k = base * base, k >> 1
         return result
-
-    def conjugate(self) -> "GaussianRational":
-        return _reduced(self._a, -self._b, self._d)
 
     # -- comparisons / hashing ----------------------------------------------
     # Only numbers compare; a real value equals, and hashes like, the int or

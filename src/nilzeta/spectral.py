@@ -7,9 +7,12 @@ degree), so every entry written into the basis-size matrix is exact up to
 float rounding; the truncated problem is therefore a genuine Rayleigh-Ritz
 restriction and eigenvalues decrease monotonically in the basis size.
 
-delta1 is a constant plus one operator per partition block, each acting on
-its own block's axes, so its matrix on the tensor basis is a Kronecker sum:
-eigenvalues combine by a Minkowski sum and eigenvectors by tensor products.
+delta1 is an exact constant plus one operator per partition block, each
+acting on its own block's axes; the split comes from the exact layer
+(:func:`~nilzeta.weyl.delta1_blocks`), and the constant becomes a float only
+where the spectra are summed.  So delta1's matrix on the tensor basis is a
+Kronecker sum: eigenvalues combine by a Minkowski sum and eigenvectors by
+tensor products.
 Every term of delta1 is even in every axis, so a block's matrix is the direct
 sum of its 2^axes per-axis parity sectors, each assembled and solved on its
 own; a block is never built whole.  Solves whose sector matrices or sums
@@ -32,13 +35,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
 
 from .core import AlgebraSpec
-from .weyl import WeylOperator, delta1
+from .weyl import WeylOperator, _on_block, delta1_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -160,39 +164,12 @@ class SpectralEstimate:
         }
 
 
-def _on_block(block: tuple, a: tuple, b: tuple) -> tuple:
-    """The exponents ``(a, b)`` of ``x^a d^b`` restricted to one block's axes, in order."""
-    return tuple(a[i] for i in block), tuple(b[i] for i in block)
-
-
-def _block_operators(spec: AlgebraSpec) -> tuple[float, list[WeylOperator]]:
-    """``delta1(spec)`` as its constant plus one operator per partition block.
-
-    Each block's operator carries the terms that act on that block's axes,
-    re-indexed onto those axes in order; the constant term is kept apart so
-    that it is added once.  A term acting on axes of two blocks is an error.
-    """
-    block_of = {axis: k for k, block in enumerate(spec.partition) for axis in block}
-    const = 0.0
-    parts: list[dict] = [{} for _ in spec.partition]
-    for (a, b), coeff in delta1(spec).terms.items():
-        owners = {block_of[axis] for axis in range(spec.n) if a[axis] or b[axis]}
-        if not owners:
-            const += float(coeff.re)
-            continue
-        if len(owners) > 1:
-            raise ValueError(f"a term of delta1 spans partition blocks {sorted(owners)}")
-        (k,) = owners
-        parts[k][_on_block(spec.partition[k], a, b)] = coeff
-    ops = [WeylOperator(len(block), terms) for block, terms in zip(spec.partition, parts)]
-    return const, ops
-
-
-def _minkowski(combine: np.ufunc, start: float, parts: list) -> np.ndarray:
+def _minkowski(combine: np.ufunc, start: Fraction | float, parts: list) -> np.ndarray:
     """``combine`` of ``start`` with one entry of each part, for every index
-    tuple in row-major order: with ``np.add`` and block eigenvalues, the
-    Kronecker sum's spectrum; with ``np.multiply``, tensor-product elements."""
-    total = np.array([start])
+    tuple in row-major order: with ``np.add``, delta1's exact constant and
+    block eigenvalues, the Kronecker sum's spectrum; with ``np.multiply``,
+    tensor-product elements.  ``start`` is made a float here, where floats begin."""
+    total = np.array([float(start)])
     for part in parts:
         total = combine.outer(total, part).ravel()
     return total
@@ -214,7 +191,7 @@ def _sector_solves(
     ]
 
 
-def _eigvals(const: float, ops: list[WeylOperator], basis_size: int) -> np.ndarray:
+def _eigvals(const: Fraction, ops: list[WeylOperator], basis_size: int) -> np.ndarray:
     """Ascending eigenvalues of the truncated ``const + sum(ops)`` (one operator per
     block): the sorted sums ``const + l1[i] + l2[j] + ...``, each block solved by sector."""
     solves = _sector_solves(ops, basis_size, np.linalg.eigvalsh)
@@ -237,7 +214,7 @@ def eigenvalues(
     ValueError before anything is assembled: the largest sector of an n-axis
     block at the doubled size holds basis_size**(2n) entries.
     """
-    const, ops = _block_operators(spec)
+    const, ops = delta1_blocks(spec)
     doubled = _doubled(basis_size)
     for op in ops:
         what = f"a {op.n}-axis parity sector matrix at the doubled basis size {doubled}"
@@ -347,7 +324,7 @@ def _diagonal_weights(est: SpectralEstimate, x_weight: WeylOperator) -> np.ndarr
         factors = (WeylOperator.monomial(len(block), *_on_block(block, a, b)) for a, b, _ in terms)
         return vals, [np.einsum("ik,ik->k", v.conj(), hermite_matrix(f, size, p) @ v) for f in factors]
 
-    const, ops = _block_operators(spec)
+    const, ops = delta1_blocks(spec)
     solves = _sector_solves(ops, size, np.linalg.eigh, elements)
     block_vals = [np.concatenate([vals for vals, _ in solve]) for solve in solves]
     order = np.argsort(_minkowski(np.add, const, block_vals))

@@ -121,13 +121,6 @@ class UEAElement(Combination):
             return -1
         return max(monomial_degree(m) for m in self.terms)
 
-    def leading_term(self) -> tuple[Monomial, GaussianRational]:
-        """The largest monomial and its coefficient; raises on zero."""
-        if not self.terms:
-            raise ValueError("zero element has no leading term")
-        m = max(self.terms, key=monomial_key)
-        return m, self.terms[m]
-
     def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, GaussianRational]]:
         """Terms sorted by the monomial order (default: leading first)."""
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=reverse)

@@ -17,17 +17,22 @@ The module also hosts the defining representation of the enveloping algebra:
     rho(Y^beta) = i (-1)^{|beta|} x^beta / beta!,
 
 a homomorphism onto polynomial differential operators, and the shifted
-Laplace-type operator ``delta1`` built from the quadratic Casimir-style sum.
+Laplace-type operator ``delta1`` = rho(1 - sum X_k^2 - sum (Y^beta)^2), written
+down in closed form.  Its nonconstant terms fall into the partition blocks,
+each acting on its own block's axes, so ``delta1_blocks`` gives it as the
+exact constant 2 plus one operator per block: the split the spectral
+cross-check solves as a Kronecker sum.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .core import AlgebraSpec, index_set
+from .core import AlgebraSpec, block_box, index_set
 from .indices import (
     MultiIndex,
     box,
@@ -243,25 +248,50 @@ def q_op(n: int, k: int) -> WeylOperator:
     return -WeylOperator.x_op(n, k)
 
 
-def laplace_element(spec: AlgebraSpec) -> UEAElement:
-    """The negated quadratic sum -(sum X_k^2 + sum_beta (Y^beta)^2)."""
-    total = UEAElement.zero(spec)
-    for k in range(spec.n):
-        xk = UEAElement.x_gen(spec, k)
-        total = total + xk * xk
-    for beta in index_set(spec):
-        yb = UEAElement.y_gen(spec, beta)
-        total = total + yb * yb
-    return -total
+def _on_block(block: tuple, a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
+    """The exponents ``(a, b)`` of ``x^a d^b`` restricted to one block's axes, in
+    ascending order: the axes a block operator of :func:`delta1_blocks` acts on."""
+    return tuple(a[i] for i in block), tuple(b[i] for i in block)
+
+
+def _delta1_terms(spec: AlgebraSpec) -> tuple[Fraction, list[dict]]:
+    """delta1's constant 2, which collects rho(1) = 1 and the beta = 0 square,
+    and per partition block its terms on all n axes: -d_k^2 for each axis k of
+    the block, in axis order, then x^{2 beta} / (beta!)^2 for each nonzero beta
+    of the block's box, ascending lex.  Each nonzero beta lies in one box."""
+    zero, blocks = (0,) * spec.n, []
+    for j, block in enumerate(spec.partition):
+        terms = {(zero, tuple(2 * e for e in mi_delta(spec.n, k))): -ONE for k in block}
+        for beta in filter(any, block_box(spec, j)):
+            square = GaussianRational._of_ints(1, 0, mi_factorial(beta) ** 2)
+            terms[(tuple(2 * e for e in beta), zero)] = square
+        blocks.append(terms)
+    return Fraction(2), blocks
+
+
+def delta1_blocks(spec: AlgebraSpec) -> tuple[Fraction, list[WeylOperator]]:
+    """:func:`delta1` as its exact constant plus one operator per partition
+    block, on that block's axes (:func:`_on_block`).  The block operators act
+    on disjoint axes, so delta1 is the constant plus their Kronecker sum."""
+    const, blocks = _delta1_terms(spec)
+    return const, [
+        WeylOperator._of_clean(len(block), {_on_block(block, *ab): c for ab, c in terms.items()})
+        for block, terms in zip(spec.partition, blocks)
+    ]
 
 
 def delta1(spec: AlgebraSpec) -> WeylOperator:
-    """rho(1 + laplace_element): a Schroedinger-type operator.
+    """rho(1 - sum_k X_k^2 - sum_beta (Y^beta)^2): a Schroedinger-type operator.
 
-    Closed form: 2 - sum_k d_k^2 + sum_{beta != 0} x^{2 beta} / (beta!)^2,
-    where the constant 2 collects rho(1) = 1 and the beta = 0 square.
+    Closed form (:func:`_delta1_terms`):
+    2 - sum_k d_k^2 + sum_{beta != 0} x^{2 beta} / (beta!)^2.
     """
-    return rho(spec, UEAElement.one(spec) + laplace_element(spec))
+    const, blocks = _delta1_terms(spec)
+    zero = (0,) * spec.n
+    terms = {(zero, zero): GaussianRational(const)}
+    for block_terms in blocks:
+        terms.update(block_terms)
+    return WeylOperator._of_clean(spec.n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ name                   n   alpha     partition
 ``mixed``              2   (1, 2)    {{1}, {2}}
 ====================  ===  ========  ================
 
+``laplace_element`` is the negated quadratic sum -(sum X_k^2 + sum (Y^beta)^2)
+built by PBW products, from which the library once took
+``delta1 = rho(1 + laplace_element)``; it checks the closed form of
+:func:`~nilzeta.weyl.delta1` and its block split.  ``leading_term`` is an
+element's largest monomial by ``monomial_key`` with its coefficient.
+
 ``hat_y`` is the rescaled partner -i * Y^{delta_k} of X_k, whose image under
 the representation is the position-side operator; the first-order oracles
 build their literal commutators from it.
@@ -80,7 +86,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
-from nilzeta.core import Symbol, basis, bracket
+from nilzeta.core import Symbol, basis, bracket, index_set
 from nilzeta.indices import mi_delta
 from nilzeta.ideal import build_slice, canonical_form
 from nilzeta.reduction import reduction_factors
@@ -408,6 +414,25 @@ def taylor_h_ab_by_commutators(
         if not bv[i].is_zero():
             out = out + commutator(pi, weyl_product(qi, w)).scale(bv[i])
     return out
+
+
+def laplace_element(spec: AlgebraSpec) -> UEAElement:
+    """The negated quadratic sum -(sum X_k^2 + sum_beta (Y^beta)^2), by PBW products."""
+    total = UEAElement.zero(spec)
+    for k in range(spec.n):
+        xk = UEAElement.x_gen(spec, k)
+        total = total + xk * xk
+    for beta in index_set(spec):
+        yb = UEAElement.y_gen(spec, beta)
+        total = total + yb * yb
+    return -total
+
+
+def leading_term(u: UEAElement) -> tuple[Monomial, GaussianRational]:
+    """The largest monomial of u by ``monomial_key`` and its coefficient;
+    ValueError on the zero element."""
+    mono = max(u.terms, key=monomial_key)
+    return mono, u.terms[mono]
 
 
 def hat_y(spec: AlgebraSpec, k: int) -> UEAElement:

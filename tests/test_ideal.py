@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nilzeta import GaussianRational, algebra_spec, build_slice, canonical_form, is_member
 from nilzeta.core import index_set, y_position
+from nilzeta.expr import parse_expression
 from nilzeta.indices import box
 from nilzeta.ideal import (
     filtration_min_degree,
@@ -37,6 +38,7 @@ from conftest import (
     first_monomials,
     generated_span_leading,
     leading_monomial_divides,
+    leading_term,
     make_spec,
     monomial_mul_commuting,
     random_element,
@@ -133,7 +135,7 @@ def test_partition_and_kernel_dimension(name: str) -> None:
         assert len(kernel) == len(chart.dependent)
         for elem in kernel:
             assert rho(spec, elem).is_zero()
-            lead, _ = elem.leading_term()
+            lead, _ = leading_term(elem)
             assert lead in set(chart.dependent)
 
 
@@ -216,6 +218,16 @@ def test_canonical_compatible_with_product_membership(quad) -> None:
         assert is_member(quad, normal_product(gen, u))
 
 
+def test_canonical_form_refuses_another_algebra(heis, quad) -> None:
+    # Y[2] exists on quad only; read against heis's index set, its monomials
+    # would name other generators.  Every ideal and representation entry
+    # point refuses it alike.
+    u = parse_expression("Y[2]^2 + X1*Y[1]", quad)
+    for check in (canonical_form, is_member, rho):
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            check(heis, u)
+
+
 # ---------------------------------------------------------------------------
 # Filtration solve
 # ---------------------------------------------------------------------------
@@ -227,6 +239,12 @@ def test_filtration_min_degree_frozen(heis) -> None:
     assert filtration_min_degree(heis, x) == 1
     assert filtration_min_degree(heis, rho(heis, UEAElement.one(heis))) == 0
     assert filtration_min_degree(heis, rho(heis, UEAElement.zero(heis))) == 0
+
+
+def test_filtration_min_degree_refuses_another_variable_count(heis) -> None:
+    # x2^5 lives on two variables; heis has one.
+    with pytest.raises(ValueError, match="2 variables, the algebra 1"):
+        filtration_min_degree(heis, WeylOperator.monomial(2, (0, 5), (0, 0)))
 
 
 def test_filtration_min_degree_cap(heis) -> None:
@@ -297,7 +315,7 @@ def test_groebner_gap_regression(cubic) -> None:
     for gen in star_generators(cubic):
         if gen.is_zero():
             continue
-        lead, _ = gen.leading_term()
+        lead, _ = leading_term(gen)
         assert not leading_monomial_divides(lead, mixed_m)
     assert canonical_form(cubic, UEAElement.monomial(cubic, mixed_m)) == pure_y(
         cubic, (3,)

@@ -48,7 +48,7 @@ from nilzeta.spectral import (
     leading_residue,
     zeta_value,
 )
-from nilzeta.weyl import WeylOperator, delta1
+from nilzeta.weyl import WeylOperator, delta1, delta1_blocks
 
 mpmath.mp.dps = 30
 
@@ -175,7 +175,7 @@ def parity_cases(draw) -> tuple[WeylOperator, int]:
     every axis, or a block operator of a standard algebra, and a basis size."""
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(SPEC_PARAMS)))
-        op = draw(st.sampled_from(spectral._block_operators(make_spec(name))[1]))
+        op = draw(st.sampled_from(delta1_blocks(make_spec(name))[1]))
         return op, draw(st.integers(1, 12))
     n = draw(st.sampled_from([1, 2, 3]))
     exps = st.tuples(*[st.integers(0, 3 if n < 3 else 2)] * n)
@@ -222,30 +222,24 @@ def test_block_spectrum_matches_full_tensor_solve(name, basis_size) -> None:
     # sector is empty).
     spec = make_spec(name)
     full = np.linalg.eigvalsh(hermite_matrix(delta1(spec), basis_size))
-    const, ops = spectral._block_operators(spec)
+    const, ops = delta1_blocks(spec)
     np.testing.assert_allclose(_eigvals(const, ops, basis_size), full, rtol=1e-10)
 
 
 def test_block_with_an_odd_term_is_refused(heis, monkeypatch) -> None:
     # Every block is solved by parity sector, and an x term couples the
     # sectors, so a block carrying one is refused rather than solved.
-    shifted = delta1(heis) + WeylOperator.x_op(1, 0)
-    monkeypatch.setattr(spectral, "delta1", lambda spec: shifted)
+    const, (op,) = delta1_blocks(heis)
+    shifted = op + WeylOperator.x_op(1, 0)
+    monkeypatch.setattr(spectral, "delta1_blocks", lambda spec: (const, [shifted]))
     with pytest.raises(ValueError, match="odd degree"):
         eigenvalues(heis, 64)
-
-
-def test_block_split_rejects_term_across_blocks(pair_split, monkeypatch) -> None:
-    spanning = WeylOperator.monomial(2, (1, 1), (0, 0))
-    monkeypatch.setattr(spectral, "delta1", lambda spec: spanning)
-    with pytest.raises(ValueError, match="spans partition blocks"):
-        eigenvalues(pair_split, 4)
 
 
 def test_hermite_matrix_allocates_nothing_larger_than_its_result(pair_joint) -> None:
     # pair_joint's 2-axis block: the per-axis diagonals go straight into the
     # basis-size matrix, with no enlarged or Kronecker-product intermediate.
-    (op,) = spectral._block_operators(pair_joint)[1]
+    (op,) = delta1_blocks(pair_joint)[1]
     tracemalloc.start()
     try:
         mat = hermite_matrix(op, 40)
@@ -274,18 +268,18 @@ def test_eigenvalues_assemble_through_the_module_global(pair_split, monkeypatch)
     # delta1 is split into blocks once per call, and each block into its
     # even and odd sectors.
     assembled, inner = [], spectral.hermite_matrix
-    splits, inner_delta1 = [], spectral.delta1
+    splits, inner_split = [], spectral.delta1_blocks
 
     def recorder(w, basis_size, parity=None):
         assembled.append((w.n, basis_size, parity))
         return inner(w, basis_size, parity)
 
-    def counted_delta1(spec):
+    def counted_split(spec):
         splits.append(spec)
-        return inner_delta1(spec)
+        return inner_split(spec)
 
     monkeypatch.setattr(spectral, "hermite_matrix", recorder)
-    monkeypatch.setattr(spectral, "delta1", counted_delta1)
+    monkeypatch.setattr(spectral, "delta1_blocks", counted_split)
     eigenvalues(pair_split, 8)
     sectors = [(1, size, (p,)) for size in (8, 16) for _block in range(2) for p in (0, 1)]
     assert assembled == sectors

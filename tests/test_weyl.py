@@ -8,9 +8,11 @@ composition rule.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
 
 from nilzeta import GaussianRational, WeylOperator, algebra_spec, commutator, weyl_product
 from nilzeta.core import basis, index_set
@@ -22,8 +24,8 @@ from nilzeta.weyl import (
     ad_power,
     commutator_power_check,
     delta1,
+    delta1_blocks,
     format_weyl,
-    laplace_element,
     monomial_symbol,
     p_op,
     power_ladder,
@@ -31,7 +33,7 @@ from nilzeta.weyl import (
     rho,
 )
 
-from conftest import SPEC_PARAMS, apply_weyl, make_spec, random_element
+from conftest import SPEC_PARAMS, algebra_specs, apply_weyl, laplace_element, make_spec, random_element
 
 
 def random_weyl(n: int, rng: random.Random, max_order: int = 2, terms: int = 3) -> WeylOperator:
@@ -192,7 +194,38 @@ def test_delta1_quad(quad) -> None:
 def test_delta1_real_and_symmetric_shape(mixed) -> None:
     d1 = delta1(mixed)
     for (_a, _b), coeff in d1.sorted_terms():
-        assert coeff.is_real()
+        assert coeff.im == 0
+
+
+def _check_delta1_and_its_blocks(spec) -> None:
+    # The closed form is rho(1 + laplacian) built by PBW products; the block
+    # operators, each even on every axis, put back on their blocks' axes and
+    # added to the exact constant 2, are delta1 again.
+    d1 = delta1(spec)
+    assert d1 == rho(spec, UEAElement.one(spec) + laplace_element(spec))
+    const, ops = delta1_blocks(spec)
+    assert type(const) is Fraction and const == 2
+    zero = (0,) * spec.n
+    rebuilt = WeylOperator.one(spec.n).scale(const)
+    for block, op in zip(spec.partition, ops):
+        assert op.n == len(block)
+        for (a, b), coeff in op.terms.items():
+            assert all((ai + bi) % 2 == 0 for ai, bi in zip(a, b))
+            full_a, full_b = list(zero), list(zero)
+            for i, axis in enumerate(block):
+                full_a[axis], full_b[axis] = a[i], b[i]
+            rebuilt = rebuilt + WeylOperator.monomial(spec.n, full_a, full_b, coeff)
+    assert rebuilt == d1
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_delta1_and_its_blocks_match_the_pbw_sum(name) -> None:
+    _check_delta1_and_its_blocks(make_spec(name))
+
+
+@given(algebra_specs())
+def test_delta1_and_its_blocks_match_the_pbw_sum_on_generated_specs(spec) -> None:
+    _check_delta1_and_its_blocks(spec)
 
 
 def test_laplace_element_square(heis) -> None:
