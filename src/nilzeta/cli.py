@@ -10,27 +10,32 @@ Subcommands::
 
 The algebra description file is JSON: ``{"n": 2, "alpha": [1, 2],
 "partition": [[1], [2]]}`` with 1-based generator indices.  All output is
-deterministic JSON (sorted keys); rationals are ``"p/q"`` strings.  Each
-command imports the modules it runs, so importing this module loads none of
-the package and a command loads only what it calls.
+deterministic JSON (sorted keys); rationals are ``"p/q"`` strings.  The parser
+is argparse, and each command imports the modules it runs: importing this
+module loads only the standard library, and a command only what it calls.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Optional
 
-import click
-
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .core import AlgebraSpec
 
 
 def _emit(obj: dict) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, indent=2))
+    try:  # one write and a flush to sys.stdout as of this call, as click.echo made
+        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: exit 1 with no traceback, as under click
+        sys.stdout = None  # and leave nothing to flush at exit
+        sys.exit(1)
 
 
 @contextmanager
@@ -125,17 +130,17 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     _refuse_large_basis(spec)
     checks: list[dict] = []
 
-    def check_jacobi() -> Optional[str]:
+    def check_jacobi() -> str | None:
         jacobi_check(spec)
         return None
 
-    def check_generators() -> Optional[str]:
+    def check_generators() -> str | None:
         for gen in star_generators(spec) + gamma_generators(spec):
             if not rho(spec, gen).is_zero():
                 return f"nonvanishing image: {format_element(gen)}"
         return None
 
-    def check_closed_form() -> Optional[str]:
+    def check_closed_form() -> str | None:
         for beta in index_set(spec):
             if gamma_all(spec, pure_y(spec, beta).scale(i_power(1))) != gamma_apply(spec, beta):
                 return (
@@ -144,7 +149,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                 )
         return None
 
-    def check_inversion() -> Optional[str]:
+    def check_inversion() -> str | None:
         i_unit = UEAElement.one(spec).scale(i_power(1))
         zero_mi = (0,) * spec.n
         y0 = pure_y(spec, zero_mi)
@@ -162,7 +167,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                 return f"inversion identity fails for beta={beta}"
         return None
 
-    def check_first_order() -> Optional[str]:
+    def check_first_order() -> str | None:
         idx = index_set(spec)
         for mono in monomials_up_to(spec, max_degree):
             t = UEAElement.monomial(spec, mono)
@@ -180,7 +185,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                     return f"b-part fails for {_mono_str(spec, mono)}, k={k + 1}"
         return None
 
-    def check_eigen_relation() -> Optional[str]:
+    def check_eigen_relation() -> str | None:
         for d in range(max_degree + 1):
             for mono in build_slice(spec, d).independent:
                 choice = reduction_data(spec, mono)
@@ -190,7 +195,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                     return f"eigen-relation fails for {_mono_str(spec, mono)}"
         return None
 
-    def check_shift() -> Optional[str]:
+    def check_shift() -> str | None:
         ones = (1,) * spec.n
         shift = GaussianRational(2 * spec.n)
         for mono in monomials_up_to(spec, max_degree):
@@ -201,7 +206,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                 return f"shift identity fails for {_mono_str(spec, mono)}"
         return None
 
-    def check_annihilation() -> Optional[str]:
+    def check_annihilation() -> str | None:
         # Strict annihilation holds on the independent monomials; monomials
         # whose canonical form loses degree (e.g. any power of Y^0) are only
         # sent *down* the degree filtration, never to zero.  Both facts are
@@ -229,7 +234,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                     )
         return None
 
-    def check_diagram() -> Optional[str]:
+    def check_diagram() -> str | None:
         rng = random.Random(7)
         monos = list(monomials_up_to(spec, max_degree))
         for s in range(max_degree + 1):
@@ -243,7 +248,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                     return f"diagram fails at s={s}"
         return None
 
-    def check_interpolation() -> Optional[str]:
+    def check_interpolation() -> str | None:
         poly = b_polynomial(spec)
         for q in (0, 1, 2):
             lagrange_identity_check(poly, 2, q, poly.degree() + 2)
@@ -273,49 +278,6 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _Rational(click.ParamType):
-    """An exact rational such as ``3/2`` or ``1.5``, passed on as written."""
-
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        from .scalars import as_rational
-
-        try:
-            as_rational(value)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not a rational number", param, ctx)
-        return value
-
-
-class _FiniteFloat(click.ParamType):
-    """A finite float; with ``positive``, also one above zero."""
-
-    name = "float"
-
-    def __init__(self, positive: bool = False) -> None:
-        self.positive = positive
-
-    def convert(self, value, param, ctx):
-        number = click.FLOAT.convert(value, param, ctx)
-        if not math.isfinite(number) or (self.positive and number <= 0):
-            wanted = "positive finite" if self.positive else "finite"
-            self.fail(f"{value!r} is not a {wanted} number", param, ctx)
-        return number
-
-
-@click.group()
-def main() -> None:
-    """Exact operator calculus and spectral-zeta pole analysis."""
-
-
-@main.group()
-def algebra() -> None:
-    """Structural operations on an algebra description."""
-
-
-@algebra.command("check")
-@click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 def algebra_check(spec_file: str) -> None:
     """Validate a description and check its structure constants."""
     from .core import (
@@ -344,9 +306,6 @@ def algebra_check(spec_file: str) -> None:
     )
 
 
-@main.command("reduce")
-@click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--expr", required=True, help="element in the text grammar")
 def reduce_cmd(spec_file: str, expr: str) -> None:
     """Canonical form of an element modulo the kernel ideal."""
     from .core import load_spec
@@ -366,9 +325,6 @@ def reduce_cmd(spec_file: str, expr: str) -> None:
     )
 
 
-@main.command("verify")
-@click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-degree", default=3, show_default=True, type=click.IntRange(min=0))
 def verify_cmd(spec_file: str, max_degree: int) -> None:
     """Run the exact structural checks; nonzero exit on any failure."""
     from .core import load_spec
@@ -381,15 +337,7 @@ def verify_cmd(spec_file: str, max_degree: int) -> None:
         sys.exit(1)
 
 
-@main.command("poles")
-@click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--q", default=0, show_default=True, help="weight-twist degree")
-@click.option("--s0", default="0", show_default=True, type=_Rational(), help="start weight")
-@click.option(
-    "--lmax", default=6, show_default=True, type=click.IntRange(min=0), help="largest lattice shift"
-)
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str]) -> None:
+def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: str | None) -> None:
     """Candidate pole lattice of the spectral zeta function."""
     from .core import load_spec
     from .reduction import b_roots, physical_abscissa, pole_lattice
@@ -433,21 +381,8 @@ def poles_cmd(spec_file: str, q: int, s0: str, lmax: int, csv_path: Optional[str
                 writer.writerow([e.omega_str(), e.multiplicity, witness_text])
 
 
-@main.command("spectrum")
-@click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--basis-size", default=128, show_default=True)
-@click.option(
-    "--zeta-at", multiple=True, type=_FiniteFloat(), help="evaluate the eigenvalue zeta here"
-)
-@click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--drift-tol", default=1e-8, show_default=True, type=_FiniteFloat(positive=True))
-def spectrum_cmd(
-    spec_file: str,
-    basis_size: int,
-    zeta_at: tuple[float, ...],
-    report_path: Optional[str],
-    drift_tol: float,
-) -> None:
+def spectrum_cmd(spec_file: str, basis_size: int, zeta_at: list[float],
+                 report_path: str | None, drift_tol: float) -> None:
     """Numeric spectrum, growth fit, and truncated zeta values."""
     from .core import load_spec
     from .reduction import physical_abscissa
@@ -484,6 +419,118 @@ def spectrum_cmd(
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Parsing: argparse, with the options, defaults and checks click applied
+# ---------------------------------------------------------------------------
+
+
+def _checked(convert, wanted: str, ok=lambda value: True):
+    """An argparse type: ``convert(text)`` if that works and passes ``ok``."""
+    def check(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+    return check
+
+
+def _rational(text: str) -> str:
+    """``--s0``, an exact rational such as ``3/2`` or ``1.5``, passed on as written."""
+    from .scalars import as_rational
+
+    as_rational(text)
+    return text
+
+
+def _file(exists: bool):
+    """A path that is no directory and, if it exists (as it must with ``exists``), readable."""
+    def usable(path: str) -> bool:
+        if os.path.exists(path):
+            return os.access(path, os.R_OK) and not os.path.isdir(path)
+        return not exists
+    return _checked(str, "an existing readable file" if exists else "a file path", usable)
+
+
+_NATURAL = _checked(int, "an integer >= 0", lambda n: n >= 0)
+_DEFAULT = " (default: %(default)s)"
+
+
+def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str]]:
+    """The ``nilzeta`` parser, and the options that take a value."""
+    help_only = argparse.ArgumentParser(add_help=False)
+    help_only.add_argument("--help", action="help", help="show this message and exit")
+    # as under click: --help but no -h, and no abbreviated option names
+    style = dict(add_help=False, allow_abbrev=False, parents=[help_only])
+    root = argparse.ArgumentParser(prog=prog, description=main.__doc__, **style)
+    commands = root.add_subparsers(metavar="COMMAND", required=True)
+    about = "Structural operations on an algebra description."
+    algebra = commands.add_parser("algebra", help=about, description=about, **style)
+    table = [
+        (algebra.add_subparsers(metavar="COMMAND", required=True), algebra_check, "check", {}),
+        (commands, reduce_cmd, "reduce",
+         {"--expr": dict(required=True, help="element in the text grammar")}),
+        (commands, verify_cmd, "verify",
+         {"--max-degree": dict(type=_NATURAL, default=3, help=_DEFAULT)}),
+        (commands, poles_cmd, "poles", {
+            "--q": dict(type=int, default=0, help="weight-twist degree" + _DEFAULT),
+            "--s0": dict(type=_checked(_rational, "a rational number"), default="0",
+                         help="start weight" + _DEFAULT),
+            "--lmax": dict(type=_NATURAL, default=6, help="largest lattice shift" + _DEFAULT),
+            "--csv": dict(dest="csv_path", metavar="PATH", type=_file(exists=False)),
+        }),
+        (commands, spectrum_cmd, "spectrum", {
+            "--basis-size": dict(type=int, default=128, help=_DEFAULT),
+            "--zeta-at": dict(type=_checked(float, "a finite number", math.isfinite),
+                              action="append", default=[],
+                              help="evaluate the eigenvalue zeta here; repeatable"),
+            "--report": dict(dest="report_path", metavar="PATH", type=_file(exists=False)),
+            "--drift-tol": dict(type=_checked(float, "a positive finite number",
+                                              lambda x: math.isfinite(x) and x > 0),
+                                default=1e-8, help=_DEFAULT),
+        }),
+    ]
+    takes_value: set[str] = set()
+    for subparsers, run, name, options in table:
+        command = subparsers.add_parser(name, help=run.__doc__, description=run.__doc__, **style)
+        command.add_argument("spec_file", metavar="SPEC_FILE", type=_file(exists=True))
+        for flag, settings in options.items():
+            command.add_argument(flag, **settings)
+        command.set_defaults(run=run)
+        takes_value.update(options)
+    return root, takes_value
+
+
+def _attach_values(words: list[str], takes_value: set[str]) -> list[str]:
+    """``--option value`` as ``--option=value``, up to any ``--``: so the value is the next
+    word even if it starts with "-" (``--zeta-at -inf``), which argparse reads as an option."""
+    out: list[str] = []
+    rest = iter(words)
+    for word in rest:
+        if word == "--":
+            return [*out, word, *rest]
+        value = next(rest, None) if word in takes_value else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
+def main(args=None, prog_name: str | None = None) -> None:
+    """Exact operator calculus and spectral-zeta pole analysis."""
+    # Ends in SystemExit: 0 on success, 1 on refused input, 2 on a usage error.
+    parser, takes_value = _parser(prog_name or "nilzeta")
+    words = sys.argv[1:] if args is None else list(args)
+    namespace = vars(parser.parse_args(_attach_values(words, takes_value)))
+    namespace.pop("run")(**namespace)
+    sys.exit(0)
+
+
+# A click command's calling convention, which click.testing.CliRunner and
+# perfbench/child.py use: ``main.main(args=..., prog_name=...)``.
+main.main = main
+main.name = "nilzeta"
 
 
 if __name__ == "__main__":

@@ -175,16 +175,17 @@ def leibniz(b: MultiIndex, a: MultiIndex) -> Mapping[WeylMonomial, int]:
     return MappingProxyType(out)
 
 
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _monomial_product(m1: WeylMonomial, m2: WeylMonomial) -> tuple:
+    """x^a1 d^b1 times x^a2 d^b2 as ((a, b), int weight) pairs, from ``leibniz(b1, a2)``."""
+    (a1, b1), (a2, b2) = m1, m2
+    return tuple([((mi_add(a1, a), mi_add(b, b2)), w) for (a, b), w in leibniz(b1, a2).items()])
+
+
 def weyl_product(u: WeylOperator, v: WeylOperator) -> WeylOperator:
     """Composition u then-acting-after v, i.e. (u*v)(f) = u(v(f))."""
     u._require_same_space(v)
-
-    def expand(m1: WeylMonomial, m2: WeylMonomial):
-        (a1, b1), (a2, b2) = m1, m2
-        for (mid_a, mid_b), weight in leibniz(b1, a2).items():
-            yield (mi_add(a1, mid_a), mi_add(mid_b, b2)), weight
-
-    return WeylOperator._of_clean(u.n, product_terms(u.terms, v.terms, expand))
+    return WeylOperator._of_clean(u.n, product_terms(u.terms, v.terms, _monomial_product))
 
 
 # ---------------------------------------------------------------------------

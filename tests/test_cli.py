@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -52,13 +53,22 @@ def test_help_lists_commands(runner) -> None:
     assert result.exit_code == 0
     for command in ("algebra", "reduce", "verify", "poles", "spectrum"):
         assert command in result.output
+    # each command's --help shows its defaults
+    for command, option, default in [("verify", "--max-degree", "3"), ("poles", "--lmax", "6"),
+                                     ("spectrum", "--basis-size", "128")]:
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        text = " ".join(result.output.split())
+        assert re.search(rf"{option} \S+ [^-]*default: {default}\b", text), result.output
 
 
-def run_python(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    checkout's package; return its stdout."""
     src = str(Path(nilzeta.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
 
 
 def test_cli_import_leaves_numpy_unloaded() -> None:
@@ -80,8 +90,31 @@ def test_cli_import_loads_only_the_cli() -> None:
         "import nilzeta.cli, sys; "
         "loaded = [m for m in sys.modules if m.startswith('nilzeta.')]; "
         "assert loaded == ['nilzeta.cli'], loaded; "
-        "assert 'numpy' not in sys.modules and 'csv' not in sys.modules"
+        "assert 'numpy' not in sys.modules and 'csv' not in sys.modules; "
+        "assert 'click' not in sys.modules"
     )
+
+
+# `python -m nilzeta.cli ARGS` with every import of click failing.
+WITHOUT_CLICK = (
+    "import runpy, sys; sys.modules['click'] = None; "
+    "runpy.run_module('nilzeta.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize("args", [
+    ["algebra", "check", "SPEC"],
+    ["reduce", "SPEC", "--expr", "-X1 * Y[1]^2"],
+    ["verify", "SPEC", "--max-degree", "1"],
+    ["poles", "SPEC", "--s0", "-3/2", "--lmax", "2"],
+    ["spectrum", "SPEC", "--basis-size", "64", "--zeta-at", "-4"],
+], ids=lambda args: args[0])
+def test_commands_run_without_click(runner, heis, spec_file, args) -> None:
+    # the command path users and the benchmark take, which CliRunner skips
+    args = [spec_file(heis) if word == "SPEC" else word for word in args]
+    stdout = run_python(WITHOUT_CLICK, *args)
+    assert stdout == runner.invoke(main, args).output
+    json.loads(stdout)
 
 
 # The package's public names, as exported before the one export table.
@@ -174,6 +207,10 @@ def test_reduce_frozen_values(runner, heis, quad, spec_file) -> None:
 
     payload = invoke_json(runner, ["reduce", spec_file(quad), "--expr", "Y[1]^2"])
     assert payload == {"canonical": "2i * Y[2]", "in_ideal": False, "degree": 1}
+
+    # a one-word value that starts with "-" is the option's value
+    payload = invoke_json(runner, ["reduce", heis_file, "--expr", "-X1"])
+    assert payload == {"canonical": "-X1", "in_ideal": False, "degree": 1}
 
 
 def test_reduce_deep_inputs(runner, cubic, spec_file) -> None:
@@ -436,6 +473,23 @@ def test_spectrum_refuses_unusable_drift_tol(runner, quad, spec_file, tol: str) 
     result = runner.invoke(main, ["spectrum", spec_file(quad), "--drift-tol", tol])
     assert result.exit_code == 2
     assert "--drift-tol" in result.output and "positive finite" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "MISSING"], "SPEC_FILE"),
+    (["algebra", "check", "DIR"], "SPEC_FILE"),
+    (["poles", "SPEC", "--csv", "DIR"], "--csv"),
+    (["spectrum", "SPEC", "--report", "DIR"], "--report"),
+], ids=["missing-spec", "directory-spec", "poles-csv-directory", "spectrum-report-directory"])
+def test_unusable_paths_are_usage_errors(runner, heis, spec_file, tmp_path, args, option) -> None:
+    # click.Path checked these before any command ran; they still exit 2 with a message
+    paths = {"MISSING": str(tmp_path / "missing.json"), "DIR": str(tmp_path)}
+    paths["SPEC"] = spec_file(heis)
+    result = runner.invoke(main, [paths.get(word, word) for word in args])
+    assert result.exit_code == 2
+    bad = paths["MISSING" if "MISSING" in args else "DIR"]
+    assert option in result.output and repr(bad) in result.output, result.output
     assert "Traceback" not in result.output
 
 
