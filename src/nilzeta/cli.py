@@ -117,7 +117,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
     from .reduction import (
         b_polynomial, g_ab, g_s, h_ab, h_s, lagrange_identity_check, reduction_data, t_s,
     )
-    from .scalars import GaussianRational, i_power
+    from .scalars import GaussianRational, Rat, i_power
     from .uea import UEAElement, gamma_all, gamma_apply, monomials_up_to, pure_y, y_star
     from .weyl import rho
 
@@ -160,7 +160,7 @@ def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
                 if not any(gamma):
                     continue
                 coeff = -GaussianRational(
-                    f"{mi_factorial(beta)}/{mi_factorial(mi_sub(beta, gamma))}"
+                    Rat(mi_factorial(beta), mi_factorial(mi_sub(beta, gamma)))
                 )
                 rhs = rhs + (y_star(spec, mi_sub(beta, gamma)) * gamma_apply(spec, gamma)).scale(coeff)
             if lhs != rhs:

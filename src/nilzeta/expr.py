@@ -23,10 +23,10 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Optional
 
-from .core import AlgebraSpec, index_set, y_position
+from .core import AlgebraSpec, _sym_str, basis, y_position
 from .scalars import GaussianRational, Rat, format_rational
 from .uea import Monomial, UEAElement, normal_product
 
@@ -43,62 +43,31 @@ class ExpressionError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER, XGEN, Y, I, LBRACK, RBRACK, COMMA, CARET, STAR, PLUS, MINUS, SLASH, END
-    value: object
-    pos: int
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """Tokens (kind, value, position), END last.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    k = 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch.isdigit():
-            start = k
-            while k < n and text[k].isdigit():
-                k += 1
-            tokens.append(_Token("NUMBER", int(text[start:k]), start))
-            continue
-        if ch == "X":
-            start = k
-            k += 1
-            if k >= n or not text[k].isdigit():
-                raise ExpressionError("generator X needs a 1-based index", start, "digit")
-            num_start = k
-            while k < n and text[k].isdigit():
-                k += 1
-            tokens.append(_Token("XGEN", int(text[num_start:k]), start))
-            continue
-        if ch == "Y":
-            tokens.append(_Token("Y", None, k))
-            k += 1
-            continue
-        if ch == "i":
-            tokens.append(_Token("I", None, k))
-            k += 1
-            continue
-        simple = {
-            "[": "LBRACK",
-            "]": "RBRACK",
-            ",": "COMMA",
-            "^": "CARET",
-            "*": "STAR",
-            "+": "PLUS",
-            "-": "MINUS",
-            "/": "SLASH",
-        }
-        kind = simple.get(ch)
-        if kind is None:
-            raise ExpressionError(f"unexpected character {ch!r}", k)
-        tokens.append(_Token(kind, ch, k))
-        k += 1
-    tokens.append(_Token("END", None, n))
+    One regex match per token: a NUMBER (decimal digits only), an XGEN with
+    its digits, skipped whitespace, or one character whose kind ``kinds`` gives.
+    """
+    kinds = {
+        "Y": "Y", "i": "I", "[": "LBRACK", "]": "RBRACK", ",": "COMMA",
+        "^": "CARET", "*": "STAR", "+": "PLUS", "-": "MINUS", "/": "SLASH",
+    }
+    tokens = []
+    for m in re.finditer(r"(\d+)|X(\d*)|\s+|(.)", text):
+        number, xgen, char = m.groups()
+        pos = m.start()
+        if number is not None:
+            tokens.append(("NUMBER", int(number), pos))
+        elif xgen == "":
+            raise ExpressionError("generator X needs a 1-based index", pos, "digit")
+        elif xgen is not None:
+            tokens.append(("XGEN", int(xgen), pos))
+        elif char is not None:
+            if char not in kinds:
+                raise ExpressionError(f"unexpected character {char!r}", pos)
+            tokens.append((kinds[char], char, pos))
+    tokens.append(("END", None, len(text)))
     return tokens
 
 
@@ -108,125 +77,88 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
+    def take(self, kind: str, what: Optional[str] = None):
+        """Consume and return the next token if it is ``kind``; else None,
+        or the positioned error when ``what`` names the expected input."""
         tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExpressionError(f"unexpected {tok.kind}", tok.pos, what)
-        return self.advance()
+        if tok[0] == kind:
+            self.k += 1
+            return tok
+        if what:
+            raise ExpressionError(f"unexpected {tok[0]}", tok[2], what)
+        return None
 
     # element := ["-"] term (("+"|"-") term)*
     def element(self) -> UEAElement:
-        negate = False
-        if self.peek().kind == "MINUS":
-            self.advance()
-            negate = True
+        negate = self.take("MINUS")
         total = self.term()
         if negate:
             total = -total
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
+        while op := self.take("PLUS") or self.take("MINUS"):
             nxt = self.term()
-            total = total - nxt if op.kind == "MINUS" else total + nxt
-        end = self.peek()
-        if end.kind != "END":
-            raise ExpressionError(f"unexpected {end.kind}", end.pos, "'+', '-', '*', or end")
+            total = total - nxt if op[0] == "MINUS" else total + nxt
+        self.take("END", "'+', '-', '*', or end")
         return total
 
     # term := coeff "*" factor ("*" factor)* | factor ("*" factor)* | coeff
     def term(self) -> UEAElement:
-        tok = self.peek()
-        coeff: Optional[GaussianRational] = None
-        if tok.kind in ("NUMBER", "I"):
-            coeff = self.coeff()
-            if self.peek().kind != "STAR":
-                return UEAElement.one(self.spec).scale(coeff)
-            self.advance()
+        coeff = self.coeff()
+        if coeff is not None and not self.take("STAR"):
+            return UEAElement.one(self.spec).scale(coeff)
         out = self.factor()
-        while self.peek().kind == "STAR":
-            self.advance()
+        while self.take("STAR"):
             out = normal_product(out, self.factor())
-        if coeff is not None:
-            out = out.scale(coeff)
-        return out
+        return out if coeff is None else out.scale(coeff)
 
-    # coeff := int ["/" nat] ["i"] | "i"
-    def coeff(self) -> GaussianRational:
-        tok = self.peek()
-        if tok.kind == "I":
-            self.advance()
+    # coeff := int ["/" nat] ["i"] | "i"; None when no coeff starts here
+    def coeff(self) -> Optional[GaussianRational]:
+        if self.take("I"):
             return GaussianRational(0, 1)
-        num_tok = self.expect("NUMBER", "a number or 'i'")
-        num = Rat(num_tok.value)
-        if self.peek().kind == "SLASH":
-            self.advance()
-            den_tok = self.expect("NUMBER", "a denominator")
-            if den_tok.value == 0:
-                raise ExpressionError("zero denominator", den_tok.pos)
-            num = num / Rat(den_tok.value)
-        if self.peek().kind == "I":
-            self.advance()
-            return GaussianRational(0, num)
-        return GaussianRational(num)
+        num = self.take("NUMBER")
+        if num is None:
+            return None
+        value = Rat(num[1])
+        if self.take("SLASH"):
+            den = self.take("NUMBER", "a denominator")
+            if den[1] == 0:
+                raise ExpressionError("zero denominator", den[2])
+            value /= den[1]
+        return GaussianRational(0, value) if self.take("I") else GaussianRational(value)
 
     # factor := XGEN ["^" nat] | Y "[" nat ("," nat)* "]" ["^" nat]
     def factor(self) -> UEAElement:
-        tok = self.peek()
         spec = self.spec
-        if tok.kind == "XGEN":
-            self.advance()
-            k1 = tok.value
-            if not 1 <= k1 <= spec.n:
+        # the XGEN branch doubles as the error when neither factor starts here
+        tok = self.take("Y") or self.take("XGEN", "a factor (Xk or Y[..])")
+        if tok[0] == "XGEN":
+            slot = tok[1] - 1
+            if not 0 <= slot < spec.n:
                 raise ExpressionError(
-                    f"X{k1} out of range (this algebra has X1..X{spec.n})", tok.pos
+                    f"X{tok[1]} out of range (this algebra has X1..X{spec.n})", tok[2]
                 )
-            exp = self._exponent()
-            y_len = len(index_set(spec))
-            mono = Monomial(
-                tuple(exp if j == k1 - 1 else 0 for j in range(spec.n)), (0,) * y_len
-            )
-            return UEAElement.monomial(spec, mono)
-        if tok.kind == "Y":
-            self.advance()
-            self.expect("LBRACK", "'['")
-            entries = [self.expect("NUMBER", "a multi-index entry").value]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                entries.append(self.expect("NUMBER", "a multi-index entry").value)
-            self.expect("RBRACK", "']'")
-            beta = tuple(entries)
+        else:
+            self.take("LBRACK", "'['")
+            beta = [self.take("NUMBER", "a multi-index entry")[1]]
+            while self.take("COMMA"):
+                beta.append(self.take("NUMBER", "a multi-index entry")[1])
+            self.take("RBRACK", "']'")
             if len(beta) != spec.n:
                 raise ExpressionError(
-                    f"Y index {list(beta)} has {len(beta)} entries; this algebra needs {spec.n}",
-                    tok.pos,
+                    f"Y index {beta} has {len(beta)} entries; this algebra needs {spec.n}",
+                    tok[2],
                 )
-            pos = y_position(spec).get(beta)
-            if pos is None:
+            slot = y_position(spec).get(tuple(beta))
+            if slot is None:
                 raise ExpressionError(
-                    f"Y{list(beta)} is not a basis element of this algebra "
+                    f"Y{beta} is not a basis element of this algebra "
                     f"(index set bounded by alpha={list(spec.alpha)} per block)",
-                    tok.pos,
+                    tok[2],
                 )
-            exp = self._exponent()
-            y_len = len(index_set(spec))
-            mono = Monomial(
-                (0,) * spec.n, tuple(exp if j == pos else 0 for j in range(y_len))
-            )
-            return UEAElement.monomial(spec, mono)
-        raise ExpressionError(f"unexpected {tok.kind}", tok.pos, "a factor (Xk or Y[..])")
-
-    def _exponent(self) -> int:
-        if self.peek().kind == "CARET":
-            self.advance()
-            return self.expect("NUMBER", "an exponent").value
-        return 1
+            slot += spec.n
+        # one exponent per basis symbol, X's then Y's, as core.basis orders them
+        exps = [0] * len(basis(spec))
+        exps[slot] = self.take("NUMBER", "an exponent")[1] if self.take("CARET") else 1
+        return UEAElement.monomial(spec, Monomial(tuple(exps[: spec.n]), tuple(exps[spec.n :])))
 
 
 def parse_expression(text: str, spec: AlgebraSpec) -> UEAElement:
@@ -240,18 +172,11 @@ def parse_expression(text: str, spec: AlgebraSpec) -> UEAElement:
 
 
 def _monomial_factors(spec: AlgebraSpec, mono: Monomial) -> list[str]:
-    idx = index_set(spec)
-    parts = []
-    for k, e in enumerate(mono.x):
-        if e:
-            parts.append(f"X{k + 1}" + (f"^{e}" if e > 1 else ""))
-    for pos, e in enumerate(mono.y):
-        if e:
-            beta = idx[pos]
-            parts.append(
-                "Y[" + ",".join(str(b) for b in beta) + "]" + (f"^{e}" if e > 1 else "")
-            )
-    return parts
+    return [
+        _sym_str(sym) + (f"^{e}" if e > 1 else "")
+        for sym, e in zip(basis(spec), mono.x + mono.y)
+        if e
+    ]
 
 
 def format_element(u: UEAElement) -> str:
@@ -263,27 +188,14 @@ def format_element(u: UEAElement) -> str:
     """
     if u.is_zero():
         return "0"
-    spec = u.spec
-    pieces: list[tuple[bool, str]] = []  # (negative, body-without-sign)
+    out = []
     for mono, coeff in u.sorted_terms(reverse=True):
-        factors = _monomial_factors(spec, mono)
-        for part, imag in ((coeff.re, False), (coeff.im, True)):
-            if part == 0:
-                continue
-            negative = part < 0
-            mag = -part if negative else part
-            mag_text = format_rational(mag) + ("i" if imag else "")
-            if imag and mag == 1:
-                mag_text = "i"
-            if not factors:
-                body = mag_text
-            elif mag == 1 and not imag:
-                body = " * ".join(factors)
-            else:
-                body = " * ".join([mag_text] + factors)
-            pieces.append((negative, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" if first_neg else "") + first_body
-    for negative, body in pieces[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+        factors = _monomial_factors(u.spec, mono)
+        for part, unit in ((coeff.re, ""), (coeff.im, "i")):
+            if part:
+                mag = abs(part)
+                mag_text = ("" if mag == 1 else format_rational(mag)) + unit
+                out.append(" - " if part < 0 else " + ")
+                out.append(" * ".join(filter(None, [mag_text, *factors])) or "1")
+    text = "".join(out)  # starts with the first term's " + " or " - "
+    return ("-" if text[1] == "-" else "") + text[3:]

@@ -234,9 +234,15 @@ def test_reduce_deep_inputs(runner, cubic, spec_file) -> None:
 
 
 def test_reduce_rejects_bad_expression(runner, heis, spec_file) -> None:
-    result = runner.invoke(main, ["reduce", spec_file(heis), "--expr", "Y[9]"])
+    path = spec_file(heis)
+    result = runner.invoke(main, ["reduce", path, "--expr", "Y[9]"])
     assert result.exit_code == 1
     assert "error" in json.loads(result.output)
+    payload = invoke_json(runner, ["reduce", path, "--expr", "X1 +"], exit_code=1)
+    assert payload == {"error": "unexpected END at position 4 (expected a factor (Xk or Y[..]))"}
+    # a superscript digit is a character the grammar does not know, not a number
+    payload = invoke_json(runner, ["reduce", path, "--expr", "X1^²"], exit_code=1)
+    assert payload == {"error": "unexpected character '²' at position 3"}
 
 
 def test_verify_passes_and_reports_all_checks(runner, heis, spec_file) -> None:

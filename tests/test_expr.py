@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SPEC_PARAMS, make_spec, random_element
 from nilzeta import GaussianRational
@@ -56,34 +58,83 @@ def test_whitespace_insignificant(quad) -> None:
     )
 
 
+def _error_case(text: str, position: int, message: str):
+    return pytest.param(text, position, message, id=f"{text}-{position}")
+
+
 @pytest.mark.parametrize(
-    "text,position",
+    "text,position,message",
     [
-        ("X1 +", 4),
-        ("3//2", 2),
-        ("X1^", 3),
-        ("foo", 0),
-        ("2*", 2),
-        ("Y[1", 3),
-        ("i*i", 2),
-        ("1/0", 2),
+        _error_case("X1 +", 4, "unexpected END at position 4 (expected a factor (Xk or Y[..]))"),
+        _error_case("3//2", 2, "unexpected SLASH at position 2 (expected a denominator)"),
+        _error_case("X1^", 3, "unexpected END at position 3 (expected an exponent)"),
+        _error_case("foo", 0, "unexpected character 'f' at position 0"),
+        _error_case("2*", 2, "unexpected END at position 2 (expected a factor (Xk or Y[..]))"),
+        _error_case("Y[1", 3, "unexpected END at position 3 (expected ']')"),
+        _error_case("i*i", 2, "unexpected I at position 2 (expected a factor (Xk or Y[..]))"),
+        _error_case("1/0", 2, "zero denominator at position 2"),
+        # digits that are not decimal (superscripts) are characters, not numbers
+        _error_case("X1^²", 3, "unexpected character '²' at position 3"),
+        _error_case("3²", 1, "unexpected character '²' at position 1"),
+        _error_case("X²", 0, "generator X needs a 1-based index at position 0 (expected digit)"),
     ],
 )
-def test_error_positions(heis, text: str, position: int) -> None:
+def test_error_positions(heis, text: str, position: int, message: str) -> None:
     with pytest.raises(ExpressionError) as exc:
         parse_expression(text, heis)
     assert exc.value.position == position
+    assert str(exc.value) == message
 
 
 def test_unknown_y_index_rejected(heis) -> None:
-    with pytest.raises(ExpressionError, match="not a basis element"):
-        parse_expression("Y[2]", heis)
-    with pytest.raises(ExpressionError, match="needs 1"):
-        parse_expression("Y[1,0]", heis)
-    with pytest.raises(ExpressionError, match="out of range"):
-        parse_expression("X0", heis)
-    with pytest.raises(ExpressionError, match="out of range"):
-        parse_expression("X2", heis)
+    for text, message in [
+        ("Y[2]", "Y[2] is not a basis element of this algebra "
+                 "(index set bounded by alpha=[1] per block) at position 0"),
+        ("Y[1,0]", "Y index [1, 0] has 2 entries; this algebra needs 1 at position 0"),
+        ("X0", "X0 out of range (this algebra has X1..X1) at position 0"),
+        ("X2", "X2 out of range (this algebra has X1..X1) at position 0"),
+    ]:
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text, heis)
+        assert str(exc.value) == message, text
+
+
+# Well-formed elements on heis with up to three characters of the grammar's
+# alphabet (and a superscript digit) inserted, so that draws both parse and fail.
+_TERMS = st.one_of(
+    st.sampled_from(["5", "i", "-1/2", "3/4i"]),
+    st.builds(
+        lambda coeff, factors: coeff + "*".join(factors),
+        st.sampled_from(["", "2*", "i * ", "7/3i*", "0 * "]),
+        st.lists(st.sampled_from(["X1", "X1^2", "Y[0]", "Y[1]", "Y[1]^3"]), min_size=1, max_size=3),
+    ),
+)
+_INSERTS = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from(list("XYi[],^*+-/ 0123²"))), max_size=3
+)
+
+
+def _insert(text: str, inserts) -> str:
+    for at, char in inserts:
+        at %= len(text) + 1
+        text = text[:at] + char + text[at:]
+    return text
+
+
+GRAMMAR_TEXT = st.builds(
+    _insert, st.lists(_TERMS, min_size=1, max_size=3).map(" - ".join), _INSERTS
+)
+
+
+@settings(max_examples=100)
+@given(text=GRAMMAR_TEXT)
+def test_text_parses_and_prints_back_or_fails_with_a_position(heis, text: str) -> None:
+    try:
+        u = parse_expression(text, heis)
+    except ExpressionError as exc:
+        assert 0 <= exc.position <= len(text)
+        return
+    assert parse_expression(format_element(u), heis) == u
 
 
 def test_format_zero_and_constants(heis) -> None:
