@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .indices import MultiIndex, box, mi_abs, mi_delta, mi_sub
 from .linalg import IMAGE_CACHE_SIZE, Combination
@@ -50,44 +49,38 @@ class JacobiError(AssertionError):
         self.triple = triple
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple("AlgebraSpec", [("n", int), ("alpha", tuple), ("partition", tuple)])):
     """Validated, normalized description of one algebra in the family.
 
     ``partition`` holds 0-based generator positions, each block sorted
     ascending, blocks sorted by their smallest element.  Construct via
     :func:`algebra_spec` or :func:`validate_spec`; the constructor itself
-    checks the normal form.
+    checks the normal form, and every number must be a plain int.
     """
 
-    n: int
-    alpha: tuple[int, ...]
-    partition: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise SpecError(f"n must be a positive int, got {self.n!r}")
-        if len(self.alpha) != self.n or any(
-            not isinstance(a, int) or a < 1 for a in self.alpha
-        ):
-            raise SpecError(
-                f"alpha must be {self.n} positive ints, got {self.alpha!r}"
-            )
+    def __new__(cls, n: int, alpha: tuple, partition: tuple) -> AlgebraSpec:
+        if type(n) is not int or n < 1:
+            raise SpecError(f"n must be a positive int, got {n!r}")
+        if len(alpha) != n or any(type(a) is not int or a < 1 for a in alpha):
+            raise SpecError(f"alpha must be {n} positive ints, got {alpha!r}")
         seen: set[int] = set()
-        for block in self.partition:
+        for block in partition:
             if not block or list(block) != sorted(block):
                 raise SpecError(f"partition block {block!r} must be nonempty and sorted")
             for k in block:
-                if not isinstance(k, int) or not 0 <= k < self.n:
-                    raise SpecError(f"partition entry {k!r} out of range 0..{self.n - 1}")
+                if type(k) is not int or not 0 <= k < n:
+                    raise SpecError(f"partition entry {k!r} out of range 0..{n - 1}")
                 if k in seen:
                     raise SpecError(f"generator position {k} appears in two blocks")
                 seen.add(k)
-        if seen != set(range(self.n)):
+        if seen != set(range(n)):
             raise SpecError("partition must cover every generator position exactly once")
-        mins = [block[0] for block in self.partition]
+        mins = [block[0] for block in partition]
         if mins != sorted(mins):
             raise SpecError("blocks must be sorted by their smallest element")
+        return super().__new__(cls, n, alpha, partition)
 
     @property
     def p(self) -> int:
@@ -115,13 +108,16 @@ def algebra_spec(
     ``partition`` defaults to singleton blocks.  With ``one_based=True`` the
     block entries are 1-based (the JSON convention).
     """
+    shift = 1 if one_based else 0
     if partition is None:
-        blocks = [(k,) for k in range(n)]
-    else:
-        shift = 1 if one_based else 0
-        blocks = [tuple(sorted(int(k) - shift for k in block)) for block in partition]
+        partition, shift = [[k] for k in range(n if type(n) is int else 0)], 0
+    blocks = [tuple(block) for block in partition]
+    # As in validate_spec, only a plain int is accepted: never truncated or coerced.
+    if any(type(k) is not int for block in blocks for k in block):
+        raise SpecError(f"partition entries must be plain ints, got {blocks!r}")
+    blocks = [tuple(sorted(k - shift for k in block)) for block in blocks]
     blocks.sort(key=lambda b: b[0] if b else -1)
-    return AlgebraSpec(int(n), tuple(int(a) for a in alpha), tuple(blocks))
+    return AlgebraSpec(n, tuple(alpha), tuple(blocks))
 
 
 def validate_spec(data: Mapping) -> AlgebraSpec:

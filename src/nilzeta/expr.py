@@ -24,6 +24,7 @@ element.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Optional
 
 from .core import AlgebraSpec, _sym_str, basis, y_position
@@ -57,12 +58,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     for m in re.finditer(r"(\d+)|X(\d*)|\s+|(.)", text):
         number, xgen, char = m.groups()
         pos = m.start()
-        if number is not None:
-            tokens.append(("NUMBER", int(number), pos))
-        elif xgen == "":
+        if xgen == "":
             raise ExpressionError("generator X needs a 1-based index", pos, "digit")
-        elif xgen is not None:
-            tokens.append(("XGEN", int(xgen), pos))
+        if number or xgen:
+            try:
+                tokens.append(("XGEN" if xgen else "NUMBER", int(number or xgen), pos))
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ExpressionError(f"number longer than {limit} digits", pos) from None
         elif char is not None:
             if char not in kinds:
                 raise ExpressionError(f"unexpected character {char!r}", pos)

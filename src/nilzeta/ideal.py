@@ -20,8 +20,8 @@ identically, which the verification suite checks exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import AlgebraSpec, index_set
 from .indices import MultiIndex, mi_abs, mi_factorial
@@ -118,8 +118,7 @@ def _first(spec: AlgebraSpec, key: tuple) -> tuple[Monomial, GaussianRational]:
     return first, monomial_symbol(spec, first)[1].inverse()
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(NamedTuple):
     """Classification of the exact-degree-d monomials of one algebra.
 
     ``dependent`` monomials admit smaller-monomial representatives modulo the

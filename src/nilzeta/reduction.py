@@ -40,10 +40,9 @@ Three layers live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .indices import mi_delta, mi_sub
@@ -158,8 +157,7 @@ def _first_order(space, form: str, a: Sequence, b: Sequence, shift, t: Combinati
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionChoice:
+class ReductionChoice(NamedTuple):
     """Per-block data realizing the eigen-relation for one monomial.
 
     ``i_tuple`` holds one 0-based generator position per block; ``r_tuple``
@@ -446,8 +444,7 @@ def b_roots(spec: AlgebraSpec) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoleEntry:
+class PoleEntry(NamedTuple):
     """One candidate pole: exact location, multiplicity, contributing labels.
 
     ``witnesses`` holds (i_tuple, r_tuple, l) triples with 1-based positions.
@@ -461,8 +458,7 @@ class PoleEntry:
         return format_rational(self.omega)
 
 
-@dataclass(frozen=True)
-class PoleLattice:
+class PoleLattice(NamedTuple):
     """All candidate poles for given twist degree q, start weight s0, and l cap."""
 
     spec: AlgebraSpec

@@ -95,6 +95,21 @@ def test_cli_import_loads_only_the_cli() -> None:
     )
 
 
+def test_exact_commands_load_no_dataclasses(heis, spec_file) -> None:
+    # the exact layer's records are named tuples; only spectral uses dataclasses
+    run_python(
+        "import sys; SPEC = sys.argv[1]; before = set(sys.modules)\n"
+        "from nilzeta.cli import main\n"
+        "for args in (['reduce', SPEC, '--expr', 'X1 * Y[1]'], ['poles', SPEC],\n"
+        "             ['algebra', 'check', SPEC], ['verify', SPEC, '--max-degree', '1']):\n"
+        "    try: main(args)\n"
+        "    except SystemExit as exc: assert exc.code == 0, args\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules) - before\n"
+        "assert not loaded, loaded",
+        spec_file(heis),
+    )
+
+
 # `python -m nilzeta.cli ARGS` with every import of click failing.
 WITHOUT_CLICK = (
     "import runpy, sys; sys.modules['click'] = None; "
@@ -243,6 +258,10 @@ def test_reduce_rejects_bad_expression(runner, heis, spec_file) -> None:
     # a superscript digit is a character the grammar does not know, not a number
     payload = invoke_json(runner, ["reduce", path, "--expr", "X1^²"], exit_code=1)
     assert payload == {"error": "unexpected character '²' at position 3"}
+    # a number past the interpreter's int-to-str digit limit is a positioned error
+    limit = sys.get_int_max_str_digits()
+    payload = invoke_json(runner, ["reduce", path, "--expr", "X1^" + "1" * (limit + 1)], exit_code=1)
+    assert payload == {"error": f"number longer than {limit} digits at position 3"}
 
 
 def test_verify_passes_and_reports_all_checks(runner, heis, spec_file) -> None:

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 
 from nilzeta import (
+    AlgebraSpec,
     GaussianRational,
     JacobiError,
     SpecError,
     algebra_spec,
     bracket,
+    build_slice,
     isotropic_subalgebra,
     jacobi_check,
     load_spec,
     nilpotency_class,
+    pole_lattice,
+    reduction_data,
     structure_constants,
     validate_spec,
 )
@@ -158,6 +163,18 @@ def test_y_position_is_read_only(cubic) -> None:
     assert (4,) not in y_position(cubic)
 
 
+# (n, alpha, 1-based partition) with one number that is not a plain int.
+NON_INT_SPECS = [
+    (1, [2.7], [[1]]),
+    (1, ["3"], [[1]]),
+    (1, [True], [[1]]),
+    (True, [1], [[1]]),
+    (1.0, [1], [[1]]),
+    (1, [1], [[True]]),
+    (1, [1], [[1.0]]),
+]
+
+
 def test_algebra_spec_validation() -> None:
     with pytest.raises(SpecError):
         algebra_spec(0, ())
@@ -169,6 +186,36 @@ def test_algebra_spec_validation() -> None:
         algebra_spec(2, (1, 1), [[0]])  # partition misses generator 2
     with pytest.raises(SpecError):
         algebra_spec(2, (1, 1), [[0, 1], [1]])  # overlapping blocks
+    # Numbers that are not plain ints are refused, never truncated or coerced,
+    # as validate_spec refuses them.
+    for n, alpha, partition in NON_INT_SPECS:
+        with pytest.raises(SpecError):
+            algebra_spec(n, alpha, partition, one_based=True)
+    with pytest.raises(SpecError):
+        algebra_spec(1.0, [1])
+    with pytest.raises(SpecError):
+        algebra_spec(2, [True, "3"], [[1.0], [2.9]], one_based=True)
+
+
+def test_records_are_immutable_values(heis) -> None:
+    slice_ = build_slice(heis, 1)
+    lattice = pole_lattice(heis)
+    choice = reduction_data(heis, slice_.independent[0])
+    for record, field in [(heis, "n"), (slice_, "degree"), (choice, "eigenvalue"),
+                          (lattice.entries[0], "omega"), (lattice, "entries")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.note = "added"
+    assert repr(heis) == "AlgebraSpec(n=1, alpha=(1,), partition=((0,),))"
+    with pytest.raises(SpecError, match="partition must cover"):
+        AlgebraSpec(2, (1, 1), ((0,),))
+    for name in SPEC_PARAMS:
+        spec = make_spec(name)
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and type(again) is AlgebraSpec
+        assert hash(algebra_spec(*SPEC_PARAMS[name])) == hash(spec)
+        assert AlgebraSpec(n=spec.n, alpha=spec.alpha, partition=spec.partition) == spec
 
 
 def test_validate_spec_roundtrip() -> None:
@@ -183,17 +230,9 @@ def test_validate_spec_errors() -> None:
     with pytest.raises(SpecError):
         validate_spec({"n": 1, "alpha": [1], "partition": [[2]]})
     # JSON values that are not plain ints are refused, never coerced.
-    for bad in (
-        {"n": 1, "alpha": [2.7], "partition": [[1]]},
-        {"n": 1, "alpha": ["3"], "partition": [[1]]},
-        {"n": 1, "alpha": [True], "partition": [[1]]},
-        {"n": True, "alpha": [1], "partition": [[1]]},
-        {"n": 1.0, "alpha": [1], "partition": [[1]]},
-        {"n": 1, "alpha": [1], "partition": [[True]]},
-        {"n": 1, "alpha": [1], "partition": [[1.0]]},
-    ):
+    for n, alpha, partition in NON_INT_SPECS:
         with pytest.raises(SpecError):
-            validate_spec(bad)
+            validate_spec({"n": n, "alpha": alpha, "partition": partition})
 
 
 def test_load_spec(tmp_path) -> None:

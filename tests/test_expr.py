@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,10 @@ def test_whitespace_insignificant(quad) -> None:
     )
 
 
+LIMIT = sys.get_int_max_str_digits()
+LONG = "1" * (LIMIT + 1)
+
+
 def _error_case(text: str, position: int, message: str):
     return pytest.param(text, position, message, id=f"{text}-{position}")
 
@@ -77,6 +82,13 @@ def _error_case(text: str, position: int, message: str):
         _error_case("X1^²", 3, "unexpected character '²' at position 3"),
         _error_case("3²", 1, "unexpected character '²' at position 1"),
         _error_case("X²", 0, "generator X needs a 1-based index at position 0 (expected digit)"),
+        # a digit run past the interpreter's int-to-str limit fails at its token
+        pytest.param("X1^" + LONG, 3, f"number longer than {LIMIT} digits at position 3",
+                     id="long-exponent-3"),
+        pytest.param(LONG + "*X1", 0, f"number longer than {LIMIT} digits at position 0",
+                     id="long-coefficient-0"),
+        pytest.param("X" + LONG, 0, f"number longer than {LIMIT} digits at position 0",
+                     id="long-generator-0"),
     ],
 )
 def test_error_positions(heis, text: str, position: int, message: str) -> None:
