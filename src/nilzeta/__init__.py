@@ -54,6 +54,7 @@ _EXPORTS = {
     "uea": ("Monomial", "UEAElement", "gamma_apply", "normal_product", "y_star"),
     "weyl": ("WeylOperator", "ad_power", "commutator_power_check", "delta1", "rho", "weyl_product"),
     "cli": (),
+    "verify": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

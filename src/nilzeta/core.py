@@ -182,6 +182,21 @@ def index_set_size(spec: AlgebraSpec) -> int:
     return sum(boxes) - (spec.p - 1)
 
 
+# Most basis symbols (n + |index set|) that `algebra check` and `verify` take:
+# the Jacobi check walks every triple, and 102 (alpha = 100) take about 1.7 s.
+MAX_BASIS_SYMBOLS = 100
+
+
+def _refuse_large_basis(spec: AlgebraSpec) -> None:
+    """Raise ValueError, before the index set is built, above ``MAX_BASIS_SYMBOLS``."""
+    size = spec.n + index_set_size(spec)
+    if size > MAX_BASIS_SYMBOLS:
+        raise ValueError(
+            f"the algebra has {size} basis symbols, more than {MAX_BASIS_SYMBOLS}; "
+            f"the Jacobi check would walk every triple of them"
+        )
+
+
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def y_position(spec: AlgebraSpec) -> Mapping[MultiIndex, int]:
     """Read-only map multi-index -> position in :func:`index_set`."""

@@ -192,10 +192,29 @@ def _push_y_through_x(
     return tuple((mono, c) for mono, c in acc.items() if c)
 
 
+# Most work one normal-ordered product may take, counted from exponents before any
+# push: the Y products u's terms can turn into, times the X-degree of v's terms.  A
+# Y^beta only becomes one of the s = |box(beta)| Y^gamma with gamma <= beta, so c of
+# them spread over C(c + s - 1, c) products.  On heis, Y[1]^1413 * X1^1413 is the
+# largest square admitted (it prints in about 0.6 s); Y[1]^1550 * X1^1550 would print
+# a coefficient past the int-to-str limit.
+MAX_PUSH_WORK = 2_000_000
+
+
 def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
-    """The product of two elements, rewritten to ordered normal form."""
+    """The product of two elements, rewritten to ordered normal form; ValueError when
+    it would take more than ``MAX_PUSH_WORK``."""
     u._require_same_space(v)
     spec = u.spec
+    x_degree = sum(sum(m.x) for m in v.terms)
+    sizes = [math.prod(e + 1 for e in beta) for beta in index_set(spec)]
+    products = sum(math.prod(math.comb(c + s - 1, c) for c, s in zip(m.y, sizes))
+                   for m in u.terms)
+    if products * x_degree > MAX_PUSH_WORK:
+        raise ValueError(
+            f"normal ordering would push {products} Y products past X-degree {x_degree}, "
+            f"{products * x_degree} steps, more than {MAX_PUSH_WORK}"
+        )
 
     def expand(m1: Monomial, m2: Monomial):
         for mid, weight in _push_y_through_x(spec, m1.y, m2.x):

@@ -1,0 +1,194 @@
+"""The exact structural checks behind ``nilzeta verify``: the table :data:`CHECKS` of
+``(name, check)``, each ``check(spec, max_degree)`` giving None or a counterexample.
+:func:`run_verify` runs them in order; a counterexample or a raised exception is
+that check's ``fail`` entry."""
+
+from __future__ import annotations
+
+import math
+import random
+from typing import Callable, Iterable
+
+from .core import AlgebraSpec, _refuse_large_basis, index_set, index_set_size, jacobi_check
+from .expr import format_element
+from .ideal import build_slice, canonical_form, gamma_generators, is_member, star_generators
+from .indices import box, mi_delta, mi_factorial, mi_sub
+from .reduction import (
+    b_polynomial, g_ab, g_s, h_ab, h_s, lagrange_identity_check, reduction_data, t_s,
+)
+from .scalars import GaussianRational, Rat, i_power
+from .uea import Monomial, UEAElement, gamma_all, gamma_apply, monomials_up_to, pure_y, y_star
+from .weyl import rho
+
+# Most ordered monomials up to the degree that one verify run may sweep;
+# larger requests are refused before any check runs.
+MAX_VERIFY_MONOMIALS = 5000
+
+
+def check_jacobi(spec: AlgebraSpec, max_degree: int) -> str | None:
+    jacobi_check(spec)
+    return None
+
+
+def check_generators(spec: AlgebraSpec, max_degree: int) -> str | None:
+    for gen in star_generators(spec) + gamma_generators(spec):
+        if not rho(spec, gen).is_zero():
+            return f"nonvanishing image: {format_element(gen)}"
+    return None
+
+
+def check_closed_form(spec: AlgebraSpec, max_degree: int) -> str | None:
+    for beta in index_set(spec):
+        if gamma_all(spec, pure_y(spec, beta).scale(i_power(1))) != gamma_apply(spec, beta):
+            return f"internal inconsistency: operator and closed forms differ for beta={beta}"
+    return None
+
+
+def check_inversion(spec: AlgebraSpec, max_degree: int) -> str | None:
+    i_unit = UEAElement.one(spec).scale(i_power(1))
+    y0 = pure_y(spec, (0,) * spec.n)
+    for beta in index_set(spec):
+        lhs = pure_y(spec, beta).scale(mi_factorial(beta)) - y_star(spec, beta)
+        rhs = (y_star(spec, beta) * (y0 - i_unit)).scale(GaussianRational(0, -1))
+        for gamma in box(beta):
+            if not any(gamma):
+                continue
+            coeff = -GaussianRational(Rat(mi_factorial(beta), mi_factorial(mi_sub(beta, gamma))))
+            rhs = rhs + (y_star(spec, mi_sub(beta, gamma)) * gamma_apply(spec, gamma)).scale(coeff)
+        if lhs != rhs:
+            return f"inversion identity fails for beta={beta}"
+    return None
+
+
+def _first_order(spec: AlgebraSpec, monos: Iterable[Monomial], cases: Callable) -> str | None:
+    """The first-order identities: for each t in ``monos``, ``cases(mono, t)`` yields
+    ``(image, scalar, message)`` cases, each asserting image - scalar * t in the kernel
+    ideal.  Returns the first failing case's message, "{}" there written as t; None
+    when every case holds."""
+    for mono in monos:
+        t = UEAElement.monomial(spec, mono)
+        for image, scalar, message in cases(mono, t):
+            if not is_member(spec, image - t.scale(scalar)):
+                return message.format(format_element(t))
+    return None
+
+
+def check_first_order(spec: AlgebraSpec, max_degree: int) -> str | None:
+    """g_{delta_k,0} t = x_k t and g_{0,delta_k} t = (the k-weight of t's Y part) t."""
+    idx, zeros = index_set(spec), (0,) * spec.n
+
+    def cases(mono, t):
+        for k in range(spec.n):
+            axis = mi_delta(spec.n, k)
+            yield g_ab(spec, axis, zeros, t), mono.x[k], f"a-part fails for {{}}, k={k + 1}"
+            weight = sum(mult * idx[pos][k] for pos, mult in enumerate(mono.y) if mult)
+            yield g_ab(spec, zeros, axis, t), weight, f"b-part fails for {{}}, k={k + 1}"
+
+    return _first_order(spec, monomials_up_to(spec, max_degree), cases)
+
+
+def check_eigen_relation(spec: AlgebraSpec, max_degree: int) -> str | None:
+    def cases(mono, t):
+        choice = reduction_data(spec, mono)
+        yield g_ab(spec, choice.a, choice.b, t), choice.eigenvalue, "eigen-relation fails for {}"
+
+    independent = (m for d in range(max_degree + 1) for m in build_slice(spec, d).independent)
+    return _first_order(spec, independent, cases)
+
+
+def check_shift(spec: AlgebraSpec, max_degree: int) -> str | None:
+    ones = (1,) * spec.n
+
+    def cases(mono, t):
+        yield (h_ab(spec, ones, ones, t) - g_ab(spec, ones, ones, t), 2 * spec.n,
+               "shift identity fails for {}")
+
+    return _first_order(spec, monomials_up_to(spec, max_degree), cases)
+
+
+def check_annihilation(spec: AlgebraSpec, max_degree: int) -> str | None:
+    # Strict annihilation holds on the independent monomials; monomials
+    # whose canonical form loses degree (e.g. any power of Y^0) are only
+    # sent *down* the degree filtration, never to zero.  Both facts are
+    # asserted: kill the independent slice exactly, and drop the degree
+    # of everything else by at least one.
+    for s in range(max_degree + 1):
+        chart = build_slice(spec, s)
+        for mono in chart.monomials:
+            element = UEAElement.monomial(spec, mono)
+            h_image = h_s(spec, s, element)
+            if mono in chart.independent:
+                if not rho(spec, h_image).is_zero():
+                    return f"degree-{s} annihilation fails for {format_element(element)}"
+                if not rho(spec, g_s(spec, s, element)).is_zero():
+                    return f"degree-{s} g-annihilation fails for {format_element(element)}"
+            if canonical_form(spec, h_image).degree() > s - 1:
+                return f"degree-{s} descent fails for {format_element(element)}"
+    return None
+
+
+def check_diagram(spec: AlgebraSpec, max_degree: int) -> str | None:
+    rng = random.Random(7)
+    monos = list(monomials_up_to(spec, max_degree))
+    for s in range(max_degree + 1):
+        for _ in range(5):
+            terms = {
+                m: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                for m in rng.sample(monos, min(4, len(monos)))
+            }
+            u = UEAElement(spec, terms)
+            if t_s(spec, s, rho(spec, u)) != rho(spec, h_s(spec, s, u)):
+                return f"diagram fails at s={s}"
+    return None
+
+
+def check_interpolation(spec: AlgebraSpec, max_degree: int) -> str | None:
+    poly = b_polynomial(spec)
+    for q in (0, 1, 2):
+        lagrange_identity_check(poly, 2, q, poly.degree() + 2)
+    return None
+
+
+CHECKS = (
+    ("jacobi-identity", check_jacobi),
+    ("generator-images-vanish", check_generators),
+    ("correction-closed-form", check_closed_form),
+    ("inversion-identity", check_inversion),
+    ("first-order-commutation", check_first_order),
+    ("eigen-relation", check_eigen_relation),
+    ("operator-shift", check_shift),
+    ("degree-annihilation", check_annihilation),
+    ("descent-diagram", check_diagram),
+    ("interpolation-identity", check_interpolation),
+)
+
+
+def run_verify(spec: AlgebraSpec, max_degree: int = 3) -> dict:
+    """Run the checks of :data:`CHECKS` up to a monomial degree; return a report.
+
+    Raises ValueError, before the index set or any check is built, when the
+    monomials up to the degree, C(n + |index set| + d, d), number more than
+    ``MAX_VERIFY_MONOMIALS``, or the basis more than ``core.MAX_BASIS_SYMBOLS``
+    symbols.
+    """
+    count = math.comb(spec.n + index_set_size(spec) + max_degree, max_degree)
+    if count > MAX_VERIFY_MONOMIALS:
+        raise ValueError(
+            f"verify would sweep {count} monomials up to degree {max_degree}, "
+            f"more than {MAX_VERIFY_MONOMIALS}; lower --max-degree"
+        )
+    _refuse_large_basis(spec)
+    checks = []
+    for name, check in CHECKS:
+        try:
+            counterexample = check(spec, max_degree)
+        except Exception as exc:  # noqa: BLE001 - failures become report entries
+            counterexample = str(exc)
+        checks.append({"name": name, "status": "pass"} if counterexample is None else
+                      {"name": name, "status": "fail", "counterexample": counterexample})
+    return {
+        "spec": spec.to_json_dict(),
+        "max_degree": max_degree,
+        "checks": checks,
+        "all_passed": all(c["status"] == "pass" for c in checks),
+    }

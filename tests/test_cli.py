@@ -17,9 +17,11 @@ from click.testing import CliRunner
 from hypothesis import assume, given
 
 import nilzeta
-from nilzeta.cli import MAX_BASIS_SYMBOLS, main, run_verify
-from nilzeta.core import algebra_spec, index_set, index_set_size
+from nilzeta import parse_expression
+from nilzeta.cli import main
+from nilzeta.core import MAX_BASIS_SYMBOLS, algebra_spec, index_set, index_set_size
 from nilzeta.uea import UEAElement, monomials_up_to
+from nilzeta.verify import run_verify
 
 from conftest import algebra_specs
 
@@ -92,6 +94,25 @@ def test_cli_import_loads_only_the_cli() -> None:
         "assert loaded == ['nilzeta.cli'], loaded; "
         "assert 'numpy' not in sys.modules and 'csv' not in sys.modules; "
         "assert 'click' not in sys.modules"
+    )
+
+
+def test_each_command_loads_only_what_it_runs(heis, spec_file) -> None:
+    # the verify checks load with the verify command only, and verify loads no float layer
+    run_python(
+        "import sys; SPEC = sys.argv[1]\n"
+        "from nilzeta.cli import main\n"
+        "def run(*args):\n"
+        "    try: main([*args])\n"
+        "    except SystemExit as exc: assert exc.code == 0, args\n"
+        "run('reduce', SPEC, '--expr', 'X1 * Y[1]'); run('poles', SPEC)\n"
+        "run('algebra', 'check', SPEC)\n"
+        "assert 'nilzeta.verify' not in sys.modules\n"
+        "run('verify', SPEC, '--max-degree', '1')\n"
+        "assert 'nilzeta.verify' in sys.modules\n"
+        "loaded = {'nilzeta.spectral', 'numpy'} & set(sys.modules)\n"
+        "assert not loaded, loaded",
+        spec_file(heis),
     )
 
 
@@ -248,6 +269,22 @@ def test_reduce_deep_inputs(runner, cubic, spec_file) -> None:
     assert "digits" in json.loads(result.output)["error"]
 
 
+def test_reduce_refuses_long_normal_ordering(runner, heis, spec_file) -> None:
+    # pushing Y[1] (2 products: Y[1] or Y[0]) past X1^k takes 2k steps of the 2000000 allowed
+    assert parse_expression("Y[1] * X1^1000000", heis).degree() == 1000001
+    assert parse_expression("Y[1]^1413 * X1^1413", heis).degree() == 2826  # 1414 * 1413 steps
+    for expr, products, x_degree in [("Y[1] * X1^1000001", 2, 1000001),
+                                     ("Y[1]^1414 * X1^1414", 1415, 1414)]:
+        message = (f"normal ordering would push {products} Y products past X-degree "
+                   f"{x_degree}, {products * x_degree} steps, more than 2000000")
+        with pytest.raises(ValueError) as excinfo:
+            parse_expression(expr, heis)
+        assert str(excinfo.value) == message
+        assert invoke_json(runner, ["reduce", spec_file(heis), "--expr", expr], 1) == {
+            "error": message
+        }
+
+
 def test_reduce_rejects_bad_expression(runner, heis, spec_file) -> None:
     path = spec_file(heis)
     result = runner.invoke(main, ["reduce", path, "--expr", "Y[9]"])
@@ -288,9 +325,10 @@ def test_verify_passes_on_generated_specs(spec) -> None:
 
 
 def test_verify_catches_a_wrong_closed_form(heis, monkeypatch) -> None:
-    from nilzeta import uea
+    from nilzeta import verify
 
-    monkeypatch.setattr(uea, "gamma_apply", lambda spec, beta: UEAElement.one(spec))
+    # the checks call the closed form through the name nilzeta.verify imported
+    monkeypatch.setattr(verify, "gamma_apply", lambda spec, beta: UEAElement.one(spec))
     report = run_verify(heis, 1)
     checks = {entry["name"]: entry for entry in report["checks"]}
     assert report["all_passed"] is False
@@ -308,13 +346,13 @@ def test_verify_refuses_negative_max_degree(runner, heis, spec_file) -> None:
 
 
 def test_verify_refuses_over_monomial_budget(runner, mixed, spec_file, monkeypatch) -> None:
-    from nilzeta import cli
+    from nilzeta import verify
 
     path = spec_file(mixed)
     count = len(list(monomials_up_to(mixed, 2)))
-    monkeypatch.setattr(cli, "MAX_VERIFY_MONOMIALS", count)
+    monkeypatch.setattr(verify, "MAX_VERIFY_MONOMIALS", count)
     assert invoke_json(runner, ["verify", path, "--max-degree", "2"])["all_passed"] is True
-    monkeypatch.setattr(cli, "MAX_VERIFY_MONOMIALS", count - 1)
+    monkeypatch.setattr(verify, "MAX_VERIFY_MONOMIALS", count - 1)
     payload = invoke_json(runner, ["verify", path, "--max-degree", "2"], exit_code=1)
     assert f"{count} monomials" in payload["error"]
 

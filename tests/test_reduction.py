@@ -258,9 +258,9 @@ def test_rho_matches_symbol_leibniz_sum(name: str) -> None:
 
 
 def test_image_caches_bounded_and_results_unshared(mixed) -> None:
-    from nilzeta.cli import run_verify
     from nilzeta.linalg import IMAGE_CACHE_SIZE
     from nilzeta.reduction import _axis_images
+    from nilzeta.verify import run_verify
     from nilzeta.weyl import _rho_image
 
     assert run_verify(mixed, 4)["all_passed"]

@@ -1,0 +1,80 @@
+"""The verify check table: each check alone, and the report entries of planted faults."""
+
+from __future__ import annotations
+
+import pytest
+
+from nilzeta import reduction, verify
+from nilzeta.verify import CHECKS, run_verify
+
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_each_check_passes_alone(heis, mixed, name, check) -> None:
+    for spec in (heis, mixed):
+        assert check(spec, 2) is None, (name, spec)
+
+
+def test_checks_table_order() -> None:
+    assert [name for name, _ in CHECKS] == [
+        "jacobi-identity", "generator-images-vanish", "correction-closed-form",
+        "inversion-identity", "first-order-commutation", "eigen-relation", "operator-shift",
+        "degree-annihilation", "descent-diagram", "interpolation-identity",
+    ]
+
+
+def failures(spec, max_degree: int = 2) -> dict:
+    """The failing entries of a verify report, by check name."""
+    report = run_verify(spec, max_degree)
+    assert report["all_passed"] is False
+    return {c["name"]: c for c in report["checks"] if c["status"] == "fail"}
+
+
+def fail(name: str, counterexample: str) -> dict:
+    return {"name": name, "status": "fail", "counterexample": counterexample}
+
+
+def test_first_order_fault_names_the_first_monomial_and_axis(mixed, monkeypatch) -> None:
+    # g_{0,delta_2} off by t on degree-2 monomials: X1^2, the first of them in
+    # monomial order, fails its b-part at k = 2 after passing both parts at k = 1
+    def g_ab(spec, a, b, t):
+        out = reduction.g_ab(spec, a, b, t)
+        return out + t if tuple(b) == (0, 1) and not any(a) and t.degree() == 2 else out
+
+    monkeypatch.setattr(verify, "g_ab", g_ab)
+    assert failures(mixed) == {
+        "first-order-commutation": fail("first-order-commutation", "b-part fails for X1^2, k=2"),
+    }
+
+
+def test_eigen_relation_fault(heis, monkeypatch) -> None:
+    def reduction_data(spec, mono):
+        choice = reduction.reduction_data(spec, mono)
+        if sum(mono.x) + sum(mono.y) < 2:
+            return choice
+        return choice._replace(eigenvalue=choice.eigenvalue + 1)
+
+    monkeypatch.setattr(verify, "reduction_data", reduction_data)
+    assert failures(heis) == {
+        "eigen-relation": fail("eigen-relation", "eigen-relation fails for X1^2"),
+    }
+
+
+def test_operator_shift_fault(mixed, monkeypatch) -> None:
+    def h_ab(spec, a, b, t):
+        out = reduction.h_ab(spec, a, b, t)
+        return out + t if t.degree() == 1 else out
+
+    monkeypatch.setattr(verify, "h_ab", h_ab)
+    assert failures(mixed) == {
+        "operator-shift": fail("operator-shift", "shift identity fails for X1"),
+    }
+
+
+def test_a_raising_check_is_its_failure_entry(heis, monkeypatch) -> None:
+    def b_polynomial(spec):
+        raise ValueError("no b-polynomial")
+
+    monkeypatch.setattr(verify, "b_polynomial", b_polynomial)
+    assert failures(heis, 1) == {
+        "interpolation-identity": fail("interpolation-identity", "no b-polynomial"),
+    }
