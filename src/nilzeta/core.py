@@ -220,25 +220,16 @@ def bracket(spec: AlgebraSpec, a: Symbol, b: Symbol) -> LieElement:
     """The Lie bracket of two basis symbols as a sparse element.
 
     Only ``[X_k, Y^beta] = Y^{beta - delta_k}`` (when ``beta_k >= 1``) and its
-    antisymmetric counterpart are nonzero.
+    antisymmetric counterpart are nonzero.  A symbol that is not in
+    :func:`basis` raises :class:`SpecError`.
     """
-    kind_a, data_a = a
-    kind_b, data_b = b
-    if kind_a == "X" and kind_b == "Y":
-        beta = data_b
-        k = data_a
-        if beta[k] >= 1:
-            target = mi_sub(beta, mi_delta(spec.n, k))
-            if target not in y_position(spec):
-                raise SpecError(
-                    f"bracket left the index set: {beta} - delta_{k} = {target}"
-                )
-            return {("Y", target): ONE}
+    for sym in (a, b):
+        if sym[1] not in (range(spec.n) if sym[0] == "X" else y_position(spec)):
+            raise SpecError(f"{_sym_str(sym)} is not a basis symbol of {spec}")
+    if a[0] == b[0]:
         return {}
-    if kind_a == "Y" and kind_b == "X":
-        out = bracket(spec, b, a)
-        return {sym: -c for sym, c in out.items()}
-    return {}
+    (_, k), (_, beta), sign = (a, b, ONE) if a[0] == "X" else (b, a, -ONE)
+    return {("Y", mi_sub(beta, mi_delta(spec.n, k))): sign} if beta[k] else {}
 
 
 def structure_constants(spec: AlgebraSpec) -> dict:

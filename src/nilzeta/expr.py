@@ -29,7 +29,7 @@ from typing import Optional
 
 from .core import AlgebraSpec, _sym_str, basis, y_position
 from .scalars import GaussianRational, Rat, format_rational
-from .uea import Monomial, UEAElement, normal_product
+from .uea import MAX_PUSH_WORK, Monomial, UEAElement, _push_work, normal_product
 
 
 class ExpressionError(ValueError):
@@ -79,6 +79,7 @@ class _Parser:
         self.spec = spec
         self.tokens = _tokenize(text)
         self.k = 0
+        self.work = 0  # the push work of the expression's products so far
 
     def take(self, kind: str, what: Optional[str] = None):
         """Consume and return the next token if it is ``kind``; else None,
@@ -110,8 +111,21 @@ class _Parser:
             return UEAElement.one(self.spec).scale(coeff)
         out = self.factor()
         while self.take("STAR"):
-            out = normal_product(out, self.factor())
+            out = self.product(out, self.factor())
         return out if coeff is None else out.scale(coeff)
+
+    def product(self, u: UEAElement, v: UEAElement) -> UEAElement:
+        """``normal_product``, refused before it runs once the expression's products
+        together would take more than ``MAX_PUSH_WORK``."""
+        products, x_degree = _push_work(u, v)
+        self.work += products * x_degree
+        # one product over the budget alone is normal_product's own refusal
+        if products * x_degree <= MAX_PUSH_WORK < self.work:
+            raise ValueError(
+                f"normal ordering of this expression would take {self.work} steps, "
+                f"more than {MAX_PUSH_WORK}"
+            )
+        return normal_product(u, v)
 
     # coeff := int ["/" nat] ["i"] | "i"; None when no coeff starts here
     def coeff(self) -> Optional[GaussianRational]:
@@ -174,31 +188,30 @@ def parse_expression(text: str, spec: AlgebraSpec) -> UEAElement:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_factors(spec: AlgebraSpec, mono: Monomial) -> list[str]:
-    return [
-        _sym_str(sym) + (f"^{e}" if e > 1 else "")
-        for sym, e in zip(basis(spec), mono.x + mono.y)
-        if e
-    ]
-
-
-def format_element(u: UEAElement) -> str:
-    """Deterministic text form: leading monomial first; parses back exactly.
+def format_terms(terms, factors) -> str:
+    """The text of a combination: ``terms`` are ``(monomial, coeff)`` pairs in the
+    written order, and ``factors(monomial)`` gives ``(name, exponent)`` pairs, of
+    which those with a nonzero exponent are written.
 
     Coefficients with both real and imaginary parts are split into two
     printed terms (the grammar's coeff token is purely real or purely
-    imaginary); the two terms re-merge on parsing.
+    imaginary); an empty sum is ``0``.
     """
-    if u.is_zero():
-        return "0"
     out = []
-    for mono, coeff in u.sorted_terms(reverse=True):
-        factors = _monomial_factors(u.spec, mono)
+    for mono, coeff in terms:
+        names = [name + (f"^{e}" if e > 1 else "") for name, e in factors(mono) if e]
         for part, unit in ((coeff.re, ""), (coeff.im, "i")):
             if part:
                 mag = abs(part)
                 mag_text = ("" if mag == 1 else format_rational(mag)) + unit
                 out.append(" - " if part < 0 else " + ")
-                out.append(" * ".join(filter(None, [mag_text, *factors])) or "1")
+                out.append(" * ".join(filter(None, [mag_text, *names])) or "1")
     text = "".join(out)  # starts with the first term's " + " or " - "
-    return ("-" if text[1] == "-" else "") + text[3:]
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+
+
+def format_element(u: UEAElement) -> str:
+    """Deterministic text form: leading monomial first; parses back exactly,
+    the two terms of a split coefficient re-merging."""
+    names = [_sym_str(sym) for sym in basis(u.spec)]
+    return format_terms(u.sorted_terms(), lambda mono: zip(names, mono.x + mono.y))

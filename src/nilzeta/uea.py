@@ -121,9 +121,9 @@ class UEAElement(Combination):
             return -1
         return max(monomial_degree(m) for m in self.terms)
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, GaussianRational]]:
-        """Terms sorted by the monomial order (default: leading first)."""
-        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=reverse)
+    def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
+        """Terms sorted by the monomial order, leading first."""
+        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True)
 
     def coefficient(self, mono: Monomial) -> GaussianRational:
         return self.terms.get(mono, ZERO)
@@ -135,9 +135,7 @@ class UEAElement(Combination):
         return self.scale(other)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "<UEAElement 0>"
-        return f"<UEAElement {self.__str__()}>"
+        return f"<UEAElement {self}>"
 
     def __str__(self) -> str:
         from .expr import format_element
@@ -192,13 +190,22 @@ def _push_y_through_x(
     return tuple((mono, c) for mono, c in acc.items() if c)
 
 
-# Most work one normal-ordered product may take, counted from exponents before any
-# push: the Y products u's terms can turn into, times the X-degree of v's terms.  A
-# Y^beta only becomes one of the s = |box(beta)| Y^gamma with gamma <= beta, so c of
-# them spread over C(c + s - 1, c) products.  On heis, Y[1]^1413 * X1^1413 is the
-# largest square admitted (it prints in about 0.6 s); Y[1]^1550 * X1^1550 would print
-# a coefficient past the int-to-str limit.
+# Most work one normal-ordered product, or all the products of one parsed expression,
+# may take (see :func:`_push_work`).  On heis, Y[1]^1413 * X1^1413 is the largest
+# square admitted (it prints in about 0.6 s); Y[1]^1550 * X1^1550 would print a
+# coefficient past the int-to-str limit.
 MAX_PUSH_WORK = 2_000_000
+
+
+def _push_work(u: UEAElement, v: UEAElement) -> tuple[int, int]:
+    """The work of the product u * v, counted from exponents before any push, as
+    (the Y products u's terms can turn into, the X-degree of v's terms).  A Y^beta
+    only becomes one of the s = |box(beta)| Y^gamma with gamma <= beta, so c of them
+    spread over C(c + s - 1, c) products."""
+    sizes = [math.prod(e + 1 for e in beta) for beta in index_set(u.spec)]
+    products = sum(math.prod(math.comb(c + s - 1, c) for c, s in zip(m.y, sizes))
+                   for m in u.terms)
+    return products, sum(sum(m.x) for m in v.terms)
 
 
 def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
@@ -206,10 +213,7 @@ def normal_product(u: UEAElement, v: UEAElement) -> UEAElement:
     it would take more than ``MAX_PUSH_WORK``."""
     u._require_same_space(v)
     spec = u.spec
-    x_degree = sum(sum(m.x) for m in v.terms)
-    sizes = [math.prod(e + 1 for e in beta) for beta in index_set(spec)]
-    products = sum(math.prod(math.comb(c + s - 1, c) for c, s in zip(m.y, sizes))
-                   for m in u.terms)
+    products, x_degree = _push_work(u, v)
     if products * x_degree > MAX_PUSH_WORK:
         raise ValueError(
             f"normal ordering would push {products} Y products past X-degree {x_degree}, "

@@ -125,35 +125,16 @@ class WeylOperator(Combination):
         return power_ladder(self, exponent)[-1]
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "<WeylOperator 0>"
         return f"<WeylOperator {format_weyl(self)}>"
 
 
 def format_weyl(w: WeylOperator) -> str:
-    """Readable rendering, e.g. ``2 + x1^2 - d1^2``."""
-    if w.is_zero():
-        return "0"
-    parts = []
-    for (a, b), coeff in w.sorted_terms():
-        factors = []
-        for k, e in enumerate(a):
-            if e:
-                factors.append(f"x{k + 1}" + (f"^{e}" if e > 1 else ""))
-        for k, e in enumerate(b):
-            if e:
-                factors.append(f"d{k + 1}" + (f"^{e}" if e > 1 else ""))
-        body = "*".join(factors)
-        cs = str(coeff)
-        if body:
-            piece = body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}")
-        else:
-            piece = cs
-        parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+    """Readable rendering, lowest :func:`weyl_key` first, e.g. ``2 - d1^2 + x1^2``;
+    the terms are written by :func:`nilzeta.expr.format_terms`."""
+    from .expr import format_terms
+
+    names = [f"{var}{k + 1}" for var in "xd" for k in range(w.n)]
+    return format_terms(w.sorted_terms(), lambda ab: zip(names, ab[0] + ab[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,20 @@ def test_each_command_loads_only_what_it_runs(heis, spec_file) -> None:
     )
 
 
+def test_commands_without_text_output_load_no_expr(heis, spec_file) -> None:
+    # weyl imports the text writer only when an operator is printed
+    run_python(
+        "import sys; SPEC = sys.argv[1]\n"
+        "from nilzeta.cli import main\n"
+        "for args in (['poles', SPEC], ['algebra', 'check', SPEC],\n"
+        "             ['spectrum', SPEC, '--basis-size', '64']):\n"
+        "    try: main(args)\n"
+        "    except SystemExit as exc: assert exc.code == 0, args\n"
+        "assert 'nilzeta.weyl' in sys.modules and 'nilzeta.expr' not in sys.modules",
+        spec_file(heis),
+    )
+
+
 def test_exact_commands_load_no_dataclasses(heis, spec_file) -> None:
     # the exact layer's records are named tuples; only spectral uses dataclasses
     run_python(
@@ -277,6 +291,25 @@ def test_reduce_refuses_long_normal_ordering(runner, heis, spec_file) -> None:
                                      ("Y[1]^1414 * X1^1414", 1415, 1414)]:
         message = (f"normal ordering would push {products} Y products past X-degree "
                    f"{x_degree}, {products * x_degree} steps, more than 2000000")
+        with pytest.raises(ValueError) as excinfo:
+            parse_expression(expr, heis)
+        assert str(excinfo.value) == message
+        assert invoke_json(runner, ["reduce", spec_file(heis), "--expr", expr], 1) == {
+            "error": message
+        }
+
+
+def test_reduce_refuses_long_normal_ordering_summed_over_the_expression(
+    runner, heis, spec_file
+) -> None:
+    # each product alone is admitted; the budget holds for the sum of one expression's products
+    # 1000000 + 1000000 and 1999996 + 3 steps: at and just under the budget
+    assert parse_expression("Y[1] * X1^500000 + Y[1] * X1^500000", heis).degree() == 500001
+    assert parse_expression("Y[1] * X1^999998 * X1", heis).degree() == 1000000
+    # Y[1] * X1^999999 has two terms, Y[1] and Y[0]: 2 + 1 products past X-degree 1
+    for expr, steps in [("Y[1] * X1^500000 - Y[1] * X1^500001", 2000002),
+                        ("Y[1] * X1^999999 * X1", 2000001)]:
+        message = f"normal ordering of this expression would take {steps} steps, more than 2000000"
         with pytest.raises(ValueError) as excinfo:
             parse_expression(expr, heis)
         assert str(excinfo.value) == message

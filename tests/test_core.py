@@ -119,6 +119,18 @@ def test_bracket_relations(mixed) -> None:
     }
 
 
+def test_bracket_refuses_a_symbol_outside_the_basis(mixed) -> None:
+    # mixed's boxes are beta <= (1, 0) and beta <= (0, 2); X1 and X2 are positions 0 and 1
+    for a, b, bad in [(("X", 0), ("Y", (2, 0)), "Y[2,0]"), (("X", 1), ("Y", (5, 0)), "Y[5,0]"),
+                      (("Y", (0, 3)), ("X", 1), "Y[0,3]"), (("Y", (1, 1)), ("Y", (0, 0)), "Y[1,1]"),
+                      (("X", 2), ("Y", (1, 0)), "X3"), (("Y", (0, 1)), ("X", -1), "X0")]:
+        with pytest.raises(SpecError) as excinfo:
+            bracket(mixed, a, b)
+        assert str(excinfo.value) == (
+            f"{bad} is not a basis symbol of AlgebraSpec(n=2, alpha=(1, 2), partition=((0,), (1,)))"
+        )
+
+
 def test_structure_constants_antisymmetric(quad) -> None:
     table = structure_constants(quad)
     for (a, b), elem in table.items():

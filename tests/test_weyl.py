@@ -8,11 +8,13 @@ composition rule.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given
+from hypothesis import strategies as st
 
 from nilzeta import GaussianRational, WeylOperator, algebra_spec, commutator, weyl_product
 from nilzeta.core import basis, index_set
@@ -181,6 +183,62 @@ def test_delta1_heis(heis) -> None:
     assert d1.coefficient((0,), (0,)) == GaussianRational(2)
     assert d1.coefficient((0,), (2,)) == GaussianRational(-1)
     assert d1.coefficient((2,), (0,)) == ONE
+
+
+def test_weyl_text_writes_each_coefficient_part_as_its_own_term(mixed) -> None:
+    one, x1 = WeylOperator.one(1), WeylOperator.x_op(1, 0)
+    w = one.scale(GaussianRational(1, 1)) + x1.scale(GaussianRational(1, 2))
+    assert repr(w) == "<WeylOperator 1 + i + x1 + 2i * x1>"
+    assert format_weyl(x1.scale(GaussianRational(-1, 2))) == "-x1 + 2i * x1"
+    assert repr(WeylOperator.zero(2)) == "<WeylOperator 0>"
+    assert format_weyl(delta1(mixed)) == "2 - d2^2 - d1^2 + x2^2 + x1^2 + 1/4 * x2^4"
+
+
+_WEYL_FACTOR = re.compile(r"([xd])(\d+)(?:\^(\d+))?")
+
+
+def _weyl_from_text(n: int, text: str) -> tuple[WeylOperator, int]:
+    """The operator that :func:`format_weyl`'s text names, and its term count."""
+    pieces = re.split(r" ([+-]) ", text)
+    signed = [("-", pieces[0][1:]) if pieces[0].startswith("-") else ("+", pieces[0])]
+    signed += zip(pieces[1::2], pieces[2::2])
+    out = WeylOperator.zero(n)
+    for sign, piece in signed:
+        coeff, exps = GaussianRational(-1 if sign == "-" else 1), {"x": [0] * n, "d": [0] * n}
+        for name in piece.split(" * "):
+            factor = _WEYL_FACTOR.fullmatch(name)
+            if factor is None:  # a coefficient: purely real or purely imaginary
+                value = Fraction(name.rstrip("i") or 1)
+                coeff = coeff * (GaussianRational(0, value) if name.endswith("i") else value)
+            else:
+                exps[factor[1]][int(factor[2]) - 1] = int(factor[3] or 1)
+        out = out + WeylOperator.monomial(n, exps["x"], exps["d"], coeff)
+    return out, len(signed)
+
+
+_PART = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-7, 3), 12])
+
+
+@st.composite
+def gaussian_weyl_operators(draw) -> WeylOperator:
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), st.tuples(_PART, _PART), max_size=5))
+    out = WeylOperator.zero(n)
+    for (a, b), (re_part, im_part) in terms.items():
+        out = out + WeylOperator.monomial(n, a, b, GaussianRational(re_part, im_part))
+    return out
+
+
+@given(w=gaussian_weyl_operators())
+def test_weyl_text_has_one_term_per_nonzero_part(w) -> None:
+    text = format_weyl(w)
+    if w.is_zero():
+        assert text == "0"
+        return
+    parsed, count = _weyl_from_text(w.n, text)
+    assert parsed == w, text
+    assert count == sum(bool(c.re) + bool(c.im) for c in w.terms.values()), text
 
 
 def test_delta1_quad(quad) -> None:
