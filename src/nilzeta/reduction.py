@@ -13,24 +13,16 @@ Three layers live here.
     choice of one generator position per partition block and a weight vector
     b such that g with all-ones a satisfies an eigen-relation modulo the
     kernel ideal; h differs from g by (|a| + |b|) times the identity.  Both
-    are linear in T, sum_k a_k A_k(T) + b_k B_k(T), and are applied as cached
-    linear maps from int images of the parts at each monomial, written down
-    from the relations with no products (Y^0 central, [X^p, Y^{delta_k}] =
-    p_k X^{p-delta_k} Y^0, [X_k, .] a derivation D_k on Y-products):
-
-        h: A_k = -i (p_k+1) X^p Y^{q+e_0},  B_k = -i X^p D_k(Y^{q+e_{delta_k}})
-        g: A_k = -i p_k X^p Y^{q+e_0},      B_k = -i X^p D_k(Y^q) Y^{delta_k}
-
-    at m = X^p Y^q; at m = x^a d^b over (P_k, Q_k) = (-d_k, -x_k), the h-form
-    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k with a_k+1, and
-    the Taylor-style form with the same A_k and B_k = (a_k+1) m.
+    are linear in T, sum_k a_k A_k(T) + b_k B_k(T), with int images of the
+    parts at each monomial written down with no products (:func:`_axis_images`).
 
 2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
     (enveloping side) and ``t_s`` (operator side): products of first-order
     factors, one per choice of block positions and per-block orders, each
-    shifted by an exact rational constant and applied through the same
-    cached images.  ``h_s`` kills every degree-s monomial modulo the kernel
-    ideal; ``t_s`` lowers the image filtration degree.
+    shifted by an exact rational constant, with weights computed once per
+    degree.  ``h_s`` kills every degree-s monomial modulo the kernel ideal;
+    ``t_s`` lowers the image filtration degree.  :func:`_reduced_descent`
+    takes the canonical form after every factor, for ``verify``.
 
 3.  The exact rational polynomial ``b_polynomial`` whose roots drive the
     meromorphic continuation, the resulting half-integer pole lattice, and
@@ -42,11 +34,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
+from .ideal import canonical_form
 from .indices import mi_delta, mi_sub
-from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms, product_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, _normalised, _numerators, product_terms
 from .scalars import (
     ZERO,
     GaussianRational,
@@ -74,14 +67,14 @@ def g_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k X_k [t, Yhat_k] + b_k [X_k, t] Yhat_k."""
-    return _first_order(spec, "g", a, b, 0, t)
+    return _first_order(spec, "g", a, b, t)
 
 
 def h_ab(
     spec: AlgebraSpec, a: Sequence[ScalarLike], b: Sequence[ScalarLike], t: UEAElement
 ) -> UEAElement:
     """sum_k a_k [X_k t, Yhat_k] + b_k [X_k, t Yhat_k]."""
-    return _first_order(spec, "h", a, b, 0, t)
+    return _first_order(spec, "h", a, b, t)
 
 
 def _bump(y: tuple, pos: int) -> tuple:
@@ -91,8 +84,9 @@ def _bump(y: tuple, pos: int) -> tuple:
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _axis_images(space, form: str, mono) -> tuple:
-    """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m, each a
-    tuple of ``(mono, re, im)`` ints, written down with no products.  Over
+    """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m, and m
+    itself as part 2n, written down with no products and merged by monomial:
+    ``(mono, ((part, re, im), ...))`` rows with int coefficients.  Over
     (X_k, Yhat_k) at m = X^p Y^q, with D_k the derivation ``_y_derivation``:
 
         h: A_k = [X_k m, Yhat_k] = -i (p_k+1) X^p Y^{q+e_0}
@@ -114,42 +108,66 @@ def _axis_images(space, form: str, mono) -> tuple:
             return (mono, c, 0), ((mi_sub(a, d), mi_sub(b, d)), a[k] * b[k], 0)
 
         sides = ((b, True), (a, form == "h"))
-        return tuple(part(k, e[k] + 1, lower) for e, lower in sides for k in range(space))
-    (x, y), n, pos_of = mono, space.n, y_position(space)
-    central = Monomial(x, _bump(y, pos_of[(0,) * n]))
-    lift = 1 if form == "h" else 0
-    parts = [((central, 0, -x[k] - lift),) if x[k] + lift else () for k in range(n)]
-    for k in range(n):
-        pos = pos_of[mi_delta(n, k)]
-        if lift:
-            rows = _y_derivation(space, {_bump(y, pos): 1}, k).items()
-        else:
-            rows = [(_bump(y2, pos), m) for y2, m in _y_derivation(space, {y: 1}, k).items()]
-        parts.append(tuple((Monomial(x, y2), 0, -m) for y2, m in rows))
-    return tuple(parts)
+        parts = [part(k, e[k] + 1, lower) for e, lower in sides for k in range(space)]
+    else:
+        (x, y), n, pos_of = mono, space.n, y_position(space)
+        central = Monomial(x, _bump(y, pos_of[(0,) * n]))
+        lift = 1 if form == "h" else 0
+        parts = [((central, 0, -x[k] - lift),) if x[k] + lift else () for k in range(n)]
+        for k in range(n):
+            pos = pos_of[mi_delta(n, k)]
+            if lift:
+                rows = _y_derivation(space, {_bump(y, pos): 1}, k).items()
+            else:
+                rows = [(_bump(y2, pos), m) for y2, m in _y_derivation(space, {y: 1}, k).items()]
+            parts.append(tuple((Monomial(x, y2), 0, -m) for y2, m in rows))
+    merged: dict = {}
+    for j, part in enumerate([*parts, ((mono, 1, 0),)]):
+        for m, re, im in part:
+            merged.setdefault(m, []).append((j, re, im))
+    return tuple((m, tuple(rows)) for m, rows in merged.items())
 
 
-def _first_order(space, form: str, a: Sequence, b: Sequence, shift, t: Combination):
-    """sum_k a_k A_k(t) + b_k B_k(t) - shift * t with the parts of :func:`_axis_images`
-    (h_ab, its operator-side mirror, or g_ab).  The exact scalars ``a``, ``b``,
-    ``shift`` become Gaussian-integer weights over one denominator, and t maps
-    through :func:`~nilzeta.linalg.map_terms`."""
-    if t.space != space:
-        raise ValueError(f"{type(t).__name__} operands belong to different spaces")
+@lru_cache(maxsize=IMAGE_CACHE_SIZE, typed=True)
+def _weights(*scalars) -> tuple:
+    """Exact scalars as Gaussian-integer weights ``(d, ((re, im), ...))`` over one d; a
+    float raises TypeError on every call, as ``typed`` keeps 1.0 off the entry of 1."""
+    d, nums = _numerators(dict(enumerate(map(GaussianRational.coerce, scalars))))
+    return d, tuple((re, im) for _, re, im in nums)
+
+
+def _first_order(space, form: str, a: Sequence, b: Sequence, t: Combination):
+    """sum_k a_k A_k(t) + b_k B_k(t) (h_ab, its operator-side mirror, or g_ab): the
+    weight vectors checked and converted once per distinct pair."""
     n = space if isinstance(space, int) else space.n
     if len(a) != n or len(b) != n:
         raise ValueError(f"weight vectors must have length {n}")
-    weights = (GaussianRational.coerce(w) for w in (*a, *b, -shift))
-    dw, (*nums, (_, sr, si)) = _numerators(dict(enumerate(weights)))
+    return _apply_factors(space, form, [_weights(*a, *b, 0)], t)
 
-    def image(mono):
-        rows = [(mono, sr, si)]
-        for part, (_, wr, wi) in zip(_axis_images(space, form, mono), nums):
-            if wr or wi:
-                rows.extend((m, wr * re - wi * im, wr * im + wi * re) for m, re, im in part)
-        return dw, rows
 
-    return t._of_clean(space, map_terms(t.terms, image))
+def _apply_factors(space, form: str, factors: Iterable, t: Combination):
+    """The factors sum_k a_k A_k + b_k B_k - shift, each given by the :func:`_weights`
+    of (a_0.., b_0.., -shift), applied to t first factor first.  Each output weighs
+    the parts of :func:`_axis_images` as ints; the numerators stay over one
+    denominator, which each factor's multiplies, and are normalised once at the end."""
+    if t.space != space:
+        raise ValueError(f"{type(t).__name__} operands belong to different spaces")
+    den, terms = _numerators(t.terms)
+    for dw, weights in factors:
+        acc: dict = {}
+        for mono, r, i in terms:
+            for m, rows in _axis_images(space, form, mono):
+                re = im = 0
+                for j, pr, pi in rows:
+                    wr, wi = weights[j]
+                    re, im = re + wr * pr - wi * pi, im + wr * pi + wi * pr
+                if re or im:
+                    slot = acc.setdefault(m, [0, 0])
+                    slot[0] += r * re - i * im
+                    slot[1] += r * im + i * re
+        den *= dw
+        terms = [(m, re, im) for m, (re, im) in acc.items() if re or im]
+    return t._of_clean(space, _normalised({m: (re, im) for m, re, im in terms}, den))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +226,8 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
         i_list.append(balanced[0])
         r_list.append(beta[balanced[0]])
     b = _factor_weights(spec, i_list)
-    eig = _shift(spec, "g", monomial_degree(mono), b, _factor_root(spec, i_list, r_list))
+    # the g-form shift of the descent at the monomial's degree
+    eig = monomial_degree(mono) - _factor_root(spec, i_list, r_list) - spec.n - sum(b)
     return ReductionChoice(tuple(i_list), tuple(r_list), (1,) * spec.n, b, eig)
 
 
@@ -238,29 +257,27 @@ def _factor_root(spec: AlgebraSpec, i_tuple: Sequence[int], r_tuple: Sequence[in
     return spec.p - spec.n - sum(Rat(r + 1, spec.alpha[i]) for i, r in zip(i_tuple, r_tuple))
 
 
-def _shift(spec: AlgebraSpec, form: str, s, b: Sequence, root):
-    """A factor's shift at degree s: s - root for ``form`` "h"; the "g" form
-    subtracts n + sum(b) from that."""
-    return s - root if form == "h" else s - root - spec.n - sum(b)
-
-
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _factor_constants(spec: AlgebraSpec) -> tuple:
-    """Per reduction factor, in :func:`reduction_factors` order, ``(b, root)`` as
-    Gaussian rationals, for :func:`_shift`."""
-    return tuple(
-        (tuple(map(GaussianRational, _factor_weights(spec, i))),
-         GaussianRational(_factor_root(spec, i, r)))
-        for i, r in reduction_factors(spec)
-    )
+def _descent_weights(spec: AlgebraSpec, form: str, s: int) -> tuple:
+    """Per reduction factor, in :func:`reduction_factors` order, the :func:`_weights`
+    of its ``form`` factor at degree s: a all ones, b from :func:`_factor_weights`,
+    and minus the shift, s - root for "h", from which "g" subtracts n + sum(b)."""
+    table = []
+    for i_tuple, r_tuple in reduction_factors(spec):
+        b = _factor_weights(spec, i_tuple)
+        lift = spec.n + sum(b) if form == "g" else 0
+        table.append(_weights(*(1,) * spec.n, *b, _factor_root(spec, i_tuple, r_tuple) + lift - s))
+    return tuple(table)
 
 
-def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
-    """The shifted first-order factors of ``form`` at degree s, first factor first."""
-    ones = (1,) * spec.n
-    for b, root in _factor_constants(spec):
-        t = _first_order(space, form, ones, b, _shift(spec, form, s, b, root), t)
-    return t
+def _reduced_descent(spec: AlgebraSpec, s: int, form: str, u: UEAElement) -> UEAElement:
+    """canonical_form(h_s(u)) ("h") or canonical_form(g_s(u)) ("g"), the canonical form
+    taken after every factor.  A factor is a sum of left and right products, so it maps
+    the kernel ideal, two-sided (Dixmier, *Enveloping Algebras*, ch. 3), into itself;
+    the images stay reduced instead of growing through every factor."""
+    for weights in _descent_weights(spec, form, s):
+        u = canonical_form(spec, _apply_factors(spec, form, [weights], u))
+    return u
 
 
 def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
@@ -269,17 +286,17 @@ def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     Annihilates every degree-s monomial modulo the kernel ideal and maps the
     degree-<=s filtration level into (degree-<=(s-1) level) + ideal.
     """
-    return _descent(spec, s, spec, "h", u)
+    return _apply_factors(spec, "h", _descent_weights(spec, "h", s), u)
 
 
 def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """Product of shifted g-factors at degree s (first factor applied first)."""
-    return _descent(spec, s, spec, "g", u)
+    return _apply_factors(spec, "g", _descent_weights(spec, "g", s), u)
 
 
 def t_s(spec: AlgebraSpec, s: int, w: WeylOperator) -> WeylOperator:
     """Operator-side descent product; intertwines with h_s through the representation."""
-    return _descent(spec, s, spec.n, "h", w)
+    return _apply_factors(spec.n, "h", _descent_weights(spec, "h", s), w)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +308,7 @@ def taylor_h_ab(
     n: int, a: Sequence[ScalarLike], b: Sequence[ScalarLike], w: WeylOperator
 ) -> WeylOperator:
     """sum_i a_i [-Q_i, P_i w] + b_i [P_i, Q_i w] (coefficient operators on the left)."""
-    return _first_order(n, "taylor", a, b, 0, w)
+    return _first_order(n, "taylor", a, b, w)
 
 
 def taylor_a_op(a: Sequence[ScalarLike], b: Sequence[ScalarLike], ads, x: WeylOperator):
@@ -397,8 +414,10 @@ class RationalPolynomial(Combination):
         return self.scale(other)
 
     def __call__(self, z: RationalLike) -> "Rat":
-        z = as_rational(z)
-        return sum((c.re * z**k for k, c in self.terms.items()), Rat(0))
+        z, acc = as_rational(z), Rat(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
 
     def compose_affine(self, r: RationalLike, q: RationalLike) -> "RationalPolynomial":
         """The polynomial z -> self(r*z + q)."""
@@ -559,12 +578,16 @@ def lagrange_identity_check(
         )
     r, q = as_rational(r), as_rational(q)
     nodes = range(node_count)
-    lhs = RationalPolynomial([])
-    for i in nodes:
-        others = [j for j in nodes if j != i]
-        li = RationalPolynomial.from_roots(others)
-        denom = math.prod(i - j for j in others)
-        lhs = lhs + li.scale(b(r * i + q) / denom)
-    rhs = b.compose_affine(r, q)
-    if lhs != rhs:
+    # L_i = (master / (z - i)) / prod_{j != i} (i - j), master = prod_j (z - j): the
+    # quotient by synthetic division, in ints over one denominator of the weights
+    master = [c.numerator for c in RationalPolynomial.from_roots(nodes).coeffs]
+    weights = [b(r * i + q) / math.prod(i - j for j in nodes if j != i) for i in nodes]
+    den = math.lcm(*(w.denominator for w in weights))
+    lhs = [0] * node_count
+    for i, w in zip(nodes, weights):
+        scaled, carry = w.numerator * (den // w.denominator), 0
+        for k in reversed(nodes):
+            carry = master[k + 1] + i * carry
+            lhs[k] += scaled * carry
+    if RationalPolynomial([Rat(c, den) for c in lhs]) != b.compose_affine(r, q):
         raise RuntimeError("interpolation identity failed; arithmetic bug")

@@ -117,9 +117,7 @@ class UEAElement(Combination):
     # -- structure -----------------------------------------------------------
     def degree(self) -> int:
         """Maximal monomial degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(map(monomial_degree, self.terms), default=-1)
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms sorted by the monomial order, leading first."""
@@ -147,20 +145,26 @@ class UEAElement(Combination):
 # Normal-form products
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _lowering(spec: AlgebraSpec, k: int) -> tuple:
+    """Per Y position, the position of Y^{beta - delta_k}; None where beta_k = 0."""
+    pos_of, unit = y_position(spec), mi_delta(spec.n, k)
+    return tuple(pos_of[mi_sub(beta, unit)] if beta[k] else None for beta in index_set(spec))
+
+
 def _y_derivation(spec: AlgebraSpec, ys: dict, k: int) -> dict[MultiIndex, int]:
     """[X_k, .] on int-weighted Y-products {y: weight}, as a derivation.
 
     Each Y^beta factor with beta_k >= 1 in turn becomes Y^{beta-delta_k}.
     """
-    idx = index_set(spec)
-    pos_of = y_position(spec)
+    lower = _lowering(spec, k)
     out: dict[MultiIndex, int] = {}
     for y, weight in ys.items():
         for pos, mult in enumerate(y):
-            if mult and idx[pos][k]:
+            if mult and lower[pos] is not None:
                 new = list(y)
                 new[pos] -= 1
-                new[pos_of[mi_sub(idx[pos], mi_delta(spec.n, k))]] += 1
+                new[lower[pos]] += 1
                 out[tuple(new)] = out.get(tuple(new), 0) + weight * mult
     return out
 
@@ -201,10 +205,11 @@ def _push_work(u: UEAElement, v: UEAElement) -> tuple[int, int]:
     """The work of the product u * v, counted from exponents before any push, as
     (the Y products u's terms can turn into, the X-degree of v's terms).  A Y^beta
     only becomes one of the s = |box(beta)| Y^gamma with gamma <= beta, so c of them
-    spread over C(c + s - 1, c) products."""
+    spread over C(c + s - 1, c) products.  A term whose Y part holds no Y^beta with
+    beta != 0 (s > 1) passes any X part in one step, and counts nothing."""
     sizes = [math.prod(e + 1 for e in beta) for beta in index_set(u.spec)]
     products = sum(math.prod(math.comb(c + s - 1, c) for c, s in zip(m.y, sizes))
-                   for m in u.terms)
+                   for m in u.terms if any(c and s > 1 for c, s in zip(m.y, sizes)))
     return products, sum(sum(m.x) for m in v.terms)
 
 
@@ -248,12 +253,9 @@ def ad_x(spec: AlgebraSpec, k: int, u: UEAElement) -> UEAElement:
 
 def y_monomial(spec: AlgebraSpec, gamma: MultiIndex) -> Monomial:
     """The Y-monomial prod_k (Y^{delta_k})^{gamma_k} (a product of degree-1 Y's)."""
-    L = len(index_set(spec))
-    pos_of = y_position(spec)
-    y = [0] * L
+    pos_of, y = y_position(spec), [0] * len(index_set(spec))
     for k, mult in enumerate(gamma):
-        if mult:
-            y[pos_of[mi_delta(spec.n, k)]] += mult
+        y[pos_of[mi_delta(spec.n, k)]] += mult
     return Monomial((0,) * spec.n, tuple(y))
 
 

@@ -103,9 +103,7 @@ class WeylOperator(Combination):
     # -- structure -----------------------------------------------------------
     def total_degree(self) -> int:
         """Max of |a| + |b| over the support; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(mi_abs(a) + mi_abs(b) for a, b in self.terms)
+        return max((mi_abs(a) + mi_abs(b) for a, b in self.terms), default=-1)
 
     def coefficient(self, a: MultiIndex, b: MultiIndex) -> GaussianRational:
         return self.terms.get((tuple(a), tuple(b)), ZERO)

@@ -303,12 +303,14 @@ def test_reduce_refuses_long_normal_ordering_summed_over_the_expression(
     runner, heis, spec_file
 ) -> None:
     # each product alone is admitted; the budget holds for the sum of one expression's products
-    # 1000000 + 1000000 and 1999996 + 3 steps: at and just under the budget
+    # 1000000 + 1000000 steps: at the budget
     assert parse_expression("Y[1] * X1^500000 + Y[1] * X1^500000", heis).degree() == 500001
-    assert parse_expression("Y[1] * X1^999998 * X1", heis).degree() == 1000000
-    # Y[1] * X1^999999 has two terms, Y[1] and Y[0]: 2 + 1 products past X-degree 1
+    # Y[1] * X1^999999 has two terms, Y[1] and the central Y[0]: 2 + 0 products past
+    # X-degree 1, 1999998 + 2 steps, at the budget; times Y[1] and then X1, its terms
+    # Y[1]^2 and Y[0] * Y[1] count 3 + 2
+    assert parse_expression("Y[1] * X1^999999 * X1", heis).degree() == 1000001
     for expr, steps in [("Y[1] * X1^500000 - Y[1] * X1^500001", 2000002),
-                        ("Y[1] * X1^999999 * X1", 2000001)]:
+                        ("Y[1] * X1^999999 * Y[1] * X1", 2000003)]:
         message = f"normal ordering of this expression would take {steps} steps, more than 2000000"
         with pytest.raises(ValueError) as excinfo:
             parse_expression(expr, heis)
@@ -316,6 +318,16 @@ def test_reduce_refuses_long_normal_ordering_summed_over_the_expression(
         assert invoke_json(runner, ["reduce", spec_file(heis), "--expr", expr], 1) == {
             "error": message
         }
+
+
+def test_push_work_counts_only_y_parts_that_move(heis) -> None:
+    # a term with no Y^beta, beta != 0, passes any X part in one step
+    for expr in ("X1 * X1^3000000", "Y[0] * X1^3000000"):
+        assert parse_expression(expr, heis).degree() == 3000001
+    # a Y^beta with beta != 0 still counts, alone or in a chain of products
+    assert parse_expression("Y[1]^1413 * X1^1413", heis).degree() == 2826
+    with pytest.raises(ValueError, match="this expression would take 2001232 steps"):
+        parse_expression(" * ".join(["Y[1] * X1"] * 227), heis)
 
 
 def test_reduce_rejects_bad_expression(runner, heis, spec_file) -> None:
@@ -344,10 +356,9 @@ def test_verify_passes_and_reports_all_checks(runner, heis, spec_file) -> None:
 
 
 # Generated algebras are verified at degree 2 when the monomials up to it
-# number at most this budget, i.e. n + |index set| <= 10; each such run takes
-# under 0.6 s.  The larger ones take up to minutes, most of it in verify's
-# degree-annihilation check: every joint 3-axis block is left out.
-GENERATED_VERIFY_BUDGET = 66
+# number at most this budget, i.e. n + |index set| <= 34: up to the joint
+# 3-axis block alpha = (1, 3, 3), whose run takes about 1 s.
+GENERATED_VERIFY_BUDGET = 666
 
 
 @given(spec=algebra_specs())

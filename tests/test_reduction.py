@@ -12,13 +12,14 @@ Independent oracles used here:
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -33,6 +34,7 @@ from conftest import (
     taylor_h_ab_by_commutators,
 )
 from nilzeta import GaussianRational, algebra_spec
+from nilzeta.core import index_set_size
 from nilzeta.ideal import build_slice, filtration_min_degree, is_member
 from nilzeta.indices import box, mi_delta
 from nilzeta.reduction import (
@@ -116,6 +118,18 @@ def test_g_ab_frozen_values(heis) -> None:
 def test_weight_vector_length_checked(heis) -> None:
     with pytest.raises(ValueError):
         h_ab(heis, (1, 1), (1,), UEAElement.one(heis))
+
+
+def test_float_weights_refused_after_an_int_call(heis) -> None:
+    # the weight conversion is cached by type as well as value: 1.0 never
+    # reuses the entry of 1
+    one = UEAElement.one(heis)
+    for apply, space, t in ((g_ab, heis, one), (h_ab, heis, one),
+                            (taylor_h_ab, 1, WeylOperator.one(1))):
+        for a, b in (((1.0,), (1,)), ((1,), (1.0,))):
+            apply(space, (1,), (1,), t)
+            with pytest.raises(TypeError, match="refusing float 1.0"):
+                apply(space, a, b, t)
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
@@ -216,15 +230,16 @@ def test_axis_images_match_commutators_part_by_part(name: str) -> None:
         if sum(a) + sum(b) <= degree
     ]
     for space, form, pairs, cls, mono in cases:
-        parts = _axis_images(space, form, mono)
-        expected = _literal_parts(pairs, form, cls(space, {mono: 1}))
-        assert len(parts) == len(expected) == 2 * n
-        for part, literal in zip(parts, expected):
-            assert all(type(re) is int and type(im) is int for _, re, im in part)
-            got = cls(space)
-            for m, re, im in part:
-                got = got + cls(space, {m: GaussianRational(re, im)})
-            assert got == literal, (form, mono)
+        rows = _axis_images(space, form, mono)
+        t = cls(space, {mono: 1})
+        expected = _literal_parts(pairs, form, t) + [t]  # part 2n is m itself
+        assert len({m for m, _ in rows}) == len(rows)  # merged by monomial
+        parts = [cls(space) for _ in expected]
+        for m, entries in rows:
+            for j, re, im in entries:
+                assert type(re) is int and type(im) is int
+                parts[j] = parts[j] + cls(space, {m: GaussianRational(re, im)})
+        assert parts == expected, (form, mono)
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
@@ -369,6 +384,20 @@ def test_annihilation_and_descent(name: str) -> None:
                 assert rho(spec, h_image).is_zero()
                 assert rho(spec, g_s(spec, s, u)).is_zero()
             assert canonical_form(spec, h_image).degree() <= s - 1
+
+
+@given(spec=algebra_specs())
+def test_reduced_descent_matches_the_literal_products(spec) -> None:
+    # the canonical form after every factor is the canonical form of the literal
+    # product, monomial by monomial (within 66 monomials up to degree 2)
+    from nilzeta.ideal import canonical_form
+    from nilzeta.reduction import _reduced_descent
+
+    assume(math.comb(spec.n + index_set_size(spec) + 2, 2) <= 66)
+    for mono in monomials_up_to(spec, 2):
+        s, u = monomial_degree(mono), UEAElement.monomial(spec, mono)
+        assert _reduced_descent(spec, s, "h", u) == canonical_form(spec, h_s(spec, s, u))
+        assert _reduced_descent(spec, s, "g", u) == canonical_form(spec, g_s(spec, s, u))
 
 
 def test_dependent_monomials_escape_strict_annihilation(heis, quad) -> None:
@@ -642,7 +671,7 @@ def test_pole_lattice_refuses_huge_alpha_before_the_factor_table(monkeypatch) ->
     def no_table(spec):
         raise AssertionError("the factor table was built before the witness count")
 
-    monkeypatch.setattr(reduction, "_factor_constants", no_table)
+    monkeypatch.setattr(reduction, "_descent_weights", no_table)
     with pytest.raises(ValueError, match="more than 100000; lower s0 or l_max"):
         pole_lattice(algebra_spec(1, [1_000_000]))
 
@@ -741,6 +770,15 @@ def test_lagrange_identity_exact(name: str) -> None:
     for q in (0, 1, 2):
         lagrange_identity_check(b, 2, q, 2)
     lagrange_identity_check(b, "1/2", "2/3", 2)
+
+
+def test_lagrange_identity_catches_a_wrong_composition(mixed, monkeypatch) -> None:
+    b = b_polynomial(mixed)
+    right = RationalPolynomial.compose_affine
+    monkeypatch.setattr(RationalPolynomial, "compose_affine",
+                        lambda self, r, q: right(self, r, q) + RationalPolynomial([0, 1]))
+    with pytest.raises(RuntimeError, match="interpolation identity failed"):
+        lagrange_identity_check(b, 2, 0, 2)
 
 
 def test_lagrange_identity_insufficient_nodes(mixed) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from nilzeta import reduction, verify
+from nilzeta.expr import format_element
 from nilzeta.verify import CHECKS, run_verify
 
 
@@ -68,6 +69,22 @@ def test_operator_shift_fault(mixed, monkeypatch) -> None:
     assert failures(mixed) == {
         "operator-shift": fail("operator-shift", "shift identity fails for X1"),
     }
+
+
+@pytest.mark.parametrize("form, planted, message", [
+    ("h", "X1", "degree-1 annihilation fails for X1"),
+    ("g", "X1", "degree-1 g-annihilation fails for X1"),
+    ("h", "Y[0]", "degree-1 descent fails for Y[0]"),
+])
+def test_annihilation_fault(heis, monkeypatch, form, planted, message) -> None:
+    # the reduced descent of one form off by t on one degree-1 monomial: X1 is
+    # independent, so it must go to zero; Y[0] is not, so it must lose a degree
+    def reduced_descent(spec, s, f, u):
+        out = reduction._reduced_descent(spec, s, f, u)
+        return out + u if f == form and format_element(u) == planted else out
+
+    monkeypatch.setattr(verify, "_reduced_descent", reduced_descent)
+    assert failures(heis) == {"degree-annihilation": fail("degree-annihilation", message)}
 
 
 def test_a_raising_check_is_its_failure_entry(heis, monkeypatch) -> None:
