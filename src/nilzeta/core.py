@@ -123,7 +123,9 @@ def algebra_spec(
 def validate_spec(data: Mapping) -> AlgebraSpec:
     """Parse and validate the JSON form ``{"n", "alpha", "partition"}`` (1-based)."""
     try:
-        n, alpha, partition = data["n"], data["alpha"], data["partition"]
+        n = data["n"]
+        alpha = data["alpha"]
+        partition = data["partition"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"missing required field: {exc}") from exc
     # JSON numbers arrive as int, float or bool; only a plain int is accepted.
@@ -232,8 +234,14 @@ def bracket(spec: AlgebraSpec, a: Symbol, b: Symbol) -> LieElement:
 
 def structure_constants(spec: AlgebraSpec) -> dict:
     """Nonzero brackets of basis pairs: (sym_a, sym_b) -> sparse element."""
+    table: dict = {}
     syms = basis(spec)
-    return {(a, b): out for a in syms for b in syms if (out := bracket(spec, a, b))}
+    for a in syms:
+        for b in syms:
+            out = bracket(spec, a, b)
+            if out:
+                table[(a, b)] = out
+    return table
 
 
 def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
@@ -272,7 +280,9 @@ def jacobi_check(spec: AlgebraSpec, table: Mapping | None = None) -> None:
 
 def _sym_str(sym: Symbol) -> str:
     kind, data = sym
-    return f"X{data + 1}" if kind == "X" else "Y[" + ",".join(map(str, data)) + "]"
+    if kind == "X":
+        return f"X{data + 1}"
+    return "Y[" + ",".join(str(e) for e in data) + "]"
 
 
 def nilpotency_class(spec: AlgebraSpec) -> int:

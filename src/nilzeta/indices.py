@@ -33,17 +33,28 @@ def mi_abs(a: MultiIndex) -> int:
 
 
 def mi_factorial(a: MultiIndex) -> int:
-    return math.prod(map(math.factorial, a))
+    out = 1
+    for e in a:
+        out *= math.factorial(e)
+    return out
 
 
 def mi_binomial(a: MultiIndex, b: MultiIndex) -> int:
     """Product of componentwise binomial coefficients C(a_k, b_k)."""
-    return math.prod(math.comb(x, y) for x, y in zip(a, b, strict=True))
+    out = 1
+    for x, y in zip(a, b, strict=True):
+        out *= math.comb(x, y)
+    return out
 
 
 def mi_falling(a: MultiIndex, b: MultiIndex) -> int:
     """Product of falling factorials a_k!/(a_k - b_k)!; zero if some b_k > a_k."""
-    return math.prod(math.perm(x, y) for x, y in zip(a, b, strict=True))
+    out = 1
+    for x, y in zip(a, b, strict=True):
+        if y > x:
+            return 0
+        out *= math.perm(x, y)
+    return out
 
 
 def mi_delta(length: int, position: int) -> MultiIndex:

@@ -12,11 +12,11 @@ shares the arithmetic of such dicts:
 * :func:`product_terms` — the one product kernel, on Gaussian-integer
   numerators over one common denominator per operand, the lcm of the d of
   the entries' reduced triples (a + b i) / d;
-* :func:`map_terms` — the linear-map kernel, next to it: a map given by
+* :func:`map_terms` — the one linear-map kernel, next to it: a map given by
   Gaussian-integer images of single monomials (:func:`scaled_image`; the
-  representation, the ideal's key sums and canonical forms, ``ad(X_k)``;
-  the reduction factors chain theirs), applied in ints over one common
-  denominator; each output of either kernel is one triple, reduced by one gcd;
+  representation, the ideal's key sums and canonical forms, ``ad(X_k)`` and
+  the reduction factors), applied in ints over one common denominator;
+  each output of either kernel is one triple, reduced by one gcd;
 * :func:`commutator` — ``u*v - v*u`` for combinations of any one space.
 """
 

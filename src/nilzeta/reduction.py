@@ -13,8 +13,17 @@ Three layers live here.
     choice of one generator position per partition block and a weight vector
     b such that g with all-ones a satisfies an eigen-relation modulo the
     kernel ideal; h differs from g by (|a| + |b|) times the identity.  Both
-    are linear in T, sum_k a_k A_k(T) + b_k B_k(T), with int images of the
-    parts at each monomial written down with no products (:func:`_axis_images`).
+    are linear in T, sum_k a_k A_k(T) + b_k B_k(T), and are applied as cached
+    linear maps from int images of the parts at each monomial, written down
+    from the relations with no products (Y^0 central, [X^p, Y^{delta_k}] =
+    p_k X^{p-delta_k} Y^0, [X_k, .] a derivation D_k on Y-products):
+
+        h: A_k = -i (p_k+1) X^p Y^{q+e_0},  B_k = -i X^p D_k(Y^{q+e_{delta_k}})
+        g: A_k = -i p_k X^p Y^{q+e_0},      B_k = -i X^p D_k(Y^q) Y^{delta_k}
+
+    at m = X^p Y^q; at m = x^a d^b over (P_k, Q_k) = (-d_k, -x_k), the h-form
+    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k with a_k+1, and
+    the Taylor-style form with the same A_k and B_k = (a_k+1) m.
 
 2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
     (enveloping side) and ``t_s`` (operator side): products of first-order
@@ -34,12 +43,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
 from .ideal import canonical_form
 from .indices import mi_delta, mi_sub
-from .linalg import IMAGE_CACHE_SIZE, Combination, _normalised, _numerators, product_terms
+from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms, product_terms
 from .scalars import (
     ZERO,
     GaussianRational,
@@ -137,37 +146,33 @@ def _weights(*scalars) -> tuple:
 
 
 def _first_order(space, form: str, a: Sequence, b: Sequence, t: Combination):
-    """sum_k a_k A_k(t) + b_k B_k(t) (h_ab, its operator-side mirror, or g_ab): the
-    weight vectors checked and converted once per distinct pair."""
+    """sum_k a_k A_k(t) + b_k B_k(t): h_ab, its operator-side mirror, or g_ab."""
     n = space if isinstance(space, int) else space.n
     if len(a) != n or len(b) != n:
         raise ValueError(f"weight vectors must have length {n}")
-    return _apply_factors(space, form, [_weights(*a, *b, 0)], t)
+    return _factor(space, form, _weights(*a, *b, 0), t)
 
 
-def _apply_factors(space, form: str, factors: Iterable, t: Combination):
-    """The factors sum_k a_k A_k + b_k B_k - shift, each given by the :func:`_weights`
-    of (a_0.., b_0.., -shift), applied to t first factor first.  Each output weighs
-    the parts of :func:`_axis_images` as ints; the numerators stay over one
-    denominator, which each factor's multiplies, and are normalised once at the end."""
+def _factor(space, form: str, weights: tuple, t: Combination):
+    """The factor sum_k a_k A_k(t) + b_k B_k(t) - shift * t given by the :func:`_weights`
+    of (a_0.., b_0.., -shift): each monomial's image weighs the parts of
+    :func:`_axis_images` as ints, and t maps through :func:`~nilzeta.linalg.map_terms`."""
     if t.space != space:
         raise ValueError(f"{type(t).__name__} operands belong to different spaces")
-    den, terms = _numerators(t.terms)
-    for dw, weights in factors:
-        acc: dict = {}
-        for mono, r, i in terms:
-            for m, rows in _axis_images(space, form, mono):
-                re = im = 0
-                for j, pr, pi in rows:
-                    wr, wi = weights[j]
-                    re, im = re + wr * pr - wi * pi, im + wr * pi + wi * pr
-                if re or im:
-                    slot = acc.setdefault(m, [0, 0])
-                    slot[0] += r * re - i * im
-                    slot[1] += r * im + i * re
-        den *= dw
-        terms = [(m, re, im) for m, (re, im) in acc.items() if re or im]
-    return t._of_clean(space, _normalised({m: (re, im) for m, re, im in terms}, den))
+    dw, nums = weights
+
+    def image(mono):
+        rows = []
+        for m, parts in _axis_images(space, form, mono):
+            re = im = 0
+            for j, pr, pi in parts:
+                wr, wi = nums[j]
+                re, im = re + wr * pr - wi * pi, im + wr * pi + wi * pr
+            if re or im:
+                rows.append((m, re, im))
+        return dw, rows
+
+    return t._of_clean(space, map_terms(t.terms, image))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +281,15 @@ def _reduced_descent(spec: AlgebraSpec, s: int, form: str, u: UEAElement) -> UEA
     the kernel ideal, two-sided (Dixmier, *Enveloping Algebras*, ch. 3), into itself;
     the images stay reduced instead of growing through every factor."""
     for weights in _descent_weights(spec, form, s):
-        u = canonical_form(spec, _apply_factors(spec, form, [weights], u))
+        u = canonical_form(spec, _factor(spec, form, weights, u))
     return u
+
+
+def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
+    """The shifted first-order factors of ``form`` at degree s, first factor first."""
+    for weights in _descent_weights(spec, form, s):
+        t = _factor(space, form, weights, t)
+    return t
 
 
 def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
@@ -286,17 +298,17 @@ def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     Annihilates every degree-s monomial modulo the kernel ideal and maps the
     degree-<=s filtration level into (degree-<=(s-1) level) + ideal.
     """
-    return _apply_factors(spec, "h", _descent_weights(spec, "h", s), u)
+    return _descent(spec, s, spec, "h", u)
 
 
 def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """Product of shifted g-factors at degree s (first factor applied first)."""
-    return _apply_factors(spec, "g", _descent_weights(spec, "g", s), u)
+    return _descent(spec, s, spec, "g", u)
 
 
 def t_s(spec: AlgebraSpec, s: int, w: WeylOperator) -> WeylOperator:
     """Operator-side descent product; intertwines with h_s through the representation."""
-    return _apply_factors(spec.n, "h", _descent_weights(spec, "h", s), w)
+    return _descent(spec, s, spec.n, "h", w)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +426,8 @@ class RationalPolynomial(Combination):
         return self.scale(other)
 
     def __call__(self, z: RationalLike) -> "Rat":
-        z, acc = as_rational(z), Rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        z = as_rational(z)
+        return sum((c.re * z**k for k, c in self.terms.items()), Rat(0))
 
     def compose_affine(self, r: RationalLike, q: RationalLike) -> "RationalPolynomial":
         """The polynomial z -> self(r*z + q)."""

@@ -117,7 +117,9 @@ class UEAElement(Combination):
     # -- structure -----------------------------------------------------------
     def degree(self) -> int:
         """Maximal monomial degree; -1 for the zero element."""
-        return max(map(monomial_degree, self.terms), default=-1)
+        if not self.terms:
+            return -1
+        return max(monomial_degree(m) for m in self.terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms sorted by the monomial order, leading first."""
@@ -253,9 +255,12 @@ def ad_x(spec: AlgebraSpec, k: int, u: UEAElement) -> UEAElement:
 
 def y_monomial(spec: AlgebraSpec, gamma: MultiIndex) -> Monomial:
     """The Y-monomial prod_k (Y^{delta_k})^{gamma_k} (a product of degree-1 Y's)."""
-    pos_of, y = y_position(spec), [0] * len(index_set(spec))
+    L = len(index_set(spec))
+    pos_of = y_position(spec)
+    y = [0] * L
     for k, mult in enumerate(gamma):
-        y[pos_of[mi_delta(spec.n, k)]] += mult
+        if mult:
+            y[pos_of[mi_delta(spec.n, k)]] += mult
     return Monomial((0,) * spec.n, tuple(y))
 
 

@@ -103,7 +103,9 @@ class WeylOperator(Combination):
     # -- structure -----------------------------------------------------------
     def total_degree(self) -> int:
         """Max of |a| + |b| over the support; -1 for the zero operator."""
-        return max((mi_abs(a) + mi_abs(b) for a, b in self.terms), default=-1)
+        if not self.terms:
+            return -1
+        return max(mi_abs(a) + mi_abs(b) for a, b in self.terms)
 
     def coefficient(self, a: MultiIndex, b: MultiIndex) -> GaussianRational:
         return self.terms.get((tuple(a), tuple(b)), ZERO)

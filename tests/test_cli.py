@@ -305,11 +305,15 @@ def test_reduce_refuses_long_normal_ordering_summed_over_the_expression(
     # each product alone is admitted; the budget holds for the sum of one expression's products
     # 1000000 + 1000000 steps: at the budget
     assert parse_expression("Y[1] * X1^500000 + Y[1] * X1^500000", heis).degree() == 500001
-    # Y[1] * X1^999999 has two terms, Y[1] and the central Y[0]: 2 + 0 products past
-    # X-degree 1, 1999998 + 2 steps, at the budget; times Y[1] and then X1, its terms
-    # Y[1]^2 and Y[0] * Y[1] count 3 + 2
+    # Y[1] * X1^999998 has two terms, Y[1] and the central Y[0]: 2 + 0 products past
+    # X-degree 1, 1999996 + 2 steps, just under the budget; from X1^999999, 1999998 + 2
+    # steps, at it
+    assert parse_expression("Y[1] * X1^999998 * X1", heis).degree() == 1000000
     assert parse_expression("Y[1] * X1^999999 * X1", heis).degree() == 1000001
-    for expr, steps in [("Y[1] * X1^500000 - Y[1] * X1^500001", 2000002),
+    # over it: Y[1]^2 spreads over 3 products, 1999998 + 3 steps; times Y[1] and then X1,
+    # the terms Y[1]^2 and Y[0] * Y[1] of Y[1] * X1^999999 * Y[1] count 3 + 2
+    for expr, steps in [("Y[1] * X1^999999 + Y[1]^2 * X1", 2000001),
+                        ("Y[1] * X1^500000 - Y[1] * X1^500001", 2000002),
                         ("Y[1] * X1^999999 * Y[1] * X1", 2000003)]:
         message = f"normal ordering of this expression would take {steps} steps, more than 2000000"
         with pytest.raises(ValueError) as excinfo:

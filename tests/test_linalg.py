@@ -147,7 +147,6 @@ def test_every_package_cache_is_bounded() -> None:
                     sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
     for name in ("uea._push_y_through_x", "weyl.leibniz", "weyl._monomial_product",
                  "ideal._first", "core.index_set", "reduction._descent_weights",
-                 "reduction._weights", "uea._lowering",
-                 "ideal._canonical_image"):
+                 "reduction._weights", "uea._lowering", "ideal._canonical_image"):
         assert sizes[f"nilzeta.{name}"] == IMAGE_CACHE_SIZE
     assert [name for name, size in sorted(sizes.items()) if size is None] == []
