@@ -133,8 +133,9 @@ class DegreeSlice(NamedTuple):
     independent: tuple
 
 
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def build_slice(spec: AlgebraSpec, degree: int) -> DegreeSlice:
-    """Classify the degree-d monomials against their keys' least monomials."""
+    """Classify the degree-d monomials against their keys' least monomials, once."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     monos = tuple(slice_monomials(spec, degree))

@@ -14,16 +14,9 @@ Three layers live here.
     b such that g with all-ones a satisfies an eigen-relation modulo the
     kernel ideal; h differs from g by (|a| + |b|) times the identity.  Both
     are linear in T, sum_k a_k A_k(T) + b_k B_k(T), and are applied as cached
-    linear maps from int images of the parts at each monomial, written down
-    from the relations with no products (Y^0 central, [X^p, Y^{delta_k}] =
-    p_k X^{p-delta_k} Y^0, [X_k, .] a derivation D_k on Y-products):
-
-        h: A_k = -i (p_k+1) X^p Y^{q+e_0},  B_k = -i X^p D_k(Y^{q+e_{delta_k}})
-        g: A_k = -i p_k X^p Y^{q+e_0},      B_k = -i X^p D_k(Y^q) Y^{delta_k}
-
-    at m = X^p Y^q; at m = x^a d^b over (P_k, Q_k) = (-d_k, -x_k), the h-form
-    A_k = (b_k+1) m + a_k b_k x^{a-delta_k} d^{b-delta_k}, B_k with a_k+1, and
-    the Taylor-style form with the same A_k and B_k = (a_k+1) m.
+    linear maps from int images of the parts at each monomial
+    (:func:`_axis_images`); their canonical forms modulo the kernel ideal come
+    from one cached table of the parts' canonical forms (:func:`_canonical_parts`).
 
 2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
     (enveloping side) and ``t_s`` (operator side): products of first-order
@@ -46,7 +39,7 @@ from itertools import product as iter_product
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .core import AlgebraSpec, block_box, y_position
-from .ideal import canonical_form
+from .ideal import _canonical_image
 from .indices import mi_delta, mi_sub
 from .linalg import IMAGE_CACHE_SIZE, Combination, _numerators, map_terms, product_terms
 from .scalars import (
@@ -96,7 +89,8 @@ def _axis_images(space, form: str, mono) -> tuple:
     """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m, and m
     itself as part 2n, written down with no products and merged by monomial:
     ``(mono, ((part, re, im), ...))`` rows with int coefficients.  Over
-    (X_k, Yhat_k) at m = X^p Y^q, with D_k the derivation ``_y_derivation``:
+    (X_k, Yhat_k) at m = X^p Y^q, from Y^0 central, [X^p, Y^{delta_k}] =
+    p_k X^{p-delta_k} Y^0 and the derivation D_k = [X_k, .] (``_y_derivation``):
 
         h: A_k = [X_k m, Yhat_k] = -i (p_k+1) X^p Y^{q+e_0}
            B_k = [X_k, m Yhat_k] = -i X^p D_k(Y^{q+e_{delta_k}})
@@ -159,20 +153,46 @@ def _factor(space, form: str, weights: tuple, t: Combination):
     :func:`_axis_images` as ints, and t maps through :func:`~nilzeta.linalg.map_terms`."""
     if t.space != space:
         raise ValueError(f"{type(t).__name__} operands belong to different spaces")
+    return t._of_clean(space, map_terms(
+        t.terms, lambda mono: _weighed(1, _axis_images(space, form, mono), weights)))
+
+
+def _weighed(den: int, table: tuple, weights: tuple) -> tuple:
+    """A table of ``(mono, ((part, re, im), ...))`` rows over den, each part weighed by
+    its :func:`_weights` entry, as a :func:`~nilzeta.linalg.map_terms` image."""
     dw, nums = weights
+    rows = []
+    for m, parts in table:
+        re = im = 0
+        for j, pr, pi in parts:
+            wr, wi = nums[j]
+            re, im = re + wr * pr - wi * pi, im + wr * pi + wi * pr
+        if re or im:
+            rows.append((m, re, im))
+    return den * dw, rows
 
-    def image(mono):
-        rows = []
-        for m, parts in _axis_images(space, form, mono):
-            re = im = 0
-            for j, pr, pi in parts:
-                wr, wi = nums[j]
-                re, im = re + wr * pr - wi * pi, im + wr * pi + wi * pr
-            if re or im:
-                rows.append((m, re, im))
-        return dw, rows
 
-    return t._of_clean(space, map_terms(t.terms, image))
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _canonical_parts(spec: AlgebraSpec, form: str, mono: Monomial) -> tuple:
+    """The canonical form of each part of :func:`_axis_images` at m, m itself as part
+    2n: ``(den, ((first, ((part, re, im), ...)), ...))``, Gaussian-integer rows over
+    one den, keyed by independent monomial (a part's entries in one row add up).  The
+    canonical projection is linear, so a factor's canonical form at m is this table
+    weighed by the factor's weights."""
+    images = [(_canonical_image(spec, m), parts) for m, parts in _axis_images(spec, form, mono)]
+    den = math.lcm(*(d for (d, _), _ in images))
+    table: dict = {}
+    for (d, ((first, cr, ci),)), parts in images:
+        cr, ci = cr * (den // d), ci * (den // d)
+        table.setdefault(first, []).extend(
+            (j, cr * pr - ci * pi, cr * pi + ci * pr) for j, pr, pi in parts)
+    return den, tuple((first, tuple(parts)) for first, parts in table.items())
+
+
+def _canonical_factor(spec: AlgebraSpec, form: str, weights: tuple, mono: Monomial) -> tuple:
+    """The canonical form of the factor with :func:`_weights` ``weights`` at a monomial,
+    as a :func:`~nilzeta.linalg.map_terms` image; no rows exactly on the kernel ideal."""
+    return _weighed(*_canonical_parts(spec, form, mono), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +297,13 @@ def _descent_weights(spec: AlgebraSpec, form: str, s: int) -> tuple:
 
 def _reduced_descent(spec: AlgebraSpec, s: int, form: str, u: UEAElement) -> UEAElement:
     """canonical_form(h_s(u)) ("h") or canonical_form(g_s(u)) ("g"), the canonical form
-    taken after every factor.  A factor is a sum of left and right products, so it maps
-    the kernel ideal, two-sided (Dixmier, *Enveloping Algebras*, ch. 3), into itself;
-    the images stay reduced instead of growing through every factor."""
+    taken after every factor: each factor is one map through :func:`_canonical_factor`.
+    A factor is a sum of left and right products, so it maps the kernel ideal,
+    two-sided (Dixmier, *Enveloping Algebras*, ch. 3), into itself; the images stay
+    reduced instead of growing through every factor."""
     for weights in _descent_weights(spec, form, s):
-        u = canonical_form(spec, _factor(spec, form, weights, u))
+        u = u._of_clean(spec, map_terms(
+            u.terms, lambda mono: _canonical_factor(spec, form, weights, mono)))
     return u
 
 
@@ -552,12 +574,11 @@ def pole_lattice(
 
 
 def physical_abscissa(spec: AlgebraSpec, q: int = 0) -> Rat:
-    """The predicted convergence abscissa: the l = 0, maximal-order lattice point.
-
-    A full order r = alpha puts 1 + 1/alpha per block into the root, so the
-    largest such root takes each block's largest alpha: (-n - sum_blocks
-    1/max alpha - q) / 2, for a twist of degree q.
-    """
+    """The rightmost full-order lattice point (l = 0, r = alpha): a full order puts
+    1 + 1/alpha per block into the root, so the largest takes each block's largest
+    alpha, (-n - sum_blocks 1/max alpha - q) / 2 for a twist of degree q.  On a joint
+    block with unequal alpha this is not the heat trace's leading pole, which takes
+    each block's smallest alpha: alpha = (1, 2) joint gives -5/4 here, -3/2 there."""
     tops = sum(Rat(1, max(spec.alpha[k] for k in block)) for block in spec.partition)
     return (-spec.n - tops - q) / 2
 
@@ -565,6 +586,12 @@ def physical_abscissa(spec: AlgebraSpec, q: int = 0) -> Rat:
 # ---------------------------------------------------------------------------
 # Interpolation identity
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _node_polynomial(node_count: int) -> tuple:
+    """The int coefficients of prod_{j < node_count} (z - j), constant term first."""
+    return tuple(c.numerator for c in RationalPolynomial.from_roots(range(node_count)).coeffs)
 
 
 def lagrange_identity_check(
@@ -590,7 +617,7 @@ def lagrange_identity_check(
     nodes = range(node_count)
     # L_i = (master / (z - i)) / prod_{j != i} (i - j), master = prod_j (z - j): the
     # quotient by synthetic division, in ints over one denominator of the weights
-    master = [c.numerator for c in RationalPolynomial.from_roots(nodes).coeffs]
+    master = _node_polynomial(node_count)
     weights = [b(r * i + q) / math.prod(i - j for j in nodes if j != i) for i in nodes]
     den = math.lcm(*(w.denominator for w in weights))
     lhs = [0] * node_count

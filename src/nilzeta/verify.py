@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Iterable
 
 from .core import AlgebraSpec, _refuse_large_basis, index_set, index_set_size, jacobi_check
-from .expr import format_element
-from .ideal import build_slice, gamma_generators, is_member, star_generators
+from .ideal import build_slice, gamma_generators, star_generators
 from .indices import box, mi_delta, mi_factorial, mi_sub
 from .reduction import (
-    _reduced_descent, b_polynomial, g_ab, h_ab, h_s, lagrange_identity_check, reduction_data, t_s,
+    _canonical_factor, _reduced_descent, _weights, b_polynomial, h_s, lagrange_identity_check,
+    reduction_data, t_s,
 )
 from .scalars import GaussianRational, Rat, i_power
 from .uea import Monomial, UEAElement, gamma_all, gamma_apply, monomials_up_to, pure_y, y_star
@@ -33,7 +32,7 @@ def check_jacobi(spec: AlgebraSpec, max_degree: int) -> str | None:
 def check_generators(spec: AlgebraSpec, max_degree: int) -> str | None:
     for gen in star_generators(spec) + gamma_generators(spec):
         if not rho(spec, gen).is_zero():
-            return f"nonvanishing image: {format_element(gen)}"
+            return f"nonvanishing image: {gen}"
     return None
 
 
@@ -60,50 +59,43 @@ def check_inversion(spec: AlgebraSpec, max_degree: int) -> str | None:
     return None
 
 
-def _first_order(spec: AlgebraSpec, monos: Iterable[Monomial], cases: Callable) -> str | None:
-    """The first-order identities: for each t in ``monos``, ``cases(mono, t)`` yields
-    ``(image, scalar, message)`` cases, each asserting image - scalar * t in the kernel
-    ideal.  Returns the first failing case's message, "{}" there written as t; None
-    when every case holds."""
-    for mono in monos:
-        t = UEAElement.monomial(spec, mono)
-        for image, scalar, message in cases(mono, t):
-            if not is_member(spec, image - t.scale(scalar)):
-                return message.format(format_element(t))
+def check_first_order(spec: AlgebraSpec, max_degree: int) -> str | None:
+    """g_{delta_k,0} t = x_k t and g_{0,delta_k} t = (the k-weight of t's Y part) t: the
+    canonical g-table's column k, or n + k, against the scalar times column 2n (t)."""
+    idx, n = index_set(spec), spec.n
+    for mono in monomials_up_to(spec, max_degree):
+        for k in range(n):
+            weight = sum(mult * idx[pos][k] for pos, mult in enumerate(mono.y) if mult)
+            for side, column, scalar in (("a", k, mono.x[k]), ("b", n + k, weight)):
+                weights = _weights(*mi_delta(2 * n, column), -scalar)
+                if _canonical_factor(spec, "g", weights, mono)[1]:
+                    return f"{side}-part fails for {UEAElement.monomial(spec, mono)}, k={k + 1}"
     return None
 
 
-def check_first_order(spec: AlgebraSpec, max_degree: int) -> str | None:
-    """g_{delta_k,0} t = x_k t and g_{0,delta_k} t = (the k-weight of t's Y part) t."""
-    idx, zeros = index_set(spec), (0,) * spec.n
-
-    def cases(mono, t):
-        for k in range(spec.n):
-            axis = mi_delta(spec.n, k)
-            yield g_ab(spec, axis, zeros, t), mono.x[k], f"a-part fails for {{}}, k={k + 1}"
-            weight = sum(mult * idx[pos][k] for pos, mult in enumerate(mono.y) if mult)
-            yield g_ab(spec, zeros, axis, t), weight, f"b-part fails for {{}}, k={k + 1}"
-
-    return _first_order(spec, monomials_up_to(spec, max_degree), cases)
-
-
 def check_eigen_relation(spec: AlgebraSpec, max_degree: int) -> str | None:
-    def cases(mono, t):
-        choice = reduction_data(spec, mono)
-        yield g_ab(spec, choice.a, choice.b, t), choice.eigenvalue, "eigen-relation fails for {}"
-
-    independent = (m for d in range(max_degree + 1) for m in build_slice(spec, d).independent)
-    return _first_order(spec, independent, cases)
+    """g_ab t = c t on the independent monomials, (a, b, c) from :func:`reduction_data`."""
+    for d in range(max_degree + 1):
+        for mono in build_slice(spec, d).independent:
+            choice = reduction_data(spec, mono)
+            weights = _weights(*choice.a, *choice.b, -choice.eigenvalue)
+            if _canonical_factor(spec, "g", weights, mono)[1]:
+                return f"eigen-relation fails for {UEAElement.monomial(spec, mono)}"
+    return None
 
 
 def check_shift(spec: AlgebraSpec, max_degree: int) -> str | None:
-    ones = (1,) * spec.n
-
-    def cases(mono, t):
-        yield (h_ab(spec, ones, ones, t) - g_ab(spec, ones, ones, t), 2 * spec.n,
-               "shift identity fails for {}")
-
-    return _first_order(spec, monomials_up_to(spec, max_degree), cases)
+    """h_ab t - g_ab t = 2n t at all-ones weights."""
+    n = spec.n
+    h_weights, g_weights = _weights(*(1,) * 2 * n, -2 * n), _weights(*(-1,) * 2 * n, 0)
+    for mono in monomials_up_to(spec, max_degree):
+        dh, h_rows = _canonical_factor(spec, "h", h_weights, mono)
+        dg, g_rows = _canonical_factor(spec, "g", g_weights, mono)
+        # the two weighed tables cancel: h_rows / dh = -g_rows / dg, row by row
+        if {(m, re * dg, im * dg) for m, re, im in h_rows} != {
+                (m, -re * dh, -im * dh) for m, re, im in g_rows}:
+            return f"shift identity fails for {UEAElement.monomial(spec, mono)}"
+    return None
 
 
 def check_annihilation(spec: AlgebraSpec, max_degree: int) -> str | None:
@@ -117,11 +109,11 @@ def check_annihilation(spec: AlgebraSpec, max_degree: int) -> str | None:
             h_image = _reduced_descent(spec, s, "h", element)
             if mono in chart.independent:
                 if h_image:
-                    return f"degree-{s} annihilation fails for {format_element(element)}"
+                    return f"degree-{s} annihilation fails for {element}"
                 if _reduced_descent(spec, s, "g", element):
-                    return f"degree-{s} g-annihilation fails for {format_element(element)}"
+                    return f"degree-{s} g-annihilation fails for {element}"
             if h_image.degree() > s - 1:
-                return f"degree-{s} descent fails for {format_element(element)}"
+                return f"degree-{s} descent fails for {element}"
     return None
 
 

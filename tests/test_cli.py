@@ -117,12 +117,13 @@ def test_each_command_loads_only_what_it_runs(heis, spec_file) -> None:
 
 
 def test_commands_without_text_output_load_no_expr(heis, spec_file) -> None:
-    # weyl imports the text writer only when an operator is printed
+    # weyl imports the text writer only when an operator is printed, verify only
+    # when it writes a counterexample
     run_python(
         "import sys; SPEC = sys.argv[1]\n"
         "from nilzeta.cli import main\n"
         "for args in (['poles', SPEC], ['algebra', 'check', SPEC],\n"
-        "             ['spectrum', SPEC, '--basis-size', '64']):\n"
+        "             ['spectrum', SPEC, '--basis-size', '64'], ['verify', SPEC, '--max-degree', '1']):\n"
         "    try: main(args)\n"
         "    except SystemExit as exc: assert exc.code == 0, args\n"
         "assert 'nilzeta.weyl' in sys.modules and 'nilzeta.expr' not in sys.modules",

@@ -34,7 +34,7 @@ from conftest import (
     taylor_h_ab_by_commutators,
 )
 from nilzeta import GaussianRational, algebra_spec
-from nilzeta.core import index_set_size
+from nilzeta.core import index_set, index_set_size
 from nilzeta.ideal import build_slice, filtration_min_degree, is_member
 from nilzeta.indices import box, mi_delta
 from nilzeta.reduction import (
@@ -274,12 +274,12 @@ def test_rho_matches_symbol_leibniz_sum(name: str) -> None:
 
 def test_image_caches_bounded_and_results_unshared(mixed) -> None:
     from nilzeta.linalg import IMAGE_CACHE_SIZE
-    from nilzeta.reduction import _axis_images
+    from nilzeta.reduction import _axis_images, _canonical_parts, _reduced_descent
     from nilzeta.verify import run_verify
     from nilzeta.weyl import _rho_image
 
     assert run_verify(mixed, 4)["all_passed"]
-    for cached in (_axis_images, _rho_image):
+    for cached in (_axis_images, _canonical_parts, _rho_image):
         info = cached.cache_info()
         assert info.maxsize == IMAGE_CACHE_SIZE and 0 < info.currsize <= IMAGE_CACHE_SIZE
     u = _mixed_denominator_element(mixed, random.Random(5))
@@ -288,6 +288,7 @@ def test_image_caches_bounded_and_results_unshared(mixed) -> None:
         lambda: h_s(mixed, 2, u),
         lambda: g_s(mixed, 2, u),
         lambda: h_ab(mixed, ones, ones, u),
+        lambda: _reduced_descent(mixed, 2, "g", u),
         lambda: t_s(mixed, 2, rho(mixed, u)),
         lambda: rho(mixed, u),
     ):
@@ -398,6 +399,37 @@ def test_reduced_descent_matches_the_literal_products(spec) -> None:
         s, u = monomial_degree(mono), UEAElement.monomial(spec, mono)
         assert _reduced_descent(spec, s, "h", u) == canonical_form(spec, h_s(spec, s, u))
         assert _reduced_descent(spec, s, "g", u) == canonical_form(spec, g_s(spec, s, u))
+
+
+@given(spec=algebra_specs())
+def test_canonical_tables_match_the_first_order_maps(spec) -> None:
+    # each weighed canonical table is the canonical form of g_ab/h_ab(a, b, t) - c t,
+    # on both forms, for every (a, b, c) that verify weighs: the axes, the
+    # eigen-relation and the shift (within 66 monomials up to degree 2)
+    from nilzeta.ideal import canonical_form
+    from nilzeta.reduction import _canonical_factor, _weights
+
+    assume(math.comb(spec.n + index_set_size(spec) + 2, 2) <= 66)
+    n, idx, ones = spec.n, index_set(spec), (1,) * spec.n
+    independent = {m for d in range(3) for m in build_slice(spec, d).independent}
+    for mono in monomials_up_to(spec, 2):
+        t = UEAElement.monomial(spec, mono)
+        cases = [(ones, ones, 2 * n), (ones, ones, 0), (ones, ones, 1)]
+        for k in range(n):
+            weight = sum(mult * idx[pos][k] for pos, mult in enumerate(mono.y))
+            axis, zeros = mi_delta(n, k), (0,) * n
+            cases += [(axis, zeros, mono.x[k]), (zeros, axis, weight), (zeros, axis, weight + 1)]
+        if mono in independent:
+            choice = reduction_data(spec, mono)
+            cases += [(choice.a, choice.b, choice.eigenvalue), (choice.a, choice.b, 0)]
+        for form, op in (("g", g_ab), ("h", h_ab)):
+            for a, b, c in cases:
+                den, rows = _canonical_factor(spec, form, _weights(*a, *b, -c), mono)
+                table = UEAElement(spec, {m: GaussianRational(Rat(re, den), Rat(im, den))
+                                          for m, re, im in rows})
+                literal = op(spec, a, b, t) - t.scale(c)
+                assert table == canonical_form(spec, literal), (form, mono, a, b, c)
+                assert (not rows) == is_member(spec, literal), (form, mono, a, b, c)
 
 
 def test_dependent_monomials_escape_strict_annihilation(heis, quad) -> None:

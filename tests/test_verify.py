@@ -6,6 +6,7 @@ import pytest
 
 from nilzeta import reduction, verify
 from nilzeta.expr import format_element
+from nilzeta.uea import monomial_degree
 from nilzeta.verify import CHECKS, run_verify
 
 
@@ -34,14 +35,23 @@ def fail(name: str, counterexample: str) -> dict:
     return {"name": name, "status": "fail", "counterexample": counterexample}
 
 
+def off_by_t(weights: tuple) -> tuple:
+    """The :func:`reduction._weights` of a factor plus the identity: -shift raised by 1."""
+    den, nums = weights
+    re, im = nums[-1]
+    return den, nums[:-1] + ((re + den, im),)
+
+
 def test_first_order_fault_names_the_first_monomial_and_axis(mixed, monkeypatch) -> None:
     # g_{0,delta_2} off by t on degree-2 monomials: X1^2, the first of them in
     # monomial order, fails its b-part at k = 2 after passing both parts at k = 1
-    def g_ab(spec, a, b, t):
-        out = reduction.g_ab(spec, a, b, t)
-        return out + t if tuple(b) == (0, 1) and not any(a) and t.degree() == 2 else out
+    def canonical_factor(spec, form, weights, mono):
+        b_axis_2 = reduction._weights(0, 0, 0, 1, 0)[1][:-1]
+        if form == "g" and weights[1][:-1] == b_axis_2 and monomial_degree(mono) == 2:
+            weights = off_by_t(weights)
+        return reduction._canonical_factor(spec, form, weights, mono)
 
-    monkeypatch.setattr(verify, "g_ab", g_ab)
+    monkeypatch.setattr(verify, "_canonical_factor", canonical_factor)
     assert failures(mixed) == {
         "first-order-commutation": fail("first-order-commutation", "b-part fails for X1^2, k=2"),
     }
@@ -61,11 +71,13 @@ def test_eigen_relation_fault(heis, monkeypatch) -> None:
 
 
 def test_operator_shift_fault(mixed, monkeypatch) -> None:
-    def h_ab(spec, a, b, t):
-        out = reduction.h_ab(spec, a, b, t)
-        return out + t if t.degree() == 1 else out
+    # h_ab off by t on degree-1 monomials
+    def canonical_factor(spec, form, weights, mono):
+        if form == "h" and monomial_degree(mono) == 1:
+            weights = off_by_t(weights)
+        return reduction._canonical_factor(spec, form, weights, mono)
 
-    monkeypatch.setattr(verify, "h_ab", h_ab)
+    monkeypatch.setattr(verify, "_canonical_factor", canonical_factor)
     assert failures(mixed) == {
         "operator-shift": fail("operator-shift", "shift identity fails for X1"),
     }
