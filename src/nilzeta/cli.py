@@ -226,7 +226,7 @@ _COMMANDS = (
                                                  help="element in the text grammar")}),
     (None, "verify", verify_cmd, {"--max-degree": dict(type=_NATURAL, default=3, help=_DEFAULT)}),
     (None, "poles", poles_cmd, {
-        "--q": dict(type=int, default=0, help="weight-twist degree" + _DEFAULT),
+        "--q": dict(type=_NATURAL, default=0, help="weight-twist degree" + _DEFAULT),
         "--s0": dict(type=_checked(_rational, "a rational number"), default="0",
                      help="start weight" + _DEFAULT),
         "--lmax": dict(type=_NATURAL, default=6, help="largest lattice shift" + _DEFAULT),

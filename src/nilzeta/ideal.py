@@ -35,7 +35,7 @@ from .uea import (
     slice_monomials,
     y_star,
 )
-from .weyl import WeylOperator, leibniz, monomial_symbol, weyl_key
+from .weyl import WeylOperator, monomial_symbol
 
 DEFAULT_SLICE_CAP = 6
 
@@ -172,17 +172,15 @@ def filtration_min_degree(
     """Least q with w in the image of the degree-<=q filtration level, or None.
 
     That image is spanned by the d^b o x^a whose key (b, a) has first degree
-    |b| + :func:`_cover` of a at most q.  Peeling the top term x^a d^b of w
-    against the normal form of d^b o x^a writes w in that basis, so q is the
-    largest first degree among the keys used.  ``None`` means "not attained
-    by degree cap"; raise ``cap`` to search further.  An operator on another
-    number of variables than the algebra's is refused.
+    |b| + :func:`_cover` of a at most q, so q is the largest first degree of
+    w's terms x^a d^b (0 for w = 0).  Exact, as peeling the top term x^a d^b
+    against the normal form of d^b o x^a leaves only terms x^(a-nu) d^(b-nu),
+    nu != 0, of first degree |b-nu| + cover(a-nu) < |b| + cover(a) (``_cover``
+    is monotone): a term of w with the largest first degree is never cancelled.
+    ``None`` means "not attained by degree cap"; raise ``cap`` to search
+    further.  An operator on another number of variables is refused.
     """
     if w.n != spec.n:
         raise ValueError(f"operator has {w.n} variables, the algebra {spec.n}")
-    rest, level = w, 0
-    while rest and level <= cap:
-        a, b = max(rest.terms, key=weyl_key)
-        level = max(level, mi_abs(b) + _cover(spec, a))
-        rest = rest - WeylOperator(w.n, leibniz(b, a)).scale(rest.terms[(a, b)])
+    level = max((mi_abs(b) + _cover(spec, a) for a, b in w.terms), default=0)
     return level if level <= cap else None

@@ -250,9 +250,11 @@ def reduction_data(spec: AlgebraSpec, mono: Monomial) -> ReductionChoice:
             )
         i_list.append(balanced[0])
         r_list.append(beta[balanced[0]])
+    # the descent's g-form shift s - root - n - sum(b) at the monomial's degree s, which
+    # is s - p + sum_j r_j/alpha_{i_j} once b's 1/alpha_{i_j} cancel against the root's
+    eig = sum((Rat(r, spec.alpha[i]) for i, r in zip(i_list, r_list)),
+              Rat(monomial_degree(mono) - spec.p))
     b = _factor_weights(spec, i_list)
-    # the g-form shift of the descent at the monomial's degree
-    eig = monomial_degree(mono) - _factor_root(spec, i_list, r_list) - spec.n - sum(b)
     return ReductionChoice(tuple(i_list), tuple(r_list), (1,) * spec.n, b, eig)
 
 
@@ -588,12 +590,6 @@ def physical_abscissa(spec: AlgebraSpec, q: int = 0) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _node_polynomial(node_count: int) -> tuple:
-    """The int coefficients of prod_{j < node_count} (z - j), constant term first."""
-    return tuple(c.numerator for c in RationalPolynomial.from_roots(range(node_count)).coeffs)
-
-
 def lagrange_identity_check(
     b: RationalPolynomial, r: RationalLike, q: RationalLike, n_shift: int
 ) -> None:
@@ -617,7 +613,9 @@ def lagrange_identity_check(
     nodes = range(node_count)
     # L_i = (master / (z - i)) / prod_{j != i} (i - j), master = prod_j (z - j): the
     # quotient by synthetic division, in ints over one denominator of the weights
-    master = _node_polynomial(node_count)
+    master = [1]
+    for j in nodes:
+        master = [lo - j * hi for lo, hi in zip([0, *master], [*master, 0])]
     weights = [b(r * i + q) / math.prod(i - j for j in nodes if j != i) for i in nodes]
     den = math.lcm(*(w.denominator for w in weights))
     lhs = [0] * node_count

@@ -49,6 +49,10 @@ takes the largest full-order root from it.  They check the closed forms
 behind :func:`~nilzeta.reduction.physical_abscissa` and
 :func:`~nilzeta.reduction.reduction_data`.
 
+``filtration_by_peeling`` is the image filtration degree by the peeling loop
+:func:`~nilzeta.ideal.filtration_min_degree` once ran: the top term's normal
+form subtracted until nothing is left; it checks the closed form.
+
 ``slice_kernel`` is the triangular basis of the ideal's degree slice that
 :func:`~nilzeta.ideal.build_slice` used to carry: one element per dependent
 monomial, the monomial minus its canonical form.
@@ -87,8 +91,8 @@ from hypothesis import strategies as st
 
 from nilzeta import AlgebraSpec, GaussianRational, WeylOperator, algebra_spec
 from nilzeta.core import Symbol, basis, bracket, index_set
-from nilzeta.indices import mi_delta
-from nilzeta.ideal import build_slice, canonical_form
+from nilzeta.indices import mi_abs, mi_delta
+from nilzeta.ideal import DEFAULT_SLICE_CAP, _cover, build_slice, canonical_form
 from nilzeta.reduction import reduction_factors
 from nilzeta.scalars import ONE, ZERO, Rat, RationalLike, as_rational, format_rational
 from nilzeta.linalg import _numerators, commutator
@@ -100,7 +104,7 @@ from nilzeta.uea import (
     monomials_up_to,
     pure_y,
 )
-from nilzeta.weyl import monomial_symbol, p_op, q_op, weyl_product
+from nilzeta.weyl import leibniz, monomial_symbol, p_op, q_op, weyl_key, weyl_product
 
 settings.register_profile(
     "suite",
@@ -318,6 +322,28 @@ def slice_kernel(spec: AlgebraSpec, degree: int) -> tuple:
         u = UEAElement.monomial(spec, mono)
         out.append(u - canonical_form(spec, u))
     return tuple(out)
+
+
+def filtration_by_peeling(
+    spec: AlgebraSpec, w: WeylOperator, cap: int = DEFAULT_SLICE_CAP
+) -> int | None:
+    """Least q with w in the image of the degree-<=q filtration level, or None.
+
+    That image is spanned by the d^b o x^a whose key (b, a) has first degree
+    |b| + :func:`_cover` of a at most q.  Peeling the top term x^a d^b of w
+    against the normal form of d^b o x^a writes w in that basis, so q is the
+    largest first degree among the keys used.  ``None`` means "not attained
+    by degree cap"; raise ``cap`` to search further.  An operator on another
+    number of variables than the algebra's is refused.
+    """
+    if w.n != spec.n:
+        raise ValueError(f"operator has {w.n} variables, the algebra {spec.n}")
+    rest, level = w, 0
+    while rest and level <= cap:
+        a, b = max(rest.terms, key=weyl_key)
+        level = max(level, mi_abs(b) + _cover(spec, a))
+        rest = rest - WeylOperator(w.n, leibniz(b, a)).scale(rest.terms[(a, b)])
+    return level if level <= cap else None
 
 
 class PairGaussian:

@@ -429,10 +429,11 @@ def test_verify_refuses_huge_index_set_before_building_it(monkeypatch) -> None:
     )
 
 
-def test_poles_refuses_negative_lmax(runner, heis, spec_file) -> None:
-    result = runner.invoke(main, ["poles", spec_file(heis), "--lmax", "-1"])
+@pytest.mark.parametrize("flag", ["--lmax", "--q"])
+def test_poles_refuses_negative_lmax(runner, heis, spec_file, flag) -> None:
+    result = runner.invoke(main, ["poles", spec_file(heis), flag, "-1"])
     assert result.exit_code == 2
-    assert "--lmax" in result.output
+    assert flag in result.output
 
 
 def test_poles_refuses_over_witness_budget(runner, quad, spec_file) -> None:

@@ -30,11 +30,12 @@ from nilzeta.uea import (
     pure_y,
     slice_monomials,
 )
-from nilzeta.weyl import WeylOperator, monomial_symbol, rho, weyl_key
+from nilzeta.weyl import WeylOperator, leibniz, monomial_symbol, rho, weyl_key
 
 from conftest import (
     SPEC_PARAMS,
     algebra_specs,
+    filtration_by_peeling,
     first_monomials,
     generated_span_leading,
     leading_monomial_divides,
@@ -252,6 +253,21 @@ def test_filtration_min_degree_cap(heis) -> None:
     x7 = x**7
     assert filtration_min_degree(heis, x7, cap=6) is None
     assert filtration_min_degree(heis, x7, cap=7) == 7
+
+
+@given(spec=algebra_specs(), data=st.data())
+def test_filtration_closed_form_matches_peeling(spec, data) -> None:
+    # sums of composed operators d^b o x^a in normal form, whose lower terms
+    # cancel under peeling, and of lone terms x^a d^b, over Q(i)
+    n, exps = spec.n, st.tuples(*[st.integers(0, 3)] * spec.n)
+    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    w = WeylOperator.zero(n)
+    for a, b, c, composed in data.draw(
+        st.lists(st.tuples(exps, exps, coeffs, st.booleans()), max_size=5)
+    ):
+        w = w + WeylOperator(n, dict(leibniz(b, a)) if composed else {(a, b): 1}).scale(c)
+    for cap in (-1, 0, 1, 2, 3, 5, 8, 12, 18):
+        assert filtration_min_degree(spec, w, cap) == filtration_by_peeling(spec, w, cap)
 
 
 def test_deep_degrees_in_closed_form(cubic) -> None:

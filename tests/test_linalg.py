@@ -148,6 +148,6 @@ def test_every_package_cache_is_bounded() -> None:
     for name in ("uea._push_y_through_x", "weyl.leibniz", "weyl._monomial_product",
                  "ideal._first", "core.index_set", "reduction._descent_weights",
                  "reduction._weights", "uea._lowering", "ideal._canonical_image",
-                 "reduction._canonical_parts", "reduction._node_polynomial", "ideal.build_slice"):
+                 "reduction._canonical_parts", "ideal.build_slice"):
         assert sizes[f"nilzeta.{name}"] == IMAGE_CACHE_SIZE
     assert [name for name, size in sorted(sizes.items()) if size is None] == []

@@ -732,6 +732,21 @@ def test_factor_closed_forms_match_enumeration(spec, q) -> None:
             assert choice.eigenvalue == (monomial_degree(mono) - root - spec.n - sum(b)).re
 
 
+@given(spec=algebra_specs())
+def test_eigenvalue_is_the_g_form_descent_shift(spec) -> None:
+    # _descent_weights holds each g-factor's weights with minus its shift last
+    from nilzeta.reduction import _descent_weights
+
+    labels = list(reduction_factors(spec))
+    for s in range(3):
+        table = _descent_weights(spec, "g", s)
+        for mono in build_slice(spec, s).independent:
+            choice = reduction_data(spec, mono)
+            den, nums = table[labels.index((choice.i_tuple, choice.r_tuple))]
+            assert nums[-1][1] == 0
+            assert choice.eigenvalue == Rat(-nums[-1][0], den)
+
+
 def test_pole_lattice_twist_shifts_left(heis) -> None:
     base = pole_lattice(heis, q=0, s0=2, l_max=4)
     twisted = pole_lattice(heis, q=2, s0=2, l_max=4)
