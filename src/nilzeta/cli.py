@@ -233,7 +233,8 @@ _COMMANDS = (
         "--csv": dict(dest="csv_path", metavar="PATH", type=_file(exists=False)),
     }),
     (None, "spectrum", spectrum_cmd, {
-        "--basis-size": dict(type=int, default=128, help=_DEFAULT),
+        "--basis-size": dict(type=_checked(int, "an integer >= 1", lambda n: n >= 1),
+                             default=128, help=_DEFAULT),
         "--zeta-at": dict(type=_checked(float, "a finite number", math.isfinite),
                           action="append", default=[],
                           help="evaluate the eigenvalue zeta here; repeatable"),

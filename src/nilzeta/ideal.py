@@ -177,8 +177,7 @@ def filtration_min_degree(
     against the normal form of d^b o x^a leaves only terms x^(a-nu) d^(b-nu),
     nu != 0, of first degree |b-nu| + cover(a-nu) < |b| + cover(a) (``_cover``
     is monotone): a term of w with the largest first degree is never cancelled.
-    ``None`` means "not attained by degree cap"; raise ``cap`` to search
-    further.  An operator on another number of variables is refused.
+    ``None``: that degree is above ``cap``.  Another variable count is refused.
     """
     if w.n != spec.n:
         raise ValueError(f"operator has {w.n} variables, the algebra {spec.n}")

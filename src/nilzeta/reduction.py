@@ -13,18 +13,18 @@ Three layers live here.
     choice of one generator position per partition block and a weight vector
     b such that g with all-ones a satisfies an eigen-relation modulo the
     kernel ideal; h differs from g by (|a| + |b|) times the identity.  Both
-    are linear in T, sum_k a_k A_k(T) + b_k B_k(T), and are applied as cached
-    linear maps from int images of the parts at each monomial
-    (:func:`_axis_images`); their canonical forms modulo the kernel ideal come
-    from one cached table of the parts' canonical forms (:func:`_canonical_parts`).
+    are linear in T, sum_k a_k A_k(T) + b_k B_k(T): one cached table of the
+    parts at each monomial, weighed by the factor's weights, gives the image,
+    from int images of the parts (:func:`_axis_images`) or from their canonical
+    forms modulo the kernel ideal (:func:`_canonical_parts`).
 
 2.  Degree-indexed annihilation/descent products ``h_s``, ``g_s``
     (enveloping side) and ``t_s`` (operator side): products of first-order
     factors, one per choice of block positions and per-block orders, each
     shifted by an exact rational constant, with weights computed once per
     degree.  ``h_s`` kills every degree-s monomial modulo the kernel ideal;
-    ``t_s`` lowers the image filtration degree.  :func:`_reduced_descent`
-    takes the canonical form after every factor, for ``verify``.
+    ``t_s`` lowers the image filtration degree.  One loop runs every product;
+    :func:`_reduced_descent` runs it on the canonical tables, for ``verify``.
 
 3.  The exact rational polynomial ``b_polynomial`` whose roots drive the
     meromorphic continuation, the resulting half-integer pole lattice, and
@@ -88,7 +88,7 @@ def _bump(y: tuple, pos: int) -> tuple:
 def _axis_images(space, form: str, mono) -> tuple:
     """The first-order parts A_0..A_{n-1}, B_0..B_{n-1} at one monomial m, and m
     itself as part 2n, written down with no products and merged by monomial:
-    ``(mono, ((part, re, im), ...))`` rows with int coefficients.  Over
+    ``(1, ((mono, ((part, re, im), ...)), ...))``, int rows over 1.  Over
     (X_k, Yhat_k) at m = X^p Y^q, from Y^0 central, [X^p, Y^{delta_k}] =
     p_k X^{p-delta_k} Y^0 and the derivation D_k = [X_k, .] (``_y_derivation``):
 
@@ -128,7 +128,7 @@ def _axis_images(space, form: str, mono) -> tuple:
     for j, part in enumerate([*parts, ((mono, 1, 0),)]):
         for m, re, im in part:
             merged.setdefault(m, []).append((j, re, im))
-    return tuple((m, tuple(rows)) for m, rows in merged.items())
+    return 1, tuple((m, tuple(rows)) for m, rows in merged.items())
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE, typed=True)
@@ -144,25 +144,25 @@ def _first_order(space, form: str, a: Sequence, b: Sequence, t: Combination):
     n = space if isinstance(space, int) else space.n
     if len(a) != n or len(b) != n:
         raise ValueError(f"weight vectors must have length {n}")
-    return _factor(space, form, _weights(*a, *b, 0), t)
+    return _factor(space, form, _axis_images, _weights(*a, *b, 0), t)
 
 
-def _factor(space, form: str, weights: tuple, t: Combination):
-    """The factor sum_k a_k A_k(t) + b_k B_k(t) - shift * t given by the :func:`_weights`
-    of (a_0.., b_0.., -shift): each monomial's image weighs the parts of
-    :func:`_axis_images` as ints, and t maps through :func:`~nilzeta.linalg.map_terms`."""
+def _factor(space, form: str, table, weights: tuple, t: Combination):
+    """The factor sum_k a_k A_k(t) + b_k B_k(t) - shift * t with the :func:`_weights` of
+    (a_0.., b_0.., -shift): t mapped through :func:`~nilzeta.linalg.map_terms` to each
+    monomial's weighed ``table(space, form, mono)``, :func:`_axis_images` or its canonical form."""
     if t.space != space:
         raise ValueError(f"{type(t).__name__} operands belong to different spaces")
     return t._of_clean(space, map_terms(
-        t.terms, lambda mono: _weighed(1, _axis_images(space, form, mono), weights)))
+        t.terms, lambda mono: _weighed(table(space, form, mono), weights)))
 
 
-def _weighed(den: int, table: tuple, weights: tuple) -> tuple:
-    """A table of ``(mono, ((part, re, im), ...))`` rows over den, each part weighed by
+def _weighed(table: tuple, weights: tuple) -> tuple:
+    """A table ``(den, ((mono, ((part, re, im), ...)), ...))``, each part weighed by
     its :func:`_weights` entry, as a :func:`~nilzeta.linalg.map_terms` image."""
-    dw, nums = weights
+    (den, entries), (dw, nums) = table, weights
     rows = []
-    for m, parts in table:
+    for m, parts in entries:
         re = im = 0
         for j, pr, pi in parts:
             wr, wi = nums[j]
@@ -179,7 +179,7 @@ def _canonical_parts(spec: AlgebraSpec, form: str, mono: Monomial) -> tuple:
     one den, keyed by independent monomial (a part's entries in one row add up).  The
     canonical projection is linear, so a factor's canonical form at m is this table
     weighed by the factor's weights."""
-    images = [(_canonical_image(spec, m), parts) for m, parts in _axis_images(spec, form, mono)]
+    images = [(_canonical_image(spec, m), parts) for m, parts in _axis_images(spec, form, mono)[1]]
     den = math.lcm(*(d for (d, _), _ in images))
     table: dict = {}
     for (d, ((first, cr, ci),)), parts in images:
@@ -192,7 +192,7 @@ def _canonical_parts(spec: AlgebraSpec, form: str, mono: Monomial) -> tuple:
 def _canonical_factor(spec: AlgebraSpec, form: str, weights: tuple, mono: Monomial) -> tuple:
     """The canonical form of the factor with :func:`_weights` ``weights`` at a monomial,
     as a :func:`~nilzeta.linalg.map_terms` image; no rows exactly on the kernel ideal."""
-    return _weighed(*_canonical_parts(spec, form, mono), weights)
+    return _weighed(_canonical_parts(spec, form, mono), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +297,19 @@ def _descent_weights(spec: AlgebraSpec, form: str, s: int) -> tuple:
     return tuple(table)
 
 
-def _reduced_descent(spec: AlgebraSpec, s: int, form: str, u: UEAElement) -> UEAElement:
-    """canonical_form(h_s(u)) ("h") or canonical_form(g_s(u)) ("g"), the canonical form
-    taken after every factor: each factor is one map through :func:`_canonical_factor`.
-    A factor is a sum of left and right products, so it maps the kernel ideal,
-    two-sided (Dixmier, *Enveloping Algebras*, ch. 3), into itself; the images stay
-    reduced instead of growing through every factor."""
+def _descent(spec: AlgebraSpec, s: int, space, form: str, table, t: Combination):
+    """The shifted first-order factors of ``form`` at degree s, first factor first,
+    each through ``table`` (see :func:`_factor`)."""
     for weights in _descent_weights(spec, form, s):
-        u = u._of_clean(spec, map_terms(
-            u.terms, lambda mono: _canonical_factor(spec, form, weights, mono)))
-    return u
-
-
-def _descent(spec: AlgebraSpec, s: int, space, form: str, t: Combination):
-    """The shifted first-order factors of ``form`` at degree s, first factor first."""
-    for weights in _descent_weights(spec, form, s):
-        t = _factor(space, form, weights, t)
+        t = _factor(space, form, table, weights, t)
     return t
+
+
+def _reduced_descent(spec: AlgebraSpec, s: int, form: str, u: UEAElement) -> UEAElement:
+    """canonical_form(h_s(u)) ("h") or canonical_form(g_s(u)) ("g"), taken after every
+    factor, through :func:`_canonical_parts`: a factor, a sum of left and right products,
+    maps the two-sided kernel ideal (Dixmier, *Enveloping Algebras*, ch. 3) into itself."""
+    return _descent(spec, s, spec, form, _canonical_parts, u)
 
 
 def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
@@ -322,17 +318,17 @@ def h_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     Annihilates every degree-s monomial modulo the kernel ideal and maps the
     degree-<=s filtration level into (degree-<=(s-1) level) + ideal.
     """
-    return _descent(spec, s, spec, "h", u)
+    return _descent(spec, s, spec, "h", _axis_images, u)
 
 
 def g_s(spec: AlgebraSpec, s: int, u: UEAElement) -> UEAElement:
     """Product of shifted g-factors at degree s (first factor applied first)."""
-    return _descent(spec, s, spec, "g", u)
+    return _descent(spec, s, spec, "g", _axis_images, u)
 
 
 def t_s(spec: AlgebraSpec, s: int, w: WeylOperator) -> WeylOperator:
     """Operator-side descent product; intertwines with h_s through the representation."""
-    return _descent(spec, s, spec.n, "h", w)
+    return _descent(spec, s, spec.n, "h", _axis_images, w)
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,14 @@ def hermite_matrix(w: WeylOperator, basis_size: int, parity: Optional[tuple] = N
 
     With ``parity`` (0 or 1 per axis) only that sector is built: the principal
     submatrix on the h_i with every i_j = parity[j] (mod 2), by stride 2 and
-    halved diagonals.  A term with an odd a_j + b_j couples sectors and is refused.
+    halved diagonals.  A term with an odd a_j + b_j couples sectors and is refused,
+    and so, before anything is built, is a parity that is not one 0 or 1 per axis.
     """
     n = w.n
     if basis_size < 1:
         raise ValueError("basis size must be positive")
+    if parity is not None and (len(parity) != n or any(p not in (0, 1) for p in parity)):
+        raise ValueError(f"parity {tuple(parity)} is not one 0 or 1 per axis of {n} axes")
     step, offsets = (1, (0,) * n) if parity is None else (2, parity)
     axes = [np.arange(p, basis_size, step) for p in offsets]  # basis indices kept per axis
     _refuse_above_cap(math.prod(map(len, axes)) ** 2, "the Hermite matrix")
@@ -209,11 +212,13 @@ def eigenvalues(
     """Eigenvalues converged under basis doubling.
 
     An eigenvalue is converged when its relative drift between basis sizes N
-    and 2N is below ``drift_tol``; only the contiguous prefix counts.  A
-    request whose doubled solve would exceed ``MAX_SOLVE_ENTRIES`` raises
-    ValueError before anything is assembled: the largest sector of an n-axis
+    and 2N is below ``drift_tol``; only the contiguous prefix counts.  A basis
+    size below 1, or a request whose doubled solve would exceed ``MAX_SOLVE_ENTRIES``,
+    raises ValueError before anything is assembled: the largest sector of an n-axis
     block at the doubled size holds basis_size**(2n) entries.
     """
+    if basis_size < 1:
+        raise ValueError("basis size must be positive")
     const, ops = delta1_blocks(spec)
     doubled = _doubled(basis_size)
     for op in ops:

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given
+from hypothesis import given
 
 import nilzeta
 from nilzeta import parse_expression
 from nilzeta.cli import main
-from nilzeta.core import MAX_BASIS_SYMBOLS, algebra_spec, index_set, index_set_size
+from nilzeta.core import MAX_BASIS_SYMBOLS, algebra_spec, index_set_size
 from nilzeta.uea import UEAElement, monomials_up_to
 from nilzeta.verify import run_verify
 
@@ -360,16 +360,11 @@ def test_verify_passes_and_reports_all_checks(runner, heis, spec_file) -> None:
     assert all(entry["status"] == "pass" for entry in checks.values())
 
 
-# Generated algebras are verified at degree 2 when the monomials up to it
-# number at most this budget, i.e. n + |index set| <= 34: up to the joint
-# 3-axis block alpha = (1, 3, 3), whose run takes about 1 s.
-GENERATED_VERIFY_BUDGET = 666
-
-
 @given(spec=algebra_specs())
 def test_verify_passes_on_generated_specs(spec) -> None:
+    # every draw, up to the joint 3-axis block alpha = (3, 3, 3) with 2346
+    # monomials up to degree 2, is verified
     assert spec.n + index_set_size(spec) <= MAX_BASIS_SYMBOLS  # no generated spec is refused
-    assume(math.comb(spec.n + len(index_set(spec)) + 2, 2) <= GENERATED_VERIFY_BUDGET)
     assert run_verify(spec, 2)["all_passed"]
 
 
@@ -569,6 +564,15 @@ def test_spectrum_default_basis_on_two_blocks(runner, mixed, spec_file) -> None:
 def test_spectrum_refuses_oversized_solve(runner, pair_joint, spec_file) -> None:
     payload = invoke_json(runner, ["spectrum", spec_file(pair_joint)], exit_code=1)
     assert "above the cap" in payload["error"]
+
+
+@pytest.mark.parametrize("size", ["0", "-3", "-100000"])
+def test_spectrum_refuses_non_positive_basis_size(runner, pair_split, spec_file, size) -> None:
+    # a usage error, as --max-degree is: no solve is sized from a negative basis
+    result = runner.invoke(main, ["spectrum", spec_file(pair_split), "--basis-size", size])
+    assert result.exit_code == 2
+    assert f"argument --basis-size: {size!r} is not an integer >= 1" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])

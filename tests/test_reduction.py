@@ -230,9 +230,10 @@ def test_axis_images_match_commutators_part_by_part(name: str) -> None:
         if sum(a) + sum(b) <= degree
     ]
     for space, form, pairs, cls, mono in cases:
-        rows = _axis_images(space, form, mono)
+        den, rows = _axis_images(space, form, mono)
         t = cls(space, {mono: 1})
         expected = _literal_parts(pairs, form, t) + [t]  # part 2n is m itself
+        assert den == 1  # int rows
         assert len({m for m, _ in rows}) == len(rows)  # merged by monomial
         parts = [cls(space) for _ in expected]
         for m, entries in rows:
@@ -390,15 +391,17 @@ def test_annihilation_and_descent(name: str) -> None:
 @given(spec=algebra_specs())
 def test_reduced_descent_matches_the_literal_products(spec) -> None:
     # the canonical form after every factor is the canonical form of the literal
-    # product, monomial by monomial (within 66 monomials up to degree 2)
+    # product, monomial by monomial and at every degree s, below, at and above the
+    # monomial's own, as the descent diagram runs it (within 66 monomials up to degree 2)
     from nilzeta.ideal import canonical_form
     from nilzeta.reduction import _reduced_descent
 
     assume(math.comb(spec.n + index_set_size(spec) + 2, 2) <= 66)
     for mono in monomials_up_to(spec, 2):
-        s, u = monomial_degree(mono), UEAElement.monomial(spec, mono)
-        assert _reduced_descent(spec, s, "h", u) == canonical_form(spec, h_s(spec, s, u))
-        assert _reduced_descent(spec, s, "g", u) == canonical_form(spec, g_s(spec, s, u))
+        u = UEAElement.monomial(spec, mono)
+        for s in range(3):
+            assert _reduced_descent(spec, s, "h", u) == canonical_form(spec, h_s(spec, s, u))
+            assert _reduced_descent(spec, s, "g", u) == canonical_form(spec, g_s(spec, s, u))
 
 
 @given(spec=algebra_specs())

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from itertools import product
 
@@ -211,6 +212,26 @@ def test_basis_size_zero_refused_per_sector(quad) -> None:
         hermite_matrix(delta1(quad), 0, (0,))
     with pytest.raises(ValueError, match="basis size must be positive"):
         eigenvalues(quad, 0)
+
+
+@pytest.mark.parametrize("basis_size", [0, -3, -100_000])
+def test_eigenvalues_refuses_non_positive_basis_size(quad, pair_split, basis_size) -> None:
+    # refused before the entry caps, which would read a negative size as a large solve
+    for spec in (quad, pair_split):
+        with pytest.raises(ValueError, match="^basis size must be positive$"):
+            eigenvalues(spec, basis_size)
+
+
+@pytest.mark.parametrize("parity", [(2, 0), (-1, 0), (0,), (0, 0, 0)])
+def test_hermite_matrix_refuses_a_bad_parity(pair_joint, parity) -> None:
+    # (2, 0) once dropped h_0 and (-1, 0) wrapped round to the last basis function;
+    # a parity of the wrong length failed inside numpy.  Each is refused up front,
+    # before the entry cap would refuse the basis size of 10**6.
+    (op,) = delta1_blocks(pair_joint)[1]
+    message = re.escape(f"parity {parity} is not one 0 or 1 per axis of 2 axes")
+    for basis_size in (6, 10**6):
+        with pytest.raises(ValueError, match=message):
+            hermite_matrix(op, basis_size, parity)
 
 
 @pytest.mark.parametrize("name", ["pair_split", "mixed", "cubic", "pair_joint"])

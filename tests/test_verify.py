@@ -99,6 +99,19 @@ def test_annihilation_fault(heis, monkeypatch, form, planted, message) -> None:
     assert failures(heis) == {"degree-annihilation": fail("degree-annihilation", message)}
 
 
+@pytest.mark.parametrize("name", ["heis", "mixed"])
+def test_descent_diagram_fault(request, monkeypatch, name) -> None:
+    # the operator-side descent off by w at s = 1: only the diagram compares it
+    def t_s(spec, s, w):
+        out = reduction.t_s(spec, s, w)
+        return out + w if s == 1 else out
+
+    monkeypatch.setattr(verify, "t_s", t_s)
+    assert failures(request.getfixturevalue(name)) == {
+        "descent-diagram": fail("descent-diagram", "diagram fails at s=1"),
+    }
+
+
 def test_a_raising_check_is_its_failure_entry(heis, monkeypatch) -> None:
     def b_polynomial(spec):
         raise ValueError("no b-polynomial")
